@@ -4,7 +4,7 @@
 from .analytics import (Infeasible, Spectrum, count_at_least, count_total,
                         filter_family, spectrum, transversal_number,
                         transversals_of_size)
-from .engine import RowFamily, RunStats, WorkItem, impose, is_extra_feasible, is_feasible, run
+from .engine import RowFamily, RunStats, impose, is_feasible, run
 from .hypergraph import (Hypergraph, HypergraphError, load_hypergraph,
                          parse_hypergraph, render_hypergraph, subset_reduced,
                          superset_reduced)
@@ -18,8 +18,7 @@ __all__ = [
     "Hypergraph", "HypergraphError", "parse_hypergraph", "render_hypergraph",
     "load_hypergraph", "subset_reduced", "superset_reduced",
     "Row", "row_from_tokens", "bubble_segment_counts",
-    "WorkItem", "RunStats", "RowFamily", "impose", "is_feasible",
-    "is_extra_feasible", "run",
+    "RunStats", "RowFamily", "impose", "is_feasible", "run",
     "Infeasible", "Spectrum", "count_total", "spectrum", "count_at_least",
     "transversal_number", "transversals_of_size", "filter_family",
     "brute_transversals", "inclusion_exclusion_count", "bell_numbers",

@@ -21,22 +21,25 @@ class Spectrum:
     total: int
 
 
-def _refuse_pruned(family: RowFamily, what: str) -> None:
-    if family.min_card is not None:
+def _refuse_pruned(family: RowFamily, k: int = 0) -> None:
+    """The one rule for pruned families: refuse any answer that involves
+    cardinalities below ``min_card``, since the run may have discarded those
+    transversals.  Whole-family queries pass k=0."""
+    if family.min_card is not None and k < family.min_card:
         raise ValueError(
-            f"{what} needs a family built without min_card; this one was "
-            f"pruned below cardinality {family.min_card}")
+            f"family was pruned below cardinality {family.min_card}; "
+            f"an answer involving size {k} would be incomplete")
 
 
 def count_total(family: RowFamily) -> int:
     """Total number of represented transversals."""
-    _refuse_pruned(family, "count_total")
+    _refuse_pruned(family)
     return sum(row.size() for row in family.rows)
 
 
 def spectrum(family: RowFamily) -> Spectrum:
     """Exact transversal counts for every cardinality 0..w."""
-    _refuse_pruned(family, "spectrum")
+    _refuse_pruned(family)
     counts = [0] * (family.w + 1)
     for row in family.rows:
         for k, c in enumerate(row.counts_by_size(family.w)):
@@ -47,10 +50,7 @@ def spectrum(family: RowFamily) -> Spectrum:
 def count_at_least(family: RowFamily, k: int) -> int:
     """Number of transversals of cardinality >= k, as row totals minus the
     per-row counts below k."""
-    if family.min_card is not None and k < family.min_card:
-        raise ValueError(
-            f"family was pruned below cardinality {family.min_card}; "
-            f"counts for k={k} would be incomplete")
+    _refuse_pruned(family, k)
     cutoff = min(k, family.w + 1)
     total = 0
     for row in family.rows:
@@ -67,7 +67,7 @@ def transversal_number(family: RowFamily) -> tuple[int, int]:
     minimum member size attains the overall minimum; minimum members take
     the forced positions plus exactly one position per bubble.
     """
-    _refuse_pruned(family, "transversal_number")
+    _refuse_pruned(family)
     if not family.rows:
         raise Infeasible("empty row family has no transversals")
     k_min = min(row.c_min for row in family.rows)
@@ -78,7 +78,6 @@ def transversal_number(family: RowFamily) -> tuple[int, int]:
         count = 1
         for bubble in row.bubbles:
             count *= len(bubble)
-        assert count == row.count_of_size(k_min)
         tau_min += count
     return k_min, tau_min
 
@@ -86,10 +85,7 @@ def transversal_number(family: RowFamily) -> tuple[int, int]:
 def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]:
     """Every represented transversal of cardinality k exactly once, row by
     row; row disjointness rules out duplicates."""
-    if family.min_card is not None and k < family.min_card:
-        raise ValueError(
-            f"family was pruned below cardinality {family.min_card}; "
-            f"generation for k={k} would be incomplete")
+    _refuse_pruned(family, k)
 
     def generate() -> Iterator[tuple[int, ...]]:
         for row in family.rows:

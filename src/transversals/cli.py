@@ -11,7 +11,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from .analytics import (count_at_least, count_total, filter_family, spectrum,
                         transversal_number, transversals_of_size)
@@ -23,17 +22,6 @@ from .oracles import (BRUTE_VERTEX_LIMIT, IE_EDGE_LIMIT, brute_transversals,
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
-
-
-@dataclass(frozen=True)
-class RunReport:
-    n_total: int
-    r_final: int
-    k_min: int
-    tau_min: int
-    impositions: int
-    s_max_observed: int
-    elapsed: float
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,23 +88,22 @@ def _cmd_count(args) -> int:
     elapsed = time.perf_counter() - start
     total = count_total(family)
     k_min, tau_min = transversal_number(family)
-    report = RunReport(
-        n_total=total, r_final=len(family.rows), k_min=k_min, tau_min=tau_min,
-        impositions=family.stats.impositions, s_max_observed=family.stats.s_max,
-        elapsed=elapsed)
     at_least = None
     if args.at_least is not None:
         at_least = count_at_least(family, args.at_least)
 
     if args.json:
-        payload = asdict(report)
+        report = {
+            "n_total": total, "r_final": len(family.rows), "k_min": k_min,
+            "tau_min": tau_min, "impositions": family.stats.impositions,
+            "s_max_observed": family.stats.s_max, "elapsed": elapsed}
         if at_least is not None:
-            payload["at_least_k"] = args.at_least
-            payload["at_least_count"] = at_least
-        print(json.dumps(payload))
+            report["at_least_k"] = args.at_least
+            report["at_least_count"] = at_least
+        print(json.dumps(report))
     else:
-        print(f"N = {report.n_total}, R = {report.r_final}, "
-              f"k_min = {report.k_min}, tau_min = {report.tau_min}")
+        print(f"N = {total}, R = {len(family.rows)}, "
+              f"k_min = {k_min}, tau_min = {tau_min}")
         if at_least is not None:
             print(f"N(|X| >= {args.at_least}) = {at_least}")
 
@@ -170,9 +157,6 @@ def _cmd_query(args) -> int:
     hg = _load(args)
     require = _parse_vertex_list(args.require)
     forbid = _parse_vertex_list(args.forbid)
-    if set(require) & set(forbid):
-        raise HypergraphError(
-            f"require and forbid overlap on {sorted(set(require) & set(forbid))}")
     family = run(hg)
     filtered = filter_family(family, require=require, forbid=forbid)
     for row in filtered.rows:

@@ -7,21 +7,10 @@ rows form a disjoint family whose union is the set of all transversals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .hypergraph import Hypergraph
 from .rows import Row
-
-
-class WorkItem(NamedTuple):
-    """A row together with the 1-based index of the next edge to impose.
-
-    Every member of ``row`` already hits the edges before ``pc``; ``pc`` of
-    h+1 marks a final row.
-    """
-
-    row: Row
-    pc: int
 
 
 @dataclass(frozen=True)
@@ -36,8 +25,9 @@ class RowFamily:
     """Ordered list of pairwise-disjoint rows plus the run bookkeeping.
 
     ``min_card`` records that the producing run pruned rows which could not
-    reach that cardinality; analytics refuse per-k queries below it because
-    smaller transversals may have been discarded.
+    reach that cardinality; analytics refuse every answer that involves a
+    cardinality below it because smaller transversals may have been
+    discarded.
     """
 
     w: int
@@ -62,27 +52,20 @@ def impose(row: Row, edge: Iterable[int]) -> list[Row]:
     hit = frozenset(edge)
     if hit & row.ones or any(bubble <= hit for bubble in row.bubbles):
         return [row]
-    cut_ids = [i for i, bubble in enumerate(row.bubbles) if bubble & hit]
-    free_hit = row.twos & hit
+    zeros = row.zeros
+    bubbles = list(row.bubbles)
     sons = []
-    for s, i in enumerate(cut_ids):
-        zeros = row.zeros
-        bubbles = list(row.bubbles)
-        for q in cut_ids[:s]:
-            part = bubbles[q] & hit
-            zeros |= part
-            bubbles[q] = bubbles[q] - part
-        part = bubbles[i] & hit
-        twos = row.twos | (bubbles[i] - part)
+    for i, bubble in enumerate(row.bubbles):
+        part = bubble & hit
+        if not part:
+            continue
+        rest = bubble - part
         bubbles[i] = part
-        sons.append(Row(row.w, zeros, row.ones, twos, tuple(bubbles)))
+        sons.append(Row(row.w, zeros, row.ones, row.twos | rest, tuple(bubbles)))
+        zeros |= part
+        bubbles[i] = rest
+    free_hit = row.twos & hit
     if free_hit:
-        zeros = row.zeros
-        bubbles = list(row.bubbles)
-        for q in cut_ids:
-            part = bubbles[q] & hit
-            zeros |= part
-            bubbles[q] = bubbles[q] - part
         sons.append(Row(row.w, zeros, row.ones, row.twos - free_hit,
                         tuple(bubbles) + (free_hit,)))
     return sons
@@ -93,11 +76,6 @@ def is_feasible(row: Row, pending: Iterable[Iterable[int]]) -> bool:
     member taking everything outside the zeros hits every pending edge."""
     zeros = row.zeros
     return all(not zeros.issuperset(edge) for edge in pending)
-
-
-def is_extra_feasible(row: Row, pending: Iterable[Iterable[int]], k: int) -> bool:
-    """Feasible and still containing a member of cardinality >= k."""
-    return row.c_max >= k and is_feasible(row, pending)
 
 
 def run(hg: Hypergraph, min_card: int | None = None) -> RowFamily:
@@ -115,21 +93,21 @@ def run(hg: Hypergraph, min_card: int | None = None) -> RowFamily:
         raise ValueError("min_card must be >= 0")
     edges = [frozenset(e) for e in hg.edges]
     h = len(edges)
+    floor = min_card or 0
 
     def admissible(row: Row, pc: int) -> bool:
-        pending = edges[pc - 1:]
-        if min_card is None:
-            return is_feasible(row, pending)
-        return is_extra_feasible(row, pending, min_card)
+        return row.c_max >= floor and is_feasible(row, edges[pc - 1:])
 
     impositions = 0
     s_max = 0
     max_stack = 0
     final: list[Row] = []
-    stack: list[WorkItem] = []
+    # (row, pc): every member of row hits the edges before the 1-based
+    # index pc; pc == h + 1 marks a final row
+    stack: list[tuple[Row, int]] = []
     root = Row.powerset(hg.w)
     if admissible(root, 1):
-        stack.append(WorkItem(root, 1))
+        stack.append((root, 1))
     while stack:
         max_stack = max(max_stack, len(stack))
         row, pc = stack.pop()
@@ -140,6 +118,6 @@ def run(hg: Hypergraph, min_card: int | None = None) -> RowFamily:
         impositions += 1
         s_max = max(s_max, len(candidates))
         survivors = [son for son in candidates if admissible(son, pc + 1)]
-        stack.extend(WorkItem(son, pc + 1) for son in reversed(survivors))
+        stack.extend((son, pc + 1) for son in reversed(survivors))
     return RowFamily(w=hg.w, rows=tuple(final), min_card=min_card,
                      stats=RunStats(impositions, s_max, max_stack))

@@ -9,7 +9,8 @@ from typing import Iterable
 
 
 class HypergraphError(ValueError):
-    """Malformed hypergraph input (bad header, empty edge, vertex range)."""
+    """Malformed hypergraph input (bad header, empty edge, non-integer or
+    out-of-range vertex)."""
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,15 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.w, int) or self.w < 1:
+        # type() rather than isinstance(): bool is an int subclass, and a
+        # bool or float vertex would pass the range checks and give a
+        # silently wrong count
+        if type(self.w) is not int or self.w < 1:
             raise HypergraphError(f"vertex count must be a positive integer, got {self.w!r}")
         cleaned = []
         for edge in self.edges:
+            if not all(type(v) is int for v in edge):
+                raise HypergraphError(f"edge {tuple(edge)} has a non-integer vertex")
             vertices = sorted(set(edge))
             if not vertices:
                 raise HypergraphError("empty edge")

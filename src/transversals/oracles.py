@@ -9,10 +9,11 @@ between the two sides is meaningful.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterator
 
 from .hypergraph import Hypergraph
-from .rows import Row, binomial
+from .rows import Row
 
 BRUTE_VERTEX_LIMIT = 24
 IE_EDGE_LIMIT = 20
@@ -48,7 +49,7 @@ def inclusion_exclusion_count(hg: Hypergraph, k: int | None = None) -> int:
     def term(uncovered: int) -> int:
         if k is None:
             return 1 << uncovered
-        return binomial(uncovered, k)
+        return comb(uncovered, k)
 
     total = term(hg.w)
     cover = [0] * (hg.w + 1)

@@ -13,26 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator
-
-
-def binomial_row(n: int) -> list[int]:
-    """[C(n,0), ..., C(n,n)] via the running product, multiplying by n-j
-    before dividing by j+1 so every intermediate stays an integer."""
-    row = [1]
-    for j in range(n):
-        row.append(row[-1] * (n - j) // (j + 1))
-    return row
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n, k >= 0, same integer-exact scheme as binomial_row."""
-    if k < 0 or k > n:
-        return 0
-    value = 1
-    for j in range(min(k, n - k)):
-        value = value * (n - j) // (j + 1)
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +55,7 @@ class Row:
         covered = frozenset().union(*parts)
         if sum(len(p) for p in parts) != len(covered):
             raise ValueError("row parts overlap")
-        if len(covered) != self.w or any(v < 1 or v > self.w for v in covered):
+        if covered != frozenset(range(1, self.w + 1)):
             raise ValueError(f"row parts do not partition 1..{self.w}")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "ones", ones)
@@ -137,11 +119,12 @@ class Row:
         if len(self.ones) <= limit:
             counts[len(self.ones)] = 1
         if self.twos:
-            counts = _convolve(counts, binomial_row(len(self.twos)), limit)
+            n = len(self.twos)
+            counts = _convolve(counts, [comb(n, j) for j in range(n + 1)], limit)
         for bubble in self.bubbles:
-            weights = binomial_row(len(bubble))
-            weights[0] = 0
-            counts = _convolve(counts, weights, limit)
+            n = len(bubble)
+            counts = _convolve(counts, [0] + [comb(n, j) for j in range(1, n + 1)],
+                               limit)
         return counts
 
     def count_of_size(self, k: int) -> int:
@@ -216,20 +199,9 @@ class Row:
             stack.extend(children)
 
     def members(self) -> Iterator[tuple[int, ...]]:
-        """Yield every represented set once, by direct block expansion."""
-        free = sorted(self.twos)
-        pools = [[c for j in range(len(free) + 1)
-                  for c in itertools.combinations(free, j)]]
-        for bubble in self.bubbles:
-            ordered = sorted(bubble)
-            pools.append([c for j in range(1, len(ordered) + 1)
-                          for c in itertools.combinations(ordered, j)])
-        base = tuple(self.ones)
-        for picks in itertools.product(*pools):
-            member = set(base)
-            for p in picks:
-                member.update(p)
-            yield tuple(sorted(member))
+        """Yield every represented set once, by increasing cardinality."""
+        for k in range(self.c_min, self.c_max + 1):
+            yield from self.members_of_size(k)
 
     # ----- single-vertex surgery -------------------------------------------
 
@@ -300,10 +272,8 @@ def bubble_segment_counts(sizes: Iterable[int], limit: int) -> list[list[int]]:
     appended bubble."""
     counts = [1] + [0] * limit
     segments = []
-    for size in sizes:
-        weights = binomial_row(size)
-        weights[0] = 0
-        counts = _convolve(counts, weights, limit)
+    for n in sizes:
+        counts = _convolve(counts, [0] + [comb(n, j) for j in range(1, n + 1)], limit)
         segments.append(counts)
     return segments
 

@@ -79,6 +79,12 @@ def test_pruned_family_refusals(demo_hg):
         list(transversals_of_size(pruned, 5))
     # at or above the pruning threshold everything still works
     assert count_at_least(pruned, 6) == count_at_least(run(demo_hg), 6)
+    # min_card=0 prunes nothing, so nothing is refused
+    unpruned = run(demo_hg, min_card=0)
+    full = run(demo_hg)
+    assert count_total(unpruned) == count_total(full) == DEMO_TOTAL
+    assert spectrum(unpruned) == spectrum(full)
+    assert transversal_number(unpruned) == transversal_number(full)
 
 
 def test_generate_minimum_size_demo(demo_hg, demo_family):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -161,6 +164,18 @@ class TestErrors:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("payload", [
+        '{"w": 3, "edges": [[1.5, 2]]}',
+        '{"w": 3, "edges": [["1", 2]]}',
+        '{"w": true, "edges": [[1]]}',
+    ], ids=["float-vertex", "string-vertex", "bool-w"])
+    def test_non_integer_json_input(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_byte_for_byte_determinism(capsys, demo_file):
     first = run_cli(capsys, "rows", demo_file)
@@ -178,3 +193,87 @@ def test_module_invocation(demo_file):
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == \
         "N = 8784, R = 7, k_min = 4, tau_min = 66"
+
+
+# ----- golden output on data/sample14.hg --------------------------------------
+# Exact stdout and exit code per subcommand: the CLI output is byte-for-byte
+# deterministic apart from the ``elapsed`` field of ``count --json``.
+
+SAMPLE = str(pathlib.Path(__file__).resolve().parent.parent / "data" / "sample14.hg")
+
+GOLDEN_SPECTRUM = """\
+0 0
+1 0
+2 0
+3 0
+4 66
+5 419
+6 1171
+7 1945
+8 2152
+9 1664
+10 912
+11 350
+12 90
+13 14
+14 1
+"""
+
+GOLDEN_ROWS_SIZE_ASC = """\
+2 2 e1 e1 1 e2 e2 e3 e1 2 e2 e2 e3 e3
+2 2 e1 e1 0 e2 e2 e3 2 1 e2 e2 e3 e3
+2 2 0 0 0 e1 e1 1 1 1 e1 e1 2 2
+2 2 0 0 0 e1 e1 0 1 1 2 2 1 2
+e1 e1 0 0 0 0 0 0 1 1 e2 e2 1 2
+e1 e1 0 0 0 e1 e1 0 1 1 2 1 0 1
+"""
+
+GOLDEN_QUERY = """\
+2 2 e1 e1 e2 e3 0 1 1 e2 e3 e3 2 2
+2 2 0 0 1 e1 0 1 1 2 e1 e1 2 2
+2 2 0 0 0 1 0 1 1 1 2 2 2 2
+2 2 0 0 0 0 0 1 1 1 e1 e1 2 2
+R = 4, N = 1344
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["count", SAMPLE, "--at-least", "5", "--verify"],
+     "N = 8784, R = 7, k_min = 4, tau_min = 66\n"
+     "N(|X| >= 5) = 8718\n"
+     "verify brute force: 8784 ok\n"
+     "verify inclusion-exclusion: 8784 ok\n"),
+    (["spectrum", SAMPLE], GOLDEN_SPECTRUM),
+    (["rows", SAMPLE], "".join(line + "\n" for line in DEMO_FINAL_ROWS)),
+    (["rows", SAMPLE, "--order", "size-asc"], GOLDEN_ROWS_SIZE_ASC),
+    (["query", SAMPLE, "--require", "8,9", "--forbid", "7"], GOLDEN_QUERY),
+], ids=["count-verify", "spectrum", "rows-input", "rows-size-asc", "query"])
+def test_golden_stdout(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_golden_count_json(capsys):
+    code, out, err = run_cli(capsys, "count", SAMPLE, "--json")
+    assert json.loads(out)["elapsed"] >= 0
+    masked = re.sub(r'"elapsed": [^,}]+', '"elapsed": ELAPSED', out)
+    assert (code, masked, err) == (
+        0,
+        '{"n_total": 8784, "r_final": 7, "k_min": 4, "tau_min": 66, '
+        '"impositions": 10, "s_max_observed": 5, "elapsed": ELAPSED}\n',
+        "")
+
+
+def test_golden_enumerate_full_order(capsys):
+    code, out, err = run_cli(capsys, "enumerate", SAMPLE, "--k", "5")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 419
+    assert lines[:3] == ["4 8 9 10 12", "4 9 10 12 13", "4 9 10 12 14"]
+    assert lines[-3:] == ["2 9 10 12 13", "1 9 10 11 13", "2 9 10 11 13"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b62c174cb0684467d34303a2448f6da54d54bae606391119c2226be60e3c6dbf"
+
+
+def test_golden_overlap_error(capsys):
+    assert run_cli(capsys, "query", SAMPLE, "--require", "8", "--forbid", "8") == \
+        (2, "", "error: require and forbid overlap on [8]\n")

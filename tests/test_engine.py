@@ -1,8 +1,8 @@
 import pytest
 
 from transversals import (Hypergraph, Row, brute_transversals, count_at_least,
-                          impose, is_extra_feasible, is_feasible,
-                          parse_hypergraph, row_from_tokens, run)
+                          impose, is_feasible, parse_hypergraph, row_from_tokens,
+                          run)
 from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL
 
 MOD4 = "2 2 e1 e1 e2 e3 e3 e4 e1 e2 e3 e3 e4 e4"
@@ -66,13 +66,6 @@ class TestFeasibility:
 
     def test_empty_pending(self):
         assert is_feasible(row_from_tokens("0 0 1 2"), [])
-
-    def test_extra_feasible_needs_capacity(self):
-        r1 = row_from_tokens(DEMO_FINAL_ROWS[0])
-        assert is_extra_feasible(r1, [], 14)
-        r7 = row_from_tokens(DEMO_FINAL_ROWS[6])
-        assert not is_extra_feasible(r7, [], 9)
-        assert is_extra_feasible(r7, [], 0)
 
 
 class TestRun:

@@ -60,6 +60,14 @@ def test_nonpositive_w_rejected():
         Hypergraph(0, ())
 
 
+@pytest.mark.parametrize("w, edges", [
+    (3, ((1.5, 2),)), (3, (("1", 2),)), (3, ((True, 2),)), (True, ((1,),)),
+    (3.0, ())])
+def test_non_int_vertices_rejected(w, edges):
+    with pytest.raises(HypergraphError):
+        Hypergraph(w, edges)
+
+
 def test_duplicate_edges_kept():
     hg = Hypergraph(3, ((1, 2), (1, 2)))
     assert hg.h == 2

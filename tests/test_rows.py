@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from transversals import Row, bubble_segment_counts, row_from_tokens
-from transversals.rows import binomial, binomial_row
 
 
 def brute_members(row, k=None):
@@ -133,13 +132,11 @@ class TestCounting:
         assert r.counts_by_size(7) == expected
 
     def test_binomial_row(self):
-        assert binomial_row(5) == [1, 5, 10, 10, 5, 1]
-        assert binomial_row(0) == [1]
-
-    def test_binomial(self):
-        assert binomial(10, 3) == 120
-        assert binomial(4, 7) == 0
-        assert binomial(4, 0) == 1
+        # a free block counts by a full binomial row, a bubble by one
+        # without the empty pick
+        assert Row.powerset(5).counts_by_size(5) == [1, 5, 10, 10, 5, 1]
+        assert Row.powerset(0).counts_by_size(0) == [1]
+        assert bubble_segment_counts([5], 5) == [[0, 5, 10, 10, 5, 1]]
 
 
 class TestGeneration:
