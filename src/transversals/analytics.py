@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .engine import RowFamily
+from .rows import Row, size_counts
 
 
 class Infeasible(Exception):
@@ -40,24 +41,14 @@ def count_total(family: RowFamily) -> int:
 def spectrum(family: RowFamily) -> Spectrum:
     """Exact transversal counts for every cardinality 0..w."""
     _refuse_pruned(family)
-    counts = [0] * (family.w + 1)
-    for row in family.rows:
-        for k, c in enumerate(row.counts_by_size(family.w)):
-            counts[k] += c
+    counts = size_counts(family.rows, family.w)
     return Spectrum(tuple(counts), sum(counts))
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
-    """Number of transversals of cardinality >= k, as row totals minus the
-    per-row counts below k."""
+    """Number of transversals of cardinality >= k: the spectrum's tail."""
     _refuse_pruned(family, k)
-    cutoff = min(k, family.w + 1)
-    total = 0
-    for row in family.rows:
-        total += row.size()
-        if cutoff > 0:
-            total -= sum(row.counts_by_size(cutoff - 1))
-    return total
+    return sum(size_counts(family.rows, family.w)[max(k, 0):])
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:
@@ -94,6 +85,20 @@ def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]
     return generate()
 
 
+def check_conditions(w: int, require: Iterable[int],
+                     forbid: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """The one check of query conditions, made before any row is touched:
+    no vertex both required and forbidden, every vertex in 1..w."""
+    require, forbid = frozenset(require), frozenset(forbid)
+    if require & forbid:
+        raise ValueError(
+            f"require and forbid overlap on {sorted(require & forbid)}")
+    for v in sorted(require | forbid):
+        if not 1 <= v <= w:
+            raise ValueError(f"vertex {v} not in ground set 1..{w}")
+    return require, forbid
+
+
 def filter_family(family: RowFamily, require: Iterable[int] = (),
                   forbid: Iterable[int] = ()) -> RowFamily:
     """Restrict the family to members containing all of ``require`` and none
@@ -102,25 +107,16 @@ def filter_family(family: RowFamily, require: Iterable[int] = (),
     Filtering the already-built family replaces re-running the engine for
     every query; rows whose members all violate a condition drop out.
     """
-    require = frozenset(require)
-    forbid = frozenset(forbid)
-    if require & forbid:
-        raise ValueError(
-            f"require and forbid overlap on {sorted(require & forbid)}")
+    require, forbid = check_conditions(family.w, require, forbid)
+    surgery = ([(Row.require, v) for v in sorted(require)]
+               + [(Row.forbid, v) for v in sorted(forbid)])
     filtered = []
     for row in family.rows:
-        cur = row
-        for v in sorted(require):
-            cur = cur.require(v)
-            if cur is None:
+        for cut, v in surgery:
+            row = cut(row, v)
+            if row is None:
                 break
-        if cur is None:
-            continue
-        for v in sorted(forbid):
-            cur = cur.forbid(v)
-            if cur is None:
-                break
-        if cur is not None:
-            filtered.append(cur)
+        else:
+            filtered.append(row)
     return RowFamily(w=family.w, rows=tuple(filtered),
                      min_card=family.min_card, stats=None)

@@ -9,11 +9,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 
-from .analytics import (count_at_least, count_total, filter_family, spectrum,
-                        transversal_number, transversals_of_size)
+from .analytics import (check_conditions, count_at_least, count_total,
+                        filter_family, spectrum, transversal_number,
+                        transversals_of_size)
 from .engine import run
 from .hypergraph import Hypergraph, HypergraphError, load_hypergraph
 from .oracles import (BRUTE_VERTEX_LIMIT, IE_EDGE_LIMIT, brute_transversals,
@@ -108,24 +110,20 @@ def _cmd_count(args) -> int:
             print(f"N(|X| >= {args.at_least}) = {at_least}")
 
     if args.verify:
-        if hg.w <= BRUTE_VERTEX_LIMIT:
-            brute = len(brute_transversals(hg))
-            if brute != total:
-                print(f"verification mismatch: brute force says {brute}, "
+        for name, within_limit, limit, oracle in (
+                ("brute force", hg.w <= BRUTE_VERTEX_LIMIT, f"w > {BRUTE_VERTEX_LIMIT}",
+                 lambda: len(brute_transversals(hg))),
+                ("inclusion-exclusion", hg.h <= IE_EDGE_LIMIT, f"h > {IE_EDGE_LIMIT}",
+                 lambda: inclusion_exclusion_count(hg))):
+            if not within_limit:
+                print(f"verify {name}: skipped ({limit})")
+                continue
+            got = oracle()
+            if got != total:
+                print(f"verification mismatch: {name} says {got}, "
                       f"engine says {total}", file=sys.stderr)
                 return EXIT_MISMATCH
-            print(f"verify brute force: {brute} ok")
-        else:
-            print(f"verify brute force: skipped (w > {BRUTE_VERTEX_LIMIT})")
-        if hg.h <= IE_EDGE_LIMIT:
-            ie = inclusion_exclusion_count(hg)
-            if ie != total:
-                print(f"verification mismatch: inclusion-exclusion says {ie}, "
-                      f"engine says {total}", file=sys.stderr)
-                return EXIT_MISMATCH
-            print(f"verify inclusion-exclusion: {ie} ok")
-        else:
-            print(f"verify inclusion-exclusion: skipped (h > {IE_EDGE_LIMIT})")
+            print(f"verify {name}: {got} ok")
     return EXIT_OK
 
 
@@ -155,10 +153,9 @@ def _cmd_rows(args) -> int:
 
 def _cmd_query(args) -> int:
     hg = _load(args)
-    require = _parse_vertex_list(args.require)
-    forbid = _parse_vertex_list(args.forbid)
-    family = run(hg)
-    filtered = filter_family(family, require=require, forbid=forbid)
+    require, forbid = check_conditions(hg.w, _parse_vertex_list(args.require),
+                                       _parse_vertex_list(args.forbid))
+    filtered = filter_family(run(hg), require=require, forbid=forbid)
     for row in filtered.rows:
         print(row.render())
     print(f"R = {len(filtered.rows)}, N = {count_total(filtered)}")
@@ -177,7 +174,14 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`); let the flush at exit hit devnull
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (HypergraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,25 +106,19 @@ class Row:
 
     # ----- counting by cardinality ---------------------------------------
 
-    def counts_by_size(self, limit: int) -> list[int]:
-        """Exact member counts per cardinality, indexed k = 0..limit.
-
-        Extends a running coefficient table block by block: forced
-        positions shift by |ones|, free positions convolve with a full
-        binomial row, and each bubble convolves with its binomial row
-        minus the empty pick.
-        """
-        counts = [0] * (limit + 1)
-        if len(self.ones) <= limit:
-            counts[len(self.ones)] = 1
-        if self.twos:
-            n = len(self.twos)
-            counts = _convolve(counts, [comb(n, j) for j in range(n + 1)], limit)
+    def size_poly(self, bits: int) -> int:
+        """The size polynomial X^|ones| (1+X)^|twos| prod((1+X)^|b| - 1), whose
+        X^k coefficient counts the members of cardinality k, evaluated at
+        X = 2^bits."""
+        x = 1 << bits
+        value = (x + 1) ** len(self.twos) << bits * len(self.ones)
         for bubble in self.bubbles:
-            n = len(bubble)
-            counts = _convolve(counts, [0] + [comb(n, j) for j in range(1, n + 1)],
-                               limit)
-        return counts
+            value *= (x + 1) ** len(bubble) - 1
+        return value
+
+    def counts_by_size(self, limit: int) -> list[int]:
+        """Exact member counts per cardinality, indexed k = 0..limit."""
+        return size_counts((self,), limit)
 
     def count_of_size(self, k: int) -> int:
         """Number of represented sets of cardinality exactly k."""
@@ -255,26 +248,31 @@ class Row:
         return " ".join(token[v] for v in range(1, self.w + 1))
 
 
-def _convolve(counts: list[int], weights: list[int], limit: int) -> list[int]:
-    out = [0] * (limit + 1)
-    for k in range(limit + 1):
-        acc = 0
-        for j in range(min(len(weights) - 1, k) + 1):
-            if weights[j] and counts[k - j]:
-                acc += weights[j] * counts[k - j]
-        out[k] = acc
-    return out
+def size_counts(rows: Sequence[Row], limit: int) -> list[int]:
+    """Exact member counts per cardinality k = 0..limit, summed over rows.
+
+    Kronecker substitution: the counts are the base-2^bits digits of the
+    summed size polynomials evaluated at 2^bits.  No coefficient exceeds the
+    summed row sizes, disjoint rows or not, so digits that hold that sum
+    never carry into each other.
+    """
+    bits = max(1, sum(row.size() for row in rows).bit_length())
+    value = sum(row.size_poly(bits) for row in rows)
+    mask = (1 << bits) - 1
+    return [(value >> k * bits) & mask for k in range(limit + 1)]
 
 
 def bubble_segment_counts(sizes: Iterable[int], limit: int) -> list[list[int]]:
     """Running per-cardinality counts as bubbles of the given sizes are
     appended to an initially empty row; one list (indexed 0..limit) per
     appended bubble."""
-    counts = [1] + [0] * limit
+    row = Row(0, (), (), ())
     segments = []
     for n in sizes:
-        counts = _convolve(counts, [0] + [comb(n, j) for j in range(1, n + 1)], limit)
-        segments.append(counts)
+        # size-1 bubbles are promoted to forced positions, so carry the ones
+        row = Row(row.w + n, (), row.ones, (),
+                  row.bubbles + (range(row.w + 1, row.w + n + 1),))
+        segments.append(row.counts_by_size(limit))
     return segments
 
 

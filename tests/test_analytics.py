@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from transversals import (Hypergraph, Infeasible, brute_transversals,
-                          count_at_least, count_total, filter_family,
-                          parse_hypergraph, run, spectrum, transversal_number,
+from transversals import (Hypergraph, Infeasible, Row, RowFamily,
+                          brute_transversals, count_at_least, count_total,
+                          filter_family, parse_hypergraph, row_from_tokens,
+                          run, spectrum, transversal_number,
                           transversals_of_size)
 from conftest import DEMO_TAU_MIN, DEMO_TOTAL
 
@@ -36,6 +37,19 @@ def test_spectrum_counts_empty_set_only_without_edges(demo_family):
     assert spectrum(demo_family).counts[0] == 0
     free = spectrum(run(parse_hypergraph("3 0\n")))
     assert free.counts[0] == 1
+
+
+def test_spectrum_sums_repeated_rows():
+    # spectrum adds per-row counts; it does not rely on disjoint rows
+    rows = (row_from_tokens("2 e1 e1 1 0 e2 e2"), Row.powerset(7),
+            row_from_tokens("2 e1 e1 1 0 e2 e2"), row_from_tokens("1 1 1 1 1 1 1"))
+    expected = [sum(1 for row in rows
+                    for x in itertools.combinations(range(1, 8), k)
+                    if row.contains(x))
+                for k in range(8)]
+    sp = spectrum(RowFamily(w=7, rows=rows))
+    assert list(sp.counts) == expected
+    assert sp.total == sum(row.size() for row in rows)
 
 
 def test_count_at_least_demo(demo_family):
@@ -123,6 +137,12 @@ class TestFilterFamily:
     def test_overlap_rejected(self, demo_family):
         with pytest.raises(ValueError):
             filter_family(demo_family, require={3}, forbid={3})
+
+    def test_vertex_outside_ground_set_rejected_without_rows(self):
+        with pytest.raises(ValueError, match="vertex 5 not in ground set 1..3"):
+            filter_family(RowFamily(3, ()), forbid={1, 5})
+        with pytest.raises(ValueError, match="vertex 0 not in ground set"):
+            filter_family(RowFamily(3, ()), require={0})
 
     def test_forbidding_a_forced_vertex_drops_rows(self, demo_family):
         # vertex 9 is forced in every final row except the first

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import itertools
 import json
 import pathlib
 import re
@@ -7,6 +9,7 @@ import sys
 
 import pytest
 
+from transversals import cli
 from transversals.cli import main
 from conftest import DEMO_FINAL_ROWS, DEMO_TEXT
 
@@ -47,6 +50,29 @@ class TestCount:
         assert code == 0
         assert "verify brute force: 8784 ok" in out
         assert "verify inclusion-exclusion: 8784 ok" in out
+
+    @pytest.mark.parametrize("text, verify_lines", [
+        ("25 1\n1 2\n", "verify brute force: skipped (w > 24)\n"
+                         "verify inclusion-exclusion: 25165824 ok\n"),
+        ("5 21\n" + "".join(" ".join(map(str, e)) + "\n" for e in
+                            [*itertools.combinations(range(1, 6), 2),
+                             *itertools.combinations(range(1, 6), 3), (1, 2, 3, 4)]),
+         "verify brute force: 6 ok\nverify inclusion-exclusion: skipped (h > 20)\n"),
+    ], ids=["brute-skipped", "ie-skipped"])
+    def test_verify_skips_oracle_over_its_limit(self, capsys, tmp_path, text,
+                                                verify_lines):
+        path = tmp_path / "big.hg"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "count", str(path), "--verify")
+        assert (code, out.split("\n", 1)[1], err) == (0, verify_lines, "")
+
+    def test_verify_mismatch(self, capsys, demo_file, monkeypatch):
+        monkeypatch.setattr(cli, "inclusion_exclusion_count", lambda hg: 8783)
+        code, out, err = run_cli(capsys, "count", demo_file, "--verify")
+        assert (code, out.splitlines()[-1], err) == (
+            3, "verify brute force: 8784 ok",
+            "verification mismatch: inclusion-exclusion says 8783, "
+            "engine says 8784\n")
 
     def test_json_report(self, capsys, demo_file):
         code, out, _ = run_cli(capsys, "count", demo_file, "--json")
@@ -142,6 +168,50 @@ class TestQuery:
                                "--require", "7", "--forbid", "7")
         assert code == 2
         assert "error" in err
+
+    def test_vertex_outside_ground_set(self, capsys, tmp_path):
+        path = tmp_path / "one.hg"
+        path.write_text("3 1\n1\n")
+        # forbidding 1 drops every row, so only an up-front check sees the 5
+        assert run_cli(capsys, "query", str(path), "--forbid", "1,5") == \
+            (2, "", "error: vertex 5 not in ground set 1..3\n")
+
+    def test_overlap_reported_before_engine_run(self, capsys, demo_file,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda hg: calls.append(hg))
+        code, _, err = run_cli(capsys, "query", demo_file,
+                               "--require", "8", "--forbid", "8")
+        assert (code, err, calls) == (
+            2, "error: require and forbid overlap on [8]\n", [])
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_in_process(self, capsys, demo_file, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["enumerate", demo_file, "--k", "5"])
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (0, "")
+
+    def test_reader_closes_pipe_after_first_line(self, tmp_path):
+        # C(18, 9) lines, far more than a pipe buffer holds, so the command is
+        # still writing when the reader goes away
+        path = tmp_path / "free18.hg"
+        path.write_text("18 0\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "transversals", "enumerate", str(path),
+             "--k", "9"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (first, code, err) == (b"1 2 3 4 5 6 7 8 9\n", 0, b"")
 
 
 class TestErrors:

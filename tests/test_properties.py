@@ -163,10 +163,11 @@ def test_spectrum_matches_inclusion_exclusion(hg):
 
 
 @settings(max_examples=40)
-@given(hypergraphs_st(), st.integers(0, 9))
+@given(hypergraphs_st(), st.integers(-2, 12))
 def test_count_at_least_is_spectrum_tail(hg, k):
+    # k < 0 asks for every transversal, k > w for none
     family = run(hg)
-    assert count_at_least(family, k) == sum(spectrum(family).counts[k:])
+    assert count_at_least(family, k) == sum(spectrum(family).counts[max(k, 0):])
 
 
 @settings(max_examples=40)

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 
@@ -125,6 +126,10 @@ class TestCounting:
         assert Row.powerset(3).count_of_size(0) == 1
         assert Row(2, (), {1}, {2}).count_of_size(0) == 0
         assert Row(2, (), (), (), [{1, 2}]).count_of_size(0) == 0
+
+    def test_counts_wider_than_64_bits(self):
+        assert Row.powerset(200).counts_by_size(200) == \
+            [comb(200, k) for k in range(201)]
 
     def test_counts_against_brute_force(self):
         r = Row(7, {4}, {6}, {1, 7}, [{2, 3, 5}])
