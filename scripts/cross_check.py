@@ -1,7 +1,8 @@
 """Randomized cross-check experiment: on random hypergraphs, compare the
 engine's exact counts against the brute-force sweep and the
-inclusion-exclusion oracle, and report compression statistics (final rows R
-versus represented transversals N).
+inclusion-exclusion oracle, and the size-k transversals of every windowed
+run ``run(hg, k, k)`` against the brute-force sets of size k; report
+compression statistics (final rows R versus represented transversals N).
 
 Usage:
     python scripts/cross_check.py [--instances 200] [--max-w 12] [--max-h 8] [--seed 1]
@@ -18,7 +19,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from transversals import (Hypergraph, brute_transversals, count_total,
-                          inclusion_exclusion_count, run, spectrum)
+                          inclusion_exclusion_count, run, spectrum,
+                          transversals_of_size)
 
 
 def random_hypergraph(rng: random.Random, max_w: int, max_h: int) -> Hypergraph:
@@ -47,16 +49,22 @@ def main() -> int:
         hg = random_hypergraph(rng, args.max_w, args.max_h)
         family = run(hg)
         n_engine = count_total(family)
-        n_brute = len(brute_transversals(hg))
+        brute = brute_transversals(hg)
+        n_brute = len(brute)
         n_ie = inclusion_exclusion_count(hg)
         sp = spectrum(family)
         per_k_ok = all(sp.counts[k] == inclusion_exclusion_count(hg, k)
                        for k in range(hg.w + 1))
-        ok = n_engine == n_brute == n_ie and per_k_ok
+        window_ok = all(
+            sorted(transversals_of_size(run(hg, k, k), k))
+            == [x for x in brute if len(x) == k]
+            for k in range(hg.w + 1))
+        ok = n_engine == n_brute == n_ie and per_k_ok and window_ok
         if not ok:
             mismatches += 1
             print(f"[{i}] MISMATCH on w={hg.w} h={hg.h}: engine={n_engine}, "
-                  f"brute={n_brute}, ie={n_ie}, per_k_ok={per_k_ok}")
+                  f"brute={n_brute}, ie={n_ie}, per_k_ok={per_k_ok}, "
+                  f"window_ok={window_ok}")
         if n_engine:
             ratio_sum += len(family.rows) / n_engine
         s_max_seen = max(s_max_seen, family.stats.s_max)

@@ -22,14 +22,19 @@ class Spectrum:
     total: int
 
 
-def _refuse_pruned(family: RowFamily, k: int = 0) -> None:
-    """The one rule for pruned families: refuse any answer that involves
-    cardinalities below ``min_card``, since the run may have discarded those
-    transversals.  Whole-family queries pass k=0."""
-    if family.min_card is not None and k < family.min_card:
+def _refuse_pruned(family: RowFamily, lo: int = 0, hi: int | None = None) -> None:
+    """The one rule for pruned families: answer a query about sizes lo..hi
+    (the whole family by default) only if every size in it that a
+    transversal can have, 0..w, lies inside the run's window
+    min_card..max_card, since the run may have discarded the others."""
+    w = family.w
+    lo, hi = max(lo, 0), min(w if hi is None else hi, w)
+    floor = family.min_card or 0
+    ceiling = w if family.max_card is None else family.max_card
+    if lo <= hi and (lo < floor or hi > ceiling):
         raise ValueError(
-            f"family was pruned below cardinality {family.min_card}; "
-            f"an answer involving size {k} would be incomplete")
+            f"family was pruned to cardinalities {floor}..{ceiling}; "
+            f"an answer involving sizes {lo}..{hi} would be incomplete")
 
 
 def count_total(family: RowFamily) -> int:
@@ -76,7 +81,7 @@ def transversal_number(family: RowFamily) -> tuple[int, int]:
 def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]:
     """Every represented transversal of cardinality k exactly once, row by
     row; row disjointness rules out duplicates."""
-    _refuse_pruned(family, k)
+    _refuse_pruned(family, k, k)
 
     def generate() -> Iterator[tuple[int, ...]]:
         for row in family.rows:
@@ -119,4 +124,5 @@ def filter_family(family: RowFamily, require: Iterable[int] = (),
         else:
             filtered.append(row)
     return RowFamily(w=family.w, rows=tuple(filtered),
-                     min_card=family.min_card, stats=None)
+                     min_card=family.min_card, max_card=family.max_card,
+                     stats=None)

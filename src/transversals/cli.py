@@ -135,7 +135,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    family = run(_load(args))
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be >= 0")
+    hg = _load(args)
+    if not 0 <= args.k <= hg.w:
+        return EXIT_OK
+    # the [k, k] window builds only the rows holding size-k transversals
+    family = run(hg, min_card=args.k, max_card=args.k)
     found = transversals_of_size(family, args.k)
     if args.limit is not None:
         found = itertools.islice(found, args.limit)

@@ -24,15 +24,15 @@ class RunStats:
 class RowFamily:
     """Ordered list of pairwise-disjoint rows plus the run bookkeeping.
 
-    ``min_card`` records that the producing run pruned rows which could not
-    reach that cardinality; analytics refuse every answer that involves a
-    cardinality below it because smaller transversals may have been
-    discarded.
+    ``min_card`` and ``max_card`` record the cardinality window of the
+    producing run: rows with no member inside it were pruned, so analytics
+    refuse every answer that involves a cardinality outside it.
     """
 
     w: int
     rows: tuple[Row, ...]
     min_card: int | None = None
+    max_card: int | None = None
     stats: RunStats | None = None
 
 
@@ -78,25 +78,48 @@ def is_feasible(row: Row, pending: Iterable[Iterable[int]]) -> bool:
     return all(not zeros.issuperset(edge) for edge in pending)
 
 
-def run(hg: Hypergraph, min_card: int | None = None) -> RowFamily:
+def run(hg: Hypergraph, min_card: int | None = None,
+        max_card: int | None = None) -> RowFamily:
     """Impose all edges in input order and return the final row family.
 
     The work stack is LIFO and sons are pushed so that the first son of a
     split is processed first; together with the fixed son order of
     :func:`impose` this makes the traversal, the final row order and all
-    statistics deterministic.  With ``min_card`` set, sons that cannot
-    contain a member of at least that cardinality are pruned; the result
-    then still covers every transversal of size >= min_card exactly once,
-    but may omit smaller ones.
+    statistics deterministic.
+
+    ``min_card`` and ``max_card`` set a cardinality window: sons with
+    ``c_max < min_card`` or ``c_min > max_card`` are pruned.  This is sound
+    because along every path of the run ``c_min`` never falls and ``c_max``
+    never rises.  :func:`impose` keeps the ones, gives every cut bubble a
+    non-empty part in its own son and leaves the earlier cut bubbles a
+    non-empty rest (an empty rest would mean the bubble lies inside the
+    edge, and the row passes through); a one-position part or rest becomes
+    a forced 1, and the free son adds one bubble or 1.  So ``c_min`` =
+    |ones| + |bubbles| cannot fall, and ``c_max`` = w - |zeros| cannot rise
+    since zeros only grow.  A row pruned for its window therefore has no
+    final descendant that meets the window, and every final row of the full
+    run that meets it has only admissible ancestors.  The windowed run thus
+    keeps exactly the final rows of the full run whose member sizes
+    ``c_min..c_max`` meet ``min_card..max_card``, in the same order.  Member
+    sizes of a row are contiguous from ``c_min`` to ``c_max`` (add free
+    positions or bubble positions one at a time), so the window [k, k]
+    keeps exactly the rows that hold a transversal of size k, and the size-k
+    members come out as from the full run.
     """
     if min_card is not None and min_card < 0:
         raise ValueError("min_card must be >= 0")
+    if max_card is not None and max_card < 0:
+        raise ValueError("max_card must be >= 0")
+    if min_card is not None and max_card is not None and min_card > max_card:
+        raise ValueError("min_card must be <= max_card")
     edges = [frozenset(e) for e in hg.edges]
     h = len(edges)
     floor = min_card or 0
+    ceiling = hg.w if max_card is None else max_card
 
     def admissible(row: Row, pc: int) -> bool:
-        return row.c_max >= floor and is_feasible(row, edges[pc - 1:])
+        return (row.c_max >= floor and row.c_min <= ceiling
+                and is_feasible(row, edges[pc - 1:]))
 
     impositions = 0
     s_max = 0
@@ -120,4 +143,5 @@ def run(hg: Hypergraph, min_card: int | None = None) -> RowFamily:
         survivors = [son for son in candidates if admissible(son, pc + 1)]
         stack.extend((son, pc + 1) for son in reversed(survivors))
     return RowFamily(w=hg.w, rows=tuple(final), min_card=min_card,
+                     max_card=max_card,
                      stats=RunStats(impositions, s_max, max_stack))

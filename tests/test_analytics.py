@@ -101,6 +101,61 @@ def test_pruned_family_refusals(demo_hg):
     assert transversal_number(unpruned) == transversal_number(full)
 
 
+
+def test_upper_pruned_family_refusals(demo_hg, demo_family):
+    pruned = run(demo_hg, max_card=5)
+    for query in (count_total, spectrum, transversal_number):
+        with pytest.raises(ValueError, match="pruned to cardinalities 0..5"):
+            query(pruned)
+    with pytest.raises(ValueError):
+        count_at_least(pruned, 5)
+    with pytest.raises(ValueError):
+        list(transversals_of_size(pruned, 6))
+    # sizes inside the window are answered as on the full family
+    for k in (4, 5):
+        assert list(transversals_of_size(pruned, k)) == \
+            list(transversals_of_size(demo_family, k))
+    # sizes no transversal can have involve nothing the run discarded
+    assert list(transversals_of_size(pruned, -1)) == []
+    assert list(transversals_of_size(pruned, 15)) == []
+    assert count_at_least(pruned, 15) == 0
+
+
+def test_size_window_refuses_every_other_size(demo_hg, demo_family):
+    window = run(demo_hg, min_card=5, max_card=5)
+    for k in (4, 6):
+        with pytest.raises(ValueError, match="sizes {0}..{0} ".format(k)):
+            list(transversals_of_size(window, k))
+    for k in (0, 5, 6):
+        with pytest.raises(ValueError):
+            count_at_least(window, k)
+    assert list(transversals_of_size(window, 5)) == \
+        list(transversals_of_size(demo_family, 5))
+
+
+def test_window_survives_filter_family(demo_hg, demo_family):
+    filtered = filter_family(run(demo_hg, min_card=5, max_card=5), require={8})
+    assert (filtered.min_card, filtered.max_card) == (5, 5)
+    for query in (count_total, spectrum, transversal_number):
+        with pytest.raises(ValueError):
+            query(filtered)
+    with pytest.raises(ValueError):
+        list(transversals_of_size(filtered, 6))
+    assert list(transversals_of_size(filtered, 5)) == \
+        list(transversals_of_size(filter_family(demo_family, require={8}), 5))
+
+
+def test_max_card_w_refuses_nothing(demo_hg, demo_family):
+    family = run(demo_hg, max_card=demo_hg.w)
+    assert family.rows == demo_family.rows
+    assert count_total(family) == DEMO_TOTAL
+    assert spectrum(family) == spectrum(demo_family)
+    assert transversal_number(family) == transversal_number(demo_family)
+    for k in range(-1, demo_hg.w + 2):
+        assert count_at_least(family, k) == count_at_least(demo_family, k)
+        assert list(transversals_of_size(family, k)) == \
+            list(transversals_of_size(demo_family, k))
+
 def test_generate_minimum_size_demo(demo_hg, demo_family):
     got = list(transversals_of_size(demo_family, 4))
     assert len(got) == DEMO_TAU_MIN

@@ -124,6 +124,34 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 5
 
+    def test_negative_limit_rejected(self, capsys):
+        assert run_cli(capsys, "enumerate", SAMPLE, "--k", "5",
+                       "--limit", "-1") == (2, "", "error: --limit must be >= 0\n")
+
+    @pytest.mark.parametrize("k", ["-1", "99"])
+    def test_k_outside_ground_set_prints_nothing(self, capsys, k):
+        assert run_cli(capsys, "enumerate", SAMPLE, "--k", k) == (0, "", "")
+
+    def test_k_outside_ground_set_skips_engine(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **kw: calls.append(a))
+        for k in ("-1", "15"):
+            assert run_cli(capsys, "enumerate", SAMPLE, "--k", k) == (0, "", "")
+        assert calls == []
+
+    def test_runs_engine_in_size_window(self, capsys, monkeypatch):
+        windows = []
+        real_run = cli.run
+
+        def spy(hg, **window):
+            windows.append(window)
+            return real_run(hg, **window)
+
+        monkeypatch.setattr(cli, "run", spy)
+        code, out, _ = run_cli(capsys, "enumerate", SAMPLE, "--k", "4")
+        assert (code, len(out.splitlines())) == (0, 66)
+        assert windows == [{"min_card": 4, "max_card": 4}]
+
 
 class TestRows:
     def test_demo_rows(self, capsys, demo_file):

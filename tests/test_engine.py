@@ -122,3 +122,38 @@ class TestMinCardRun:
     def test_negative_threshold_rejected(self, demo_hg):
         with pytest.raises(ValueError):
             run(demo_hg, min_card=-1)
+
+
+class TestWindowRun:
+    def test_records_window(self, demo_hg):
+        family = run(demo_hg, min_card=5, max_card=5)
+        assert (family.min_card, family.max_card) == (5, 5)
+
+    def test_keeps_full_run_rows_meeting_window(self, demo_hg, demo_family):
+        for lo, hi in [(4, 4), (5, 5), (9, 9), (0, 4), (6, 8), (14, 14)]:
+            got = run(demo_hg, min_card=lo, max_card=hi).rows
+            assert got == tuple(r for r in demo_family.rows
+                                if r.c_max >= lo and r.c_min <= hi)
+
+    def test_prunes_impositions(self, demo_hg, demo_family):
+        # every final row of the demo has c_min >= 4, so [3, 3] keeps none
+        family = run(demo_hg, min_card=3, max_card=3)
+        assert family.rows == ()
+        assert family.stats.impositions < demo_family.stats.impositions
+
+    def test_max_card_alone_keeps_small_transversals(self, demo_hg):
+        family = run(demo_hg, max_card=4)
+        expanded = [x for row in family.rows for x in row.members()
+                    if len(x) <= 4]
+        assert sorted(expanded) == \
+            [x for x in brute_transversals(demo_hg) if len(x) <= 4]
+        assert all(row.c_min <= 4 for row in family.rows)
+
+    @pytest.mark.parametrize("min_card, max_card, message", [
+        (None, -1, "max_card must be >= 0"),
+        (-1, 3, "min_card must be >= 0"),
+        (4, 3, "min_card must be <= max_card"),
+    ])
+    def test_bad_window_rejected(self, demo_hg, min_card, max_card, message):
+        with pytest.raises(ValueError, match=message):
+            run(demo_hg, min_card=min_card, max_card=max_card)

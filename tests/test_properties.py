@@ -134,6 +134,28 @@ def test_pruned_engine_keeps_large_transversals_once(hg, k):
 
 
 @settings(max_examples=60)
+@given(hypergraphs_st(), st.booleans())
+def test_size_window_keeps_full_run_rows_holding_size_k(hg, size_asc):
+    if size_asc:
+        hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
+    full = run(hg)
+    for k in range(hg.w + 1):
+        window = run(hg, min_card=k, max_card=k)
+        assert window.rows == tuple(
+            row for row in full.rows if row.c_min <= k <= row.c_max)
+        assert list(transversals_of_size(window, k)) == \
+            list(transversals_of_size(full, k))
+
+
+@settings(max_examples=60)
+@given(hypergraphs_st(), st.integers(0, 8))
+def test_size_window_members_match_brute_force(hg, k):
+    family = run(hg, min_card=k, max_card=k)
+    got = [x for row in family.rows for x in row.members() if len(x) == k]
+    assert len(got) == len(set(got))
+    assert sorted(got) == [x for x in brute_transversals(hg) if len(x) == k]
+
+@settings(max_examples=60)
 @given(hypergraphs_st())
 def test_engine_stats_bounds(hg):
     family = run(hg)
