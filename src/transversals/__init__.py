@@ -10,14 +10,14 @@ from .hypergraph import (Hypergraph, HypergraphError, load_hypergraph,
                          superset_reduced)
 from .oracles import (all_rows, bell_numbers, brute_transversals,
                       inclusion_exclusion_count, row_census, row_census_brute)
-from .rows import Row, bubble_segment_counts, row_from_tokens
+from .rows import Row, bubble_segment_counts, row_from_tokens, vertex_mask
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Hypergraph", "HypergraphError", "parse_hypergraph", "render_hypergraph",
     "load_hypergraph", "subset_reduced", "superset_reduced",
-    "Row", "row_from_tokens", "bubble_segment_counts",
+    "Row", "row_from_tokens", "bubble_segment_counts", "vertex_mask",
     "RunStats", "RowFamily", "impose", "is_feasible", "run",
     "Infeasible", "Spectrum", "count_total", "spectrum", "count_at_least",
     "transversal_number", "transversals_of_size", "filter_family",

@@ -72,8 +72,8 @@ def transversal_number(family: RowFamily) -> tuple[int, int]:
         if row.c_min != k_min:
             continue
         count = 1
-        for bubble in row.bubbles:
-            count *= len(bubble)
+        for bubble in row.bubble_masks:
+            count *= bubble.bit_count()
         tau_min += count
     return k_min, tau_min
 

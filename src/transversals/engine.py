@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .hypergraph import Hypergraph
-from .rows import Row
+from .rows import Row, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,9 @@ class RowFamily:
     stats: RunStats | None = None
 
 
-def impose(row: Row, edge: Iterable[int]) -> list[Row]:
+def impose(row: Row, edge: int) -> list[Row]:
     """Split ``row`` into disjoint rows whose union is the members hitting
-    ``edge``.
+    the edge with vertex mask ``edge`` (see :func:`~transversals.rows.vertex_mask`).
 
     If a forced position or a whole bubble lies inside the edge, every
     member already hits it and the row passes through unchanged.  Otherwise
@@ -49,33 +49,39 @@ def impose(row: Row, edge: Iterable[int]) -> list[Row]:
     hitting the edge only among the free positions; it exists only when the
     edge meets them.  Sons are returned in that order.
     """
-    hit = frozenset(edge)
-    if hit & row.ones or any(bubble <= hit for bubble in row.bubbles):
+    if edge & row.one_mask:
         return [row]
-    zeros = row.zeros
-    bubbles = list(row.bubbles)
+    bubbles = row.bubble_masks
+    for bubble in bubbles:
+        if bubble & edge == bubble:
+            return [row]
+    w, zeros, ones, twos = row.w, row.zero_mask, row.one_mask, row.two_mask
+    make = Row.from_masks
+    cut = list(bubbles)
     sons = []
-    for i, bubble in enumerate(row.bubbles):
-        part = bubble & hit
-        if not part:
-            continue
-        rest = bubble - part
-        bubbles[i] = part
-        sons.append(Row(row.w, zeros, row.ones, row.twos | rest, tuple(bubbles)))
-        zeros |= part
-        bubbles[i] = rest
-    free_hit = row.twos & hit
+    for i, bubble in enumerate(bubbles):
+        part = bubble & edge
+        if part:
+            cut[i] = part
+            sons.append(make(w, zeros, ones, twos | bubble ^ part, tuple(cut)))
+            zeros |= part
+            cut[i] = bubble ^ part
+    free_hit = twos & edge
     if free_hit:
-        sons.append(Row(row.w, zeros, row.ones, row.twos - free_hit,
-                        tuple(bubbles) + (free_hit,)))
+        cut.append(free_hit)
+        sons.append(make(w, zeros, ones, twos ^ free_hit, tuple(cut)))
     return sons
 
 
-def is_feasible(row: Row, pending: Iterable[Iterable[int]]) -> bool:
-    """True iff no pending edge lies entirely inside the zeros, i.e. the
-    member taking everything outside the zeros hits every pending edge."""
-    zeros = row.zeros
-    return all(not zeros.issuperset(edge) for edge in pending)
+def is_feasible(row: Row, pending: Iterable[int]) -> bool:
+    """True iff no pending edge (a vertex mask) lies entirely inside the
+    zeros, i.e. the member taking everything outside the zeros hits every
+    pending edge."""
+    zeros = row.zero_mask
+    for edge in pending:
+        if edge & zeros == edge:
+            return False
+    return True
 
 
 def run(hg: Hypergraph, min_card: int | None = None,
@@ -112,14 +118,16 @@ def run(hg: Hypergraph, min_card: int | None = None,
         raise ValueError("max_card must be >= 0")
     if min_card is not None and max_card is not None and min_card > max_card:
         raise ValueError("min_card must be <= max_card")
-    edges = [frozenset(e) for e in hg.edges]
+    edges = [vertex_mask(e) for e in hg.edges]
     h = len(edges)
+    # pending[pc - 1]: the edges from the 1-based index pc on
+    pending = [edges[i:] for i in range(h + 1)]
     floor = min_card or 0
     ceiling = hg.w if max_card is None else max_card
 
     def admissible(row: Row, pc: int) -> bool:
         return (row.c_max >= floor and row.c_min <= ceiling
-                and is_feasible(row, edges[pc - 1:]))
+                and is_feasible(row, pending[pc - 1]))
 
     impositions = 0
     s_max = 0
@@ -140,8 +148,11 @@ def run(hg: Hypergraph, min_card: int | None = None,
         candidates = impose(row, edges[pc - 1])
         impositions += 1
         s_max = max(s_max, len(candidates))
-        survivors = [son for son in candidates if admissible(son, pc + 1)]
-        stack.extend((son, pc + 1) for son in reversed(survivors))
+        pc += 1
+        # pushed last-son-first, so the first son is processed first
+        for son in reversed(candidates):
+            if admissible(son, pc):
+                stack.append((son, pc))
     return RowFamily(w=hg.w, rows=tuple(final), min_card=min_card,
                      max_card=max_card,
                      stats=RunStats(impositions, s_max, max_stack))

@@ -12,13 +12,43 @@ products instead of enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True, eq=False)
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask of a vertex set: bit v is set for every vertex v.
+
+    The one vertex-to-mask converter.  Vertices are ints >= 1, so bit 0
+    stays clear; anything else raises ValueError.
+    """
+    mask = 0
+    for v in vertices:
+        if type(v) is not int or v < 1:
+            raise ValueError(f"vertex {v!r} is not an int >= 1")
+        mask |= 1 << v
+    return mask
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+_set = object.__setattr__
+
+
 class Row:
     """One {0,1,2,e}-valued row over the ground set {1..w}.
+
+    The parts are stored as int bitmasks, bit v standing for vertex v:
+    ``zero_mask``, ``one_mask``, ``two_mask`` and the tuple ``bubble_masks``.
+    ``zeros``, ``ones``, ``twos`` and ``bubbles`` give the same parts as
+    frozensets.  Rows are immutable.
 
     ``bubbles`` keeps the order given at construction; generation walks the
     bubbles in that order, so the order is part of the row's behaviour even
@@ -31,43 +61,93 @@ class Row:
     an empty bubble is rejected since no set can hit it.
     """
 
-    w: int
-    zeros: frozenset[int]
-    ones: frozenset[int]
-    twos: frozenset[int]
-    bubbles: tuple[frozenset[int], ...] = ()
+    __slots__ = ("w", "zero_mask", "one_mask", "two_mask", "bubble_masks")
+
+    def __init__(self, w: int, zeros: Iterable[int], ones: Iterable[int],
+                 twos: Iterable[int], bubbles: Iterable[Iterable[int]] = ()) -> None:
+        try:
+            masks = (vertex_mask(zeros), vertex_mask(ones), vertex_mask(twos),
+                     tuple(vertex_mask(bubble) for bubble in bubbles))
+        except ValueError:
+            raise ValueError(f"row parts do not partition 1..{w}") from None
+        _store(self, w, *masks)
+
+    @classmethod
+    def from_masks(cls, w: int, zeros: int, ones: int, twos: int,
+                   bubbles: tuple[int, ...] = ()) -> "Row":
+        """The row with the given part masks, validated like every row."""
+        row = object.__new__(cls)
+        _store(row, w, zeros, ones, twos, tuple(bubbles))
+        return row
 
     def __post_init__(self) -> None:
-        zeros = frozenset(self.zeros)
-        ones = frozenset(self.ones)
-        twos = frozenset(self.twos)
-        bubbles = []
-        for bubble in self.bubbles:
-            bubble = frozenset(bubble)
-            if not bubble:
-                raise ValueError("empty e-bubble")
-            if len(bubble) == 1:
-                ones |= bubble
-            else:
-                bubbles.append(bubble)
-        parts = [zeros, ones, twos, *bubbles]
-        covered = frozenset().union(*parts)
-        if sum(len(p) for p in parts) != len(covered):
+        """The one validation path, run on every row built: promote
+        one-position bubbles to forced positions, reject an empty bubble,
+        and check that the parts are disjoint (their popcounts add up to
+        the popcount of their union) and cover exactly 1..w.  The
+        benchmark's tracer times row construction by wrapping this name."""
+        w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
+        bubbles = self.bubble_masks
+        if type(w) is not int or w < 0:
+            raise ValueError(f"row width must be an int >= 0, not {w!r}")
+        union = zeros | ones | twos
+        total = zeros.bit_count() + ones.bit_count() + twos.bit_count()
+        promote = False
+        for bubble in bubbles:
+            union |= bubble
+            n = bubble.bit_count()
+            total += n
+            if n < 2:
+                if not n:
+                    raise ValueError("empty e-bubble")
+                promote = True
+        if total != union.bit_count():
             raise ValueError("row parts overlap")
-        if covered != frozenset(range(1, self.w + 1)):
-            raise ValueError(f"row parts do not partition 1..{self.w}")
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "ones", ones)
-        object.__setattr__(self, "twos", twos)
-        object.__setattr__(self, "bubbles", tuple(bubbles))
+        if union != (1 << w + 1) - 2:
+            raise ValueError(f"row parts do not partition 1..{w}")
+        if promote:
+            for bubble in bubbles:
+                if not bubble & bubble - 1:
+                    ones |= bubble
+            _set(self, "one_mask", ones)
+            _set(self, "bubble_masks",
+                 tuple(bubble for bubble in bubbles if bubble & bubble - 1))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Row is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Row is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor
+        return Row.from_masks, (self.w, self.zero_mask, self.one_mask,
+                                self.two_mask, self.bubble_masks)
 
     @classmethod
     def powerset(cls, w: int) -> "Row":
         """The all-free row denoting every subset of {1..w}."""
-        return cls(w, frozenset(), frozenset(), frozenset(range(1, w + 1)))
+        return cls(w, (), (), range(1, w + 1))
+
+    @property
+    def zeros(self) -> frozenset[int]:
+        return frozenset(_vertices(self.zero_mask))
+
+    @property
+    def ones(self) -> frozenset[int]:
+        return frozenset(_vertices(self.one_mask))
+
+    @property
+    def twos(self) -> frozenset[int]:
+        return frozenset(_vertices(self.two_mask))
+
+    @property
+    def bubbles(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_vertices(bubble)) for bubble in self.bubble_masks)
 
     def _key(self):
-        return (self.w, self.zeros, self.ones, self.twos, frozenset(self.bubbles))
+        return (self.w, self.zero_mask, self.one_mask, self.two_mask,
+                frozenset(self.bubble_masks))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Row) and self._key() == other._key()
@@ -82,27 +162,27 @@ class Row:
 
     def contains(self, xs: Iterable[int]) -> bool:
         """True iff the set avoids every 0, holds every 1, hits every bubble."""
-        members = frozenset(xs)
-        if members & self.zeros or not self.ones <= members:
+        members = vertex_mask(xs)
+        if members & self.zero_mask or self.one_mask & ~members:
             return False
-        return all(bubble & members for bubble in self.bubbles)
+        return all(bubble & members for bubble in self.bubble_masks)
 
     def size(self) -> int:
         """Number of represented sets: 2^|twos| * prod(2^|bubble| - 1)."""
-        n = 1 << len(self.twos)
-        for bubble in self.bubbles:
-            n *= (1 << len(bubble)) - 1
+        n = 1 << self.two_mask.bit_count()
+        for bubble in self.bubble_masks:
+            n *= (1 << bubble.bit_count()) - 1
         return n
 
     @property
     def c_min(self) -> int:
         """Smallest member cardinality: one per bubble plus the forced 1s."""
-        return len(self.ones) + len(self.bubbles)
+        return self.one_mask.bit_count() + len(self.bubble_masks)
 
     @property
     def c_max(self) -> int:
         """Largest member cardinality: everything but the 0s."""
-        return self.w - len(self.zeros)
+        return self.w - self.zero_mask.bit_count()
 
     # ----- counting by cardinality ---------------------------------------
 
@@ -111,9 +191,9 @@ class Row:
         X^k coefficient counts the members of cardinality k, evaluated at
         X = 2^bits."""
         x = 1 << bits
-        value = (x + 1) ** len(self.twos) << bits * len(self.ones)
-        for bubble in self.bubbles:
-            value *= (x + 1) ** len(bubble) - 1
+        value = (x + 1) ** self.two_mask.bit_count() << bits * self.one_mask.bit_count()
+        for bubble in self.bubble_masks:
+            value *= (x + 1) ** bubble.bit_count() - 1
         return value
 
     def counts_by_size(self, limit: int) -> list[int]:
@@ -142,12 +222,12 @@ class Row:
         """
         if k < 0 or k > self.w:
             return
-        base = tuple(sorted(self.ones))
+        base = _vertices(self.one_mask)
         blocks: list[tuple[tuple[int, ...], int]] = []
-        if self.twos:
-            blocks.append((tuple(sorted(self.twos)), 0))
-        for bubble in self.bubbles:
-            blocks.append((tuple(sorted(bubble)), 1))
+        if self.two_mask:
+            blocks.append((_vertices(self.two_mask), 0))
+        for bubble in self.bubble_masks:
+            blocks.append((_vertices(bubble), 1))
         if not blocks:
             if len(base) == k:
                 yield base
@@ -198,54 +278,71 @@ class Row:
 
     # ----- single-vertex surgery -------------------------------------------
 
+    def _bit(self, v: int) -> int:
+        if isinstance(v, int) and 1 <= v <= self.w:
+            return 1 << v
+        raise ValueError(f"vertex {v} not in ground set 1..{self.w}")
+
     def require(self, v: int) -> "Row | None":
         """Restrict to members containing v; None if no member does."""
-        if v in self.zeros:
+        bit = self._bit(v)
+        if bit & self.zero_mask:
             return None
-        if v in self.ones:
+        if bit & self.one_mask:
             return self
-        if v in self.twos:
-            return Row(self.w, self.zeros, self.ones | {v}, self.twos - {v},
-                       self.bubbles)
-        for i, bubble in enumerate(self.bubbles):
-            if v in bubble:
+        w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
+        bubbles = self.bubble_masks
+        if bit & twos:
+            return Row.from_masks(w, zeros, ones | bit, twos ^ bit, bubbles)
+        for i, bubble in enumerate(bubbles):
+            if bit & bubble:
                 # v satisfies the bubble; the other positions become free
-                rest = self.bubbles[:i] + self.bubbles[i + 1:]
-                return Row(self.w, self.zeros, self.ones | {v},
-                           self.twos | (bubble - {v}), rest)
-        raise ValueError(f"vertex {v} not in ground set 1..{self.w}")
+                return Row.from_masks(w, zeros, ones | bit, twos | bubble ^ bit,
+                                      bubbles[:i] + bubbles[i + 1:])
 
     def forbid(self, v: int) -> "Row | None":
         """Restrict to members avoiding v; None if every member holds v."""
-        if v in self.ones:
+        bit = self._bit(v)
+        if bit & self.one_mask:
             return None
-        if v in self.zeros:
+        if bit & self.zero_mask:
             return self
-        if v in self.twos:
-            return Row(self.w, self.zeros | {v}, self.ones, self.twos - {v},
-                       self.bubbles)
-        for i, bubble in enumerate(self.bubbles):
-            if v in bubble:
-                # constructor promotes a singleton remainder to a forced 1
-                shrunk = self.bubbles[:i] + (bubble - {v},) + self.bubbles[i + 1:]
-                return Row(self.w, self.zeros | {v}, self.ones, self.twos, shrunk)
-        raise ValueError(f"vertex {v} not in ground set 1..{self.w}")
+        w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
+        bubbles = self.bubble_masks
+        if bit & twos:
+            return Row.from_masks(w, zeros | bit, ones, twos ^ bit, bubbles)
+        for i, bubble in enumerate(bubbles):
+            if bit & bubble:
+                # the constructor promotes a singleton remainder to a forced 1
+                return Row.from_masks(w, zeros | bit, ones, twos,
+                                      bubbles[:i] + (bubble ^ bit,) + bubbles[i + 1:])
 
     # ----- canonical text form ----------------------------------------------
 
     def render(self) -> str:
         """Space-separated position tokens, bubbles numbered by least element."""
-        token = {}
-        for v in self.zeros:
-            token[v] = "0"
-        for v in self.ones:
+        token = ["0"] * (self.w + 1)
+        for v in _vertices(self.one_mask):
             token[v] = "1"
-        for v in self.twos:
+        for v in _vertices(self.two_mask):
             token[v] = "2"
-        for i, bubble in enumerate(sorted(self.bubbles, key=min), start=1):
-            for v in bubble:
+        # the lowest set bit orders bubbles by their least element
+        for i, bubble in enumerate(sorted(self.bubble_masks, key=lambda b: b & -b),
+                                   start=1):
+            for v in _vertices(bubble):
                 token[v] = f"e{i}"
-        return " ".join(token[v] for v in range(1, self.w + 1))
+        return " ".join(token[1:])
+
+
+def _store(row: Row, w: int, zeros: int, ones: int, twos: int,
+           bubbles: tuple[int, ...]) -> None:
+    """Fill a fresh row's masks and run the one validation path on it."""
+    _set(row, "w", w)
+    _set(row, "zero_mask", zeros)
+    _set(row, "one_mask", ones)
+    _set(row, "two_mask", twos)
+    _set(row, "bubble_masks", bubbles)
+    row.__post_init__()
 
 
 def size_counts(rows: Sequence[Row], limit: int) -> list[int]:
@@ -266,12 +363,13 @@ def bubble_segment_counts(sizes: Iterable[int], limit: int) -> list[list[int]]:
     """Running per-cardinality counts as bubbles of the given sizes are
     appended to an initially empty row; one list (indexed 0..limit) per
     appended bubble."""
-    row = Row(0, (), (), ())
+    row = Row.powerset(0)
     segments = []
     for n in sizes:
         # size-1 bubbles are promoted to forced positions, so carry the ones
-        row = Row(row.w + n, (), row.ones, (),
-                  row.bubbles + (range(row.w + 1, row.w + n + 1),))
+        bubble = (1 << row.w + n + 1) - (1 << row.w + 1)
+        row = Row.from_masks(row.w + n, 0, row.one_mask, 0,
+                             row.bubble_masks + (bubble,))
         segments.append(row.counts_by_size(limit))
     return segments
 

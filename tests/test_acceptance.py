@@ -15,7 +15,7 @@ from transversals import (Hypergraph, Row, brute_transversals, count_total,
                           filter_family, inclusion_exclusion_count,
                           is_feasible, row_census, row_census_brute,
                           row_from_tokens, run, spectrum, transversal_number,
-                          transversals_of_size)
+                          transversals_of_size, vertex_mask)
 from transversals.rows import bubble_segment_counts
 from conftest import (DEMO_FINAL_ROWS, DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL)
 
@@ -146,5 +146,5 @@ def test_criterion_9_recorded_bounds(corpus):
         assert stats.s_max <= hg.d + 1
         assert stats.max_stack <= hg.h * stats.s_max + 1
         for row in family.rows:
-            assert is_feasible(row, hg.edges)
+            assert is_feasible(row, map(vertex_mask, hg.edges))
     _passed(9, "impositions <= R*h, s_max <= d+1, stack depth bounded")

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from transversals import (Hypergraph, Row, brute_transversals, count_at_least,
-                          impose, is_feasible, parse_hypergraph, row_from_tokens,
-                          run)
+                          count_total, impose, inclusion_exclusion_count,
+                          is_feasible, parse_hypergraph, row_from_tokens, run,
+                          spectrum, vertex_mask)
+from transversals import engine
 from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL
 
 MOD4 = "2 2 e1 e1 e2 e3 e3 e4 e1 e2 e3 e3 e4 e4"
@@ -10,13 +14,14 @@ MOD4 = "2 2 e1 e1 e2 e3 e3 e4 e1 e2 e3 e3 e4 e4"
 
 class TestImpose:
     def test_first_edge_on_powerset(self):
-        sons = impose(Row.powerset(14), {3, 4, 9})
+        sons = impose(Row.powerset(14), vertex_mask({3, 4, 9}))
         assert [s.render() for s in sons] == [
             "2 2 e1 e1 2 2 2 2 e1 2 2 2 2 2"]
 
     def test_four_bubble_split(self):
         # the fifth demo edge cuts into all four bubbles and the free block
-        sons = impose(row_from_tokens(MOD4), {1, 2, 3, 4, 5, 6, 7, 8})
+        sons = impose(row_from_tokens(MOD4),
+                      vertex_mask({1, 2, 3, 4, 5, 6, 7, 8}))
         assert [s.render() for s in sons] == [
             "2 2 e1 e1 e2 e3 e3 e4 2 e2 e3 e3 e4 e4",
             "2 2 0 0 1 e1 e1 e2 1 2 e1 e1 e2 e2",
@@ -28,7 +33,7 @@ class TestImpose:
     def test_split_without_free_son(self):
         # edge misses the free block, so only the bubble sons appear
         sigma = row_from_tokens("e1 e1 0 0 0 0 0 0 1 1 e2 e2 e3 e3")
-        sons = impose(sigma, {3, 4, 5, 8, 12, 13})
+        sons = impose(sigma, vertex_mask({3, 4, 5, 8, 12, 13}))
         assert [s.render() for s in sons] == [
             "e1 e1 0 0 0 0 0 0 1 1 2 1 e2 e2",
             "e1 e1 0 0 0 0 0 0 1 1 1 0 1 2",
@@ -36,33 +41,106 @@ class TestImpose:
 
     def test_forced_hit_passes_through(self):
         r = Row(3, (), {2}, {1, 3})
-        assert impose(r, {2, 3}) == [r]
+        assert impose(r, vertex_mask({2, 3})) == [r]
 
     def test_contained_bubble_passes_through(self):
         r = Row(4, (), (), {3, 4}, [{1, 2}])
-        assert impose(r, {1, 2}) == [r]
+        assert impose(r, vertex_mask({1, 2})) == [r]
 
     def test_unreachable_edge_kills_row(self):
         r = Row(3, {1, 2}, (), {3})
-        assert impose(r, {1, 2}) == []
+        assert impose(r, vertex_mask({1, 2})) == []
 
     def test_sons_partition_the_hitters(self):
         r = Row(6, {6}, (), {1, 2}, [{3, 4, 5}])
         edge = {1, 3, 6}
-        sons = impose(r, edge)
+        sons = impose(r, vertex_mask(edge))
         expanded = [x for s in sons for x in s.members()]
         assert len(expanded) == len(set(expanded))
         assert sorted(set(expanded)) == sorted(
             x for x in r.members() if set(x) & edge)
 
 
+class TestWideMasks:
+    """Rows and edges reaching past bit 64, checked against frozensets."""
+
+    W = 130
+    ZEROS, ONES = {1, 66}, {3}
+    BUBBLES = ({64, 65, 100}, {128, 129})
+    TWOS = set(range(1, W + 1)) - ZEROS - ONES - {64, 65, 100, 128, 129}
+
+    def row(self):
+        return Row(self.W, self.ZEROS, self.ONES, self.TWOS, self.BUBBLES)
+
+    @staticmethod
+    def parts(row):
+        return (row.zeros, row.ones, row.twos, set(row.bubbles))
+
+    def test_impose_on_wide_row(self):
+        row = self.row()
+        assert impose(row, vertex_mask({128, 129, 130}))[0] is row
+        sons = impose(row, vertex_mask({1, 65, 100, 128, 130}))
+        twos = self.TWOS
+        assert [self.parts(s) for s in sons] == [
+            ({1, 66}, {3}, twos | {64}, {frozenset({65, 100}), frozenset({128, 129})}),
+            ({1, 65, 66, 100}, {3, 64, 128}, twos | {129}, set()),
+            ({1, 65, 66, 100, 128}, {3, 64, 129, 130}, twos - {130}, set()),
+        ]
+
+    def test_require_and_forbid_on_wide_row(self):
+        row = self.row()
+        assert self.parts(row.require(100)) == (
+            self.ZEROS, {3, 100}, self.TWOS | {64, 65}, {frozenset({128, 129})})
+        assert self.parts(row.forbid(129)) == (
+            {1, 66, 129}, {3, 128}, self.TWOS, {frozenset({64, 65, 100})})
+        assert self.parts(row.require(130)) == (
+            self.ZEROS, {3, 130}, self.TWOS - {130},
+            {frozenset({64, 65, 100}), frozenset({128, 129})})
+        assert row.forbid(66) is row and row.require(66) is None
+
+    def test_run_and_spectrum_past_bit_64(self):
+        rng = random.Random(7)
+        edges = tuple(tuple(sorted(rng.sample(range(1, 91), rng.randint(2, 5))))
+                      for _ in range(5)) + ((64, 65, 89, 90),)
+        hg = Hypergraph(90, edges)
+        family = run(hg)
+        total = count_total(family)
+        assert total == inclusion_exclusion_count(hg)
+        assert spectrum(family).total == sum(spectrum(family).counts) == total
+
+
+class TestBenchmarkHooks:
+    """The benchmark times and counts the engine by replacing the module
+    globals ``impose`` and ``is_feasible``; ``run`` must look them up there."""
+
+    def test_run_calls_module_globals(self, demo_hg, monkeypatch):
+        calls = {"impose": 0, "is_feasible": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+        family = run(demo_hg)
+        assert calls["impose"] == family.stats.impositions
+        assert calls["is_feasible"] > 0
+
+    def test_passthrough_returns_the_same_row(self):
+        row = Row(3, (), {2}, {1, 3})
+        sons = impose(row, vertex_mask({2, 3}))
+        assert len(sons) == 1 and sons[0] is row
+
+
 class TestFeasibility:
     def test_pending_edge_inside_zeros(self):
         dead = row_from_tokens("e1 e1 0 0 0 0 0 0 1 1 1 0 0 1")
-        assert not is_feasible(dead, [{3, 4, 5, 8, 12, 13}])
+        assert not is_feasible(dead, [vertex_mask({3, 4, 5, 8, 12, 13})])
 
     def test_no_zeros_is_always_feasible(self):
-        assert is_feasible(Row.powerset(5), [{1}, {2, 3}])
+        assert is_feasible(Row.powerset(5), [vertex_mask({1}), vertex_mask({2, 3})])
 
     def test_empty_pending(self):
         assert is_feasible(row_from_tokens("0 0 1 2"), [])
@@ -87,7 +165,7 @@ class TestRun:
 
     def test_final_rows_are_feasible(self, demo_hg, demo_family):
         for row in demo_family.rows:
-            assert is_feasible(row, demo_hg.edges)
+            assert is_feasible(row, map(vertex_mask, demo_hg.edges))
 
     def test_deterministic(self, demo_hg, demo_family):
         again = run(demo_hg)

@@ -11,7 +11,7 @@ from transversals import (Hypergraph, Row, brute_transversals, count_at_least,
                           inclusion_exclusion_count, is_feasible,
                           parse_hypergraph, render_hypergraph, run, spectrum,
                           subset_reduced, superset_reduced, transversal_number,
-                          transversals_of_size)
+                          transversals_of_size, vertex_mask)
 
 
 @st.composite
@@ -105,11 +105,35 @@ def test_surgery_matches_brute_filter(r, data):
 @given(rows_st(min_w=1), st.data())
 def test_impose_splits_hitters_disjointly(r, data):
     edge = data.draw(st.frozensets(st.integers(1, r.w), min_size=1))
-    sons = impose(r, edge)
+    sons = impose(r, vertex_mask(edge))
     expanded = [x for son in sons for x in son.members()]
     assert len(expanded) == len(set(expanded))
     assert sorted(expanded) == sorted(
         x for x in r.members() if set(x) & edge)
+
+
+def avoiding(row, vertices):
+    """The row's members avoiding every vertex, by single-vertex surgery."""
+    for v in vertices:
+        if row is None:
+            break
+        row = row.forbid(v)
+    return row
+
+
+@given(rows_st(min_w=60, max_w=140), st.data())
+def test_wide_rows_split_and_filter_by_size(r, data):
+    # past bit 64 the members cannot be listed, so check sizes: the sons
+    # hold the members hitting the edge, the surgery halves partition r
+    edge = data.draw(st.frozensets(st.integers(1, r.w), min_size=1, max_size=8))
+    missed = avoiding(r, edge)
+    assert sum(son.size() for son in impose(r, vertex_mask(edge))) == \
+        r.size() - (missed.size() if missed else 0)
+    v = data.draw(st.integers(1, r.w))
+    halves = [r.require(v), r.forbid(v)]
+    assert sum(half.size() for half in halves if half) == r.size()
+    assert all(half.contains(next(half.members_of_size(half.c_min)))
+               for half in halves if half)
 
 
 @settings(max_examples=60)
@@ -120,7 +144,7 @@ def test_engine_matches_brute_force(hg):
     assert len(expanded) == len(set(expanded))
     assert sorted(expanded) == brute_transversals(hg)
     for row in family.rows:
-        assert is_feasible(row, hg.edges)
+        assert is_feasible(row, map(vertex_mask, hg.edges))
 
 
 @settings(max_examples=60)

@@ -1,9 +1,11 @@
+import copy
 import itertools
+import pickle
 from math import comb
 
 import pytest
 
-from transversals import Row, bubble_segment_counts, row_from_tokens
+from transversals import Row, bubble_segment_counts, row_from_tokens, vertex_mask
 
 
 def brute_members(row, k=None):
@@ -44,6 +46,63 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Row(2, {1}, (), {2, 5})
+
+    @pytest.mark.parametrize("zeros, twos", [
+        ({0}, {1, 2}),              # vertex 0
+        ({-1}, {1, 2}),             # negative vertex
+        ({1}, {2, 3}),              # vertex > w
+        ({1.0}, {2}),               # non-int vertex
+        (("1",), {2}),
+        ((None,), {1, 2}),
+        ({True}, {2}),
+    ])
+    def test_bad_vertex_rejected_with_partition_message(self, zeros, twos):
+        with pytest.raises(ValueError, match=r"^row parts do not partition 1\.\.2$"):
+            Row(2, zeros, (), twos)
+        with pytest.raises(ValueError, match=r"^row parts do not partition 1\.\.2$"):
+            Row(2, (), (), twos, [set(zeros) | {1}])
+
+    def test_overlap_message(self):
+        with pytest.raises(ValueError, match="^row parts overlap$"):
+            Row(3, (), {2}, {1, 3}, [{2}])
+        with pytest.raises(ValueError, match="^row parts overlap$"):
+            Row(3, (), (), {1, 2, 3}, [{2, 3}])
+
+    def test_masks_take_the_same_validation(self):
+        assert Row.from_masks(2, 0, 0, 0b110) == Row.powerset(2)
+        assert Row.from_masks(3, 0, 0, 0b10, (0b1000, 0b100)).ones == {2, 3}
+        with pytest.raises(ValueError, match="^empty e-bubble$"):
+            Row.from_masks(2, 0, 0, 0b110, (0,))
+        with pytest.raises(ValueError, match="^row parts overlap$"):
+            Row.from_masks(2, 0b10, 0b10, 0b100)
+        with pytest.raises(ValueError, match=r"^row parts do not partition 1\.\.2$"):
+            Row.from_masks(2, 0b1, 0, 0b110)
+
+    def test_bad_width_rejected(self):
+        for w in (-1, -5, 2.0):
+            with pytest.raises(ValueError, match="row width"):
+                Row(w, (), (), ())
+
+    def test_immutable(self):
+        r = Row.powerset(2)
+        for name in ("w", "zeros", "zero_mask", "bubble_masks", "other"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 1)
+        with pytest.raises(AttributeError):
+            del r.w
+        assert r == Row.powerset(2) and r.w == 2
+
+    def test_pickle_and_copy_round_trip(self):
+        r = row_from_tokens("2 e2 e1 2 1 e2 e1 0 e2")
+        for again in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert again == r and again.bubble_masks == r.bubble_masks
+
+    def test_masks_and_sets_agree(self):
+        r = Row(5, {1}, {2}, (), [{3, 5}, {4}])
+        assert (r.zero_mask, r.one_mask, r.two_mask, r.bubble_masks) == (
+            vertex_mask({1}), vertex_mask({2, 4}), 0, (vertex_mask({3, 5}),))
+        assert (r.zeros, r.ones, r.twos, r.bubbles) == (
+            {1}, {2, 4}, frozenset(), (frozenset({3, 5}),))
 
     def test_empty_ground_set(self):
         r = Row(0, (), (), ())
