@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
+# Python 3.10.7+ limits int <-> str conversions (4300 digits by default)
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -83,8 +87,7 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
         raise HypergraphError(f"bad vertex list {text!r}") from exc
 
 
-def _cmd_count(args) -> int:
-    hg = _load(args)
+def _cmd_count(args, hg: Hypergraph) -> int:
     start = time.perf_counter()
     family = run(hg)
     elapsed = time.perf_counter() - start
@@ -127,17 +130,16 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
-    family = run(_load(args))
+def _cmd_spectrum(args, hg: Hypergraph) -> int:
+    family = run(hg)
     for k, count in enumerate(spectrum(family).counts):
         print(f"{k} {count}")
     return EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, hg: Hypergraph) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be >= 0")
-    hg = _load(args)
     if not 0 <= args.k <= hg.w:
         return EXIT_OK
     # the [k, k] window builds only the rows holding size-k transversals
@@ -150,15 +152,14 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rows(args) -> int:
-    family = run(_load(args))
+def _cmd_rows(args, hg: Hypergraph) -> int:
+    family = run(hg)
     for row in family.rows:
         print(row.render())
     return EXIT_OK
 
 
-def _cmd_query(args) -> int:
-    hg = _load(args)
+def _cmd_query(args, hg: Hypergraph) -> int:
     require, forbid = check_conditions(hg.w, _parse_vertex_list(args.require),
                                        _parse_vertex_list(args.forbid))
     filtered = filter_family(run(hg), require=require, forbid=forbid)
@@ -179,8 +180,13 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    digit_limit = _get_digit_limit()
     try:
-        code = _HANDLERS[args.command](args)
+        hg = _load(args)
+        # the hypergraph file is parsed under Python's int/str digit limit;
+        # exact answers may be longer, so they are printed without one
+        _set_digit_limit(0)
+        code = _HANDLERS[args.command](args, hg)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -191,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     except (HypergraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        _set_digit_limit(digit_limit)
 
 
 if __name__ == "__main__":

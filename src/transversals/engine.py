@@ -111,6 +111,19 @@ def run(hg: Hypergraph, min_card: int | None = None,
     positions or bubble positions one at a time), so the window [k, k]
     keeps exactly the rows that hold a transversal of size k, and the size-k
     members come out as from the full run.
+
+    Two checks are skipped because their answer is known.  A row is on the
+    stack only if it was admissible for its pending edges, and a suffix of
+    them is a subset.  (1) When :func:`impose` passes the row through, it
+    keeps its zeros, ``c_min`` and ``c_max`` and so stays admissible.
+    Pushing and popping it at once would change neither ``max_stack`` nor
+    the final order, nor ``s_max``, which the first imposition (a split of
+    the all-free root) has already raised to 1; so the next edge is imposed
+    on it directly.  (2) :func:`impose` builds its first son before zeroing
+    any cut part, so that son keeps the row's zeros and ``c_max`` and is
+    feasible and above ``min_card``; only its ``c_min <= max_card`` is
+    checked.  An admissible row always has a son, since no pending edge
+    lies inside its zeros.
     """
     if min_card is not None and min_card < 0:
         raise ValueError("min_card must be >= 0")
@@ -142,17 +155,24 @@ def run(hg: Hypergraph, min_card: int | None = None,
     while stack:
         max_stack = max(max_stack, len(stack))
         row, pc = stack.pop()
-        if pc > h:
+        # fast-forward: while impose hands the row back, impose the next edge
+        while pc <= h:
+            sons = impose(row, edges[pc - 1])
+            impositions += 1
+            pc += 1
+            if sons[0] is not row:
+                break
+        else:
             final.append(row)
             continue
-        candidates = impose(row, edges[pc - 1])
-        impositions += 1
-        s_max = max(s_max, len(candidates))
-        pc += 1
-        # pushed last-son-first, so the first son is processed first
-        for son in reversed(candidates):
+        s_max = max(s_max, len(sons))
+        # pushed last-son-first, so the first son is processed first; the
+        # first son can leave the window only by its c_min
+        for son in sons[:0:-1]:
             if admissible(son, pc):
                 stack.append((son, pc))
+        if sons[0].c_min <= ceiling:
+            stack.append((sons[0], pc))
     return RowFamily(w=hg.w, rows=tuple(final), min_card=min_card,
                      max_card=max_card,
                      stats=RunStats(impositions, s_max, max_stack))

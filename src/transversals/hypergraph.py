@@ -98,7 +98,7 @@ def load_hypergraph(path: str) -> Hypergraph:
         return parse_hypergraph(text)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise HypergraphError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict) or "w" not in data or "edges" not in data:
         raise HypergraphError('JSON hypergraph needs fields "w" and "edges"')

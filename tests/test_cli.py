@@ -93,6 +93,32 @@ class TestCount:
         assert code == 0
         assert out.startswith("N = 8784, ")
 
+    def test_exact_count_past_int_digit_limit(self, capsys, tmp_path):
+        # N = 3 * 2^14998 has 4516 digits, past Python's default limit of
+        # 4300 for int <-> str conversion; the limit is lifted for output only
+        path = tmp_path / "big.hg"
+        path.write_text("15000 1\n1 2\n")
+        limit = sys.get_int_max_str_digits()
+        text = run_cli(capsys, "count", str(path))
+        report = run_cli(capsys, "count", "--json", str(path))
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"N = {3 << 14998}, R = 1, k_min = 1, tau_min = 2\n"
+            payload = json.loads(report[1])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == (0, expected, "")
+        assert (report[0], report[2]) == (0, "")
+        assert payload["n_total"] == 3 << 14998
+
+    def test_input_keeps_int_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"w": 1' + "0" * 5000 + ', "edges": []}')
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSpectrum:
     def test_demo_lines(self, capsys, demo_file):
@@ -273,6 +299,14 @@ class TestErrors:
         code, out, err = run_cli(capsys, "count", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"w": 3, "edges": [' + "[" * depth + "]" * depth + "]}")
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON in ") and err.count("\n") == 1
 
 
 def test_byte_for_byte_determinism(capsys, demo_file):

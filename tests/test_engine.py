@@ -128,6 +128,34 @@ class TestBenchmarkHooks:
         assert calls["impose"] == family.stats.impositions
         assert calls["is_feasible"] > 0
 
+    def test_known_admissible_rows_are_not_rechecked(self, monkeypatch):
+        # once impose hands a row back, or makes it a split's first son, the
+        # row is known to be feasible, so run never passes it to is_feasible
+        rng = random.Random(7)
+        hg = Hypergraph(12, tuple(tuple(rng.sample(range(1, 13), rng.randint(2, 5)))
+                                  for _ in range(10)))
+        passed, first_sons, rechecked = [], [], []
+        known = {}                       # id -> row, which keeps the id unique
+        real_impose, real_feasible = engine.impose, engine.is_feasible
+
+        def spy_impose(row, edge):
+            sons = real_impose(row, edge)
+            (passed if sons[0] is row else first_sons).append(sons[0])
+            known[id(sons[0])] = sons[0]
+            return sons
+
+        def spy_feasible(row, pending):
+            if id(row) in known:
+                rechecked.append(row)
+            return real_feasible(row, pending)
+
+        monkeypatch.setattr(engine, "impose", spy_impose)
+        monkeypatch.setattr(engine, "is_feasible", spy_feasible)
+        family = run(hg)
+        assert passed and first_sons
+        assert len(passed) + len(first_sons) == family.stats.impositions
+        assert rechecked == []
+
     def test_passthrough_returns_the_same_row(self):
         row = Row(3, (), {2}, {1, 3})
         sons = impose(row, vertex_mask({2, 3}))

@@ -2,16 +2,19 @@
 cross-checked against the brute-force and inclusion-exclusion oracles."""
 
 import itertools
+import json
+import pathlib
+import tempfile
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from transversals import (Hypergraph, Row, brute_transversals, count_at_least,
-                          count_total, filter_family, impose,
+from transversals import (Hypergraph, HypergraphError, Row, brute_transversals,
+                          count_at_least, count_total, filter_family, impose,
                           inclusion_exclusion_count, is_feasible,
-                          parse_hypergraph, render_hypergraph, run, spectrum,
-                          subset_reduced, superset_reduced, transversal_number,
-                          transversals_of_size, vertex_mask)
+                          load_hypergraph, parse_hypergraph, render_hypergraph,
+                          run, spectrum, subset_reduced, superset_reduced,
+                          transversal_number, transversals_of_size, vertex_mask)
 
 
 @st.composite
@@ -179,6 +182,51 @@ def test_size_window_members_match_brute_force(hg, k):
     assert len(got) == len(set(got))
     assert sorted(got) == [x for x in brute_transversals(hg) if len(x) == k]
 
+def reference_run(hg, min_card, max_card):
+    """The engine loop with no skipped check: pop a row, impose its next
+    edge, and push every son that passes the window and feasibility."""
+    edges = [vertex_mask(e) for e in hg.edges]
+    floor = min_card or 0
+    ceiling = hg.w if max_card is None else max_card
+
+    def admissible(row, done):
+        return (row.c_max >= floor and row.c_min <= ceiling
+                and is_feasible(row, edges[done:]))
+
+    impositions = s_max = max_stack = 0
+    final, stack = [], []
+    root = Row.powerset(hg.w)
+    if admissible(root, 0):
+        stack.append((root, 0))
+    while stack:
+        max_stack = max(max_stack, len(stack))
+        row, done = stack.pop()
+        if done == len(edges):
+            final.append(row)
+            continue
+        sons = impose(row, edges[done])
+        impositions += 1
+        s_max = max(s_max, len(sons))
+        stack.extend((son, done + 1) for son in reversed(sons)
+                     if admissible(son, done + 1))
+    return final, (impositions, s_max, max_stack)
+
+
+@settings(max_examples=80)
+@given(hypergraphs_st(max_w=9, max_h=7), st.booleans(),
+       st.none() | st.integers(0, 10), st.none() | st.integers(0, 10))
+def test_run_matches_reference_loop(hg, size_asc, min_card, max_card):
+    if size_asc:
+        hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
+    if min_card is not None and max_card is not None and min_card > max_card:
+        min_card, max_card = max_card, min_card
+    family = run(hg, min_card=min_card, max_card=max_card)
+    rows, stats = reference_run(hg, min_card, max_card)
+    assert [row.render() for row in family.rows] == [row.render() for row in rows]
+    assert (family.stats.impositions, family.stats.s_max,
+            family.stats.max_stack) == stats
+
+
 @settings(max_examples=60)
 @given(hypergraphs_st())
 def test_engine_stats_bounds(hg):
@@ -276,3 +324,51 @@ def test_superset_reduction_identity(hg, data):
 @given(hypergraphs_st())
 def test_parse_render_round_trip(hg):
     assert parse_hypergraph(render_hypergraph(hg)) == hg
+
+
+# ----- parser fuzzing: malformed input is refused, never crashes -------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12)
+hypergraph_like = st.fixed_dictionaries({
+    "w": st.integers(-2, 6) | json_values,
+    "edges": st.lists(st.lists(st.integers(-2, 8) | json_values, max_size=3),
+                      max_size=3) | json_values})
+
+
+@given(st.text(max_size=40) | st.text("0123456789 -+\n\t", max_size=40))
+def test_parse_hypergraph_accepts_or_refuses(text):
+    try:
+        hg = parse_hypergraph(text)
+    except HypergraphError:
+        return
+    assert isinstance(hg, Hypergraph)
+
+
+def load_written(suffix, data: bytes):
+    """Load ``data`` written to a file with the given suffix; a ValueError,
+    which the CLI reports with exit 2, counts as a refusal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / f"input{suffix}"
+        path.write_bytes(data)
+        try:
+            return load_hypergraph(str(path))
+        except ValueError:
+            return None
+
+
+@settings(max_examples=60)
+@given(json_values | hypergraph_like)
+def test_load_json_values_accepts_or_refuses(value):
+    hg = load_written(".json", json.dumps(value).encode())
+    assert hg is None or isinstance(hg, Hypergraph)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([".json", ".hg"]), st.binary(max_size=40))
+def test_load_bytes_accepts_or_refuses(suffix, data):
+    hg = load_written(suffix, data)
+    assert hg is None or isinstance(hg, Hypergraph)
