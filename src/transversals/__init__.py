@@ -6,10 +6,10 @@ from .analytics import (Infeasible, Spectrum, count_at_least, count_total,
                         transversals_of_size)
 from .engine import RowFamily, RunStats, impose, is_feasible, run
 from .hypergraph import (Hypergraph, HypergraphError, load_hypergraph,
-                         parse_hypergraph, render_hypergraph, subset_reduced,
-                         superset_reduced)
+                         parse_hypergraph, render_hypergraph)
 from .oracles import (all_rows, bell_numbers, brute_transversals,
-                      inclusion_exclusion_count, row_census, row_census_brute)
+                      inclusion_exclusion_count, row_census, row_census_brute,
+                      subset_reduced, superset_reduced)
 from .rows import Row, bubble_segment_counts, row_from_tokens, vertex_mask
 
 __version__ = "0.1.0"

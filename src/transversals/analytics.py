@@ -93,13 +93,13 @@ def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]
 def check_conditions(w: int, require: Iterable[int],
                      forbid: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
     """The one check of query conditions, made before any row is touched:
-    no vertex both required and forbidden, every vertex in 1..w."""
+    no vertex both required and forbidden, each vertex a non-bool int in 1..w."""
     require, forbid = frozenset(require), frozenset(forbid)
     if require & forbid:
         raise ValueError(
             f"require and forbid overlap on {sorted(require & forbid)}")
     for v in sorted(require | forbid):
-        if not 1 <= v <= w:
+        if type(v) is not int or not 1 <= v <= w:
             raise ValueError(f"vertex {v} not in ground set 1..{w}")
     return require, forbid
 

@@ -1,11 +1,9 @@
-"""Hypergraph data model, text/JSON parsing and the reduced systems used
-by subset/superset queries."""
+"""Hypergraph data model and text/JSON parsing."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class HypergraphError(ValueError):
@@ -34,15 +32,16 @@ class Hypergraph:
         if type(self.w) is not int or self.w < 1:
             raise HypergraphError(f"vertex count must be a positive integer, got {self.w!r}")
         cleaned = []
-        for edge in self.edges:
+        # an edge is named by its 1-based index, never by its contents,
+        # so the message stays one short line however large the edge is
+        for i, edge in enumerate(self.edges, start=1):
             if not all(type(v) is int for v in edge):
-                raise HypergraphError(f"edge {tuple(edge)} has a non-integer vertex")
+                raise HypergraphError(f"edge {i} has a non-integer vertex")
             vertices = sorted(set(edge))
             if not vertices:
                 raise HypergraphError("empty edge")
             if vertices[0] < 1 or vertices[-1] > self.w:
-                raise HypergraphError(
-                    f"edge {tuple(edge)} has a vertex outside 1..{self.w}")
+                raise HypergraphError(f"edge {i} has a vertex outside 1..{self.w}")
             cleaned.append(tuple(vertices))
         object.__setattr__(self, "edges", tuple(cleaned))
 
@@ -106,35 +105,3 @@ def load_hypergraph(path: str) -> Hypergraph:
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise HypergraphError('"edges" must be a list of vertex lists')
     return Hypergraph(data["w"], tuple(tuple(e) for e in edges))
-
-
-def subset_reduced(hg: Hypergraph, allowed: Iterable[int]) -> Hypergraph | None:
-    """Intersect every edge with ``allowed``, keeping the original labels.
-
-    Transversals of the result drawn from within ``allowed`` are exactly
-    the transversals of ``hg`` contained in ``allowed``.  Returns None when
-    some edge misses ``allowed`` entirely, since then no subset of
-    ``allowed`` can hit that edge.
-    """
-    allowed = frozenset(allowed)
-    if any(v < 1 or v > hg.w for v in allowed):
-        raise ValueError(f"allowed set not within 1..{hg.w}")
-    reduced = []
-    for edge in hg.edges:
-        cut = tuple(v for v in edge if v in allowed)
-        if not cut:
-            return None
-        reduced.append(cut)
-    return Hypergraph(hg.w, tuple(reduced))
-
-
-def superset_reduced(hg: Hypergraph, fixed: Iterable[int]) -> Hypergraph:
-    """Keep only the edges disjoint from ``fixed``.
-
-    Transversals of ``hg`` containing ``fixed`` are exactly the unions of
-    ``fixed`` with transversals of the result.
-    """
-    fixed = frozenset(fixed)
-    if any(v < 1 or v > hg.w for v in fixed):
-        raise ValueError(f"fixed set not within 1..{hg.w}")
-    return Hypergraph(hg.w, tuple(e for e in hg.edges if fixed.isdisjoint(e)))

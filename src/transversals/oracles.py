@@ -1,5 +1,6 @@
 """Independent ground-truth engines for verification: power-set sweep,
-inclusion-exclusion counting and the census of rows of a given length.
+inclusion-exclusion counting, the census of rows of a given length, and the
+subset/superset reductions that check query filtering.
 
 These are deliberately written against different machinery than the engine
 (bitmasks and alternating sums instead of row splitting) so that agreement
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .hypergraph import Hypergraph
 from .rows import Row
@@ -136,3 +137,35 @@ def _partitions_min2(items: list[int]) -> Iterator[list[list[int]]]:
         remaining = [rest[i] for i in range(n) if not mask >> i & 1]
         for tail in _partitions_min2(remaining):
             yield [block] + tail
+
+
+def subset_reduced(hg: Hypergraph, allowed: Iterable[int]) -> Hypergraph | None:
+    """Intersect every edge with ``allowed``, keeping the original labels.
+
+    Transversals of the result drawn from within ``allowed`` are exactly
+    the transversals of ``hg`` contained in ``allowed``.  Returns None when
+    some edge misses ``allowed`` entirely, since then no subset of
+    ``allowed`` can hit that edge.
+    """
+    allowed = frozenset(allowed)
+    if any(v < 1 or v > hg.w for v in allowed):
+        raise ValueError(f"allowed set not within 1..{hg.w}")
+    reduced = []
+    for edge in hg.edges:
+        cut = tuple(v for v in edge if v in allowed)
+        if not cut:
+            return None
+        reduced.append(cut)
+    return Hypergraph(hg.w, tuple(reduced))
+
+
+def superset_reduced(hg: Hypergraph, fixed: Iterable[int]) -> Hypergraph:
+    """Keep only the edges disjoint from ``fixed``.
+
+    Transversals of ``hg`` containing ``fixed`` are exactly the unions of
+    ``fixed`` with transversals of the result.
+    """
+    fixed = frozenset(fixed)
+    if any(v < 1 or v > hg.w for v in fixed):
+        raise ValueError(f"fixed set not within 1..{hg.w}")
+    return Hypergraph(hg.w, tuple(e for e in hg.edges if fixed.isdisjoint(e)))

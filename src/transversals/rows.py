@@ -47,15 +47,14 @@ class Row:
 
     The parts are stored as int bitmasks, bit v standing for vertex v:
     ``zero_mask``, ``one_mask``, ``two_mask`` and the tuple ``bubble_masks``.
-    ``zeros``, ``ones``, ``twos`` and ``bubbles`` give the same parts as
-    frozensets.  Rows are immutable.
+    Rows are immutable.
 
-    ``bubbles`` keeps the order given at construction; generation walks the
-    bubbles in that order, so the order is part of the row's behaviour even
-    though it does not change the represented family.  Equality, hashing
-    and :meth:`render` use the canonical order (bubbles sorted by their
-    smallest element), so two rows denoting the same family built with the
-    same blocks compare equal regardless of bubble order.
+    ``bubble_masks`` keeps the order given at construction; generation walks
+    the bubbles in that order, so the order is part of the row's behaviour
+    even though it does not change the represented family.  Equality,
+    hashing and :meth:`render` use the canonical order (bubbles sorted by
+    their smallest element), so two rows denoting the same family built with
+    the same blocks compare equal regardless of bubble order.
 
     Bubbles of size one are promoted to forced positions on construction;
     an empty bubble is rejected since no set can hit it.
@@ -127,23 +126,7 @@ class Row:
     @classmethod
     def powerset(cls, w: int) -> "Row":
         """The all-free row denoting every subset of {1..w}."""
-        return cls(w, (), (), range(1, w + 1))
-
-    @property
-    def zeros(self) -> frozenset[int]:
-        return frozenset(_vertices(self.zero_mask))
-
-    @property
-    def ones(self) -> frozenset[int]:
-        return frozenset(_vertices(self.one_mask))
-
-    @property
-    def twos(self) -> frozenset[int]:
-        return frozenset(_vertices(self.two_mask))
-
-    @property
-    def bubbles(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_vertices(bubble)) for bubble in self.bubble_masks)
+        return cls.from_masks(w, 0, 0, (1 << w + 1) - 2)
 
     def _key(self):
         return (self.w, self.zero_mask, self.one_mask, self.two_mask,
@@ -279,7 +262,7 @@ class Row:
     # ----- single-vertex surgery -------------------------------------------
 
     def _bit(self, v: int) -> int:
-        if isinstance(v, int) and 1 <= v <= self.w:
+        if type(v) is int and 1 <= v <= self.w:
             return 1 << v
         raise ValueError(f"vertex {v} not in ground set 1..{self.w}")
 

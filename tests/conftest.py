@@ -6,6 +6,12 @@ import pytest
 
 from transversals import parse_hypergraph, run
 
+
+def mask_vertices(mask):
+    """The vertex set of a row part's bitmask, read bit by bit."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 DEMO_TEXT = """\
 14 6
 3 4 9

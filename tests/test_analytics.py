@@ -198,6 +198,11 @@ class TestFilterFamily:
             filter_family(RowFamily(3, ()), forbid={1, 5})
         with pytest.raises(ValueError, match="vertex 0 not in ground set"):
             filter_family(RowFamily(3, ()), require={0})
+        # True == 1, but a bool is not a vertex, as in Hypergraph
+        with pytest.raises(ValueError, match="vertex True not in ground set"):
+            filter_family(RowFamily(3, ()), require={True})
+        with pytest.raises(ValueError, match="vertex True not in ground set"):
+            filter_family(RowFamily(3, ()), forbid={True})
 
     def test_forbidding_a_forced_vertex_drops_rows(self, demo_family):
         # vertex 9 is forced in every final row except the first

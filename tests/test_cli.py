@@ -292,13 +292,23 @@ class TestErrors:
         '{"w": 3, "edges": [[1.5, 2]]}',
         '{"w": 3, "edges": [["1", 2]]}',
         '{"w": true, "edges": [[1]]}',
-    ], ids=["float-vertex", "string-vertex", "bool-w"])
+        '{"w": 3, "edges": [[1], ' + "[" * 900 + "]" * 900 + ']}',
+        '{"w": 3, "edges": [' + str(list(range(1, 100_001))) + ']}',
+    ], ids=["float-vertex", "string-vertex", "bool-w", "nested-edge", "wide-edge"])
     def test_non_integer_json_input(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
         path.write_text(payload)
         code, out, err = run_cli(capsys, "count", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    def test_wide_text_edge_names_edge_by_index(self, capsys, tmp_path):
+        path = tmp_path / "wide.hg"
+        path.write_text("3 1\n" + " ".join(map(str, range(1, 100_001))) + "\n")
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: edge 1 has a vertex outside 1..3\n"
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -7,7 +7,7 @@ from transversals import (Hypergraph, Row, brute_transversals, count_at_least,
                           is_feasible, parse_hypergraph, row_from_tokens, run,
                           spectrum, vertex_mask)
 from transversals import engine
-from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL
+from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, mask_vertices
 
 MOD4 = "2 2 e1 e1 e2 e3 e3 e4 e1 e2 e3 e3 e4 e4"
 
@@ -62,7 +62,7 @@ class TestImpose:
 
 
 class TestWideMasks:
-    """Rows and edges reaching past bit 64, checked against frozensets."""
+    """Rows and edges reaching past bit 64, checked against vertex sets."""
 
     W = 130
     ZEROS, ONES = {1, 66}, {3}
@@ -74,7 +74,8 @@ class TestWideMasks:
 
     @staticmethod
     def parts(row):
-        return (row.zeros, row.ones, row.twos, set(row.bubbles))
+        return (mask_vertices(row.zero_mask), mask_vertices(row.one_mask),
+                mask_vertices(row.two_mask), set(map(mask_vertices, row.bubble_masks)))
 
     def test_impose_on_wide_row(self):
         row = self.row()
@@ -188,7 +189,7 @@ class TestRun:
     def test_forced_vertices(self):
         family = run(Hypergraph(2, ((1,), (2,))))
         assert len(family.rows) == 1
-        assert family.rows[0].ones == {1, 2}
+        assert family.rows[0].one_mask == vertex_mask({1, 2})
         assert family.rows[0].size() == 1
 
     def test_final_rows_are_feasible(self, demo_hg, demo_family):

@@ -15,6 +15,7 @@ from transversals import (Hypergraph, HypergraphError, Row, brute_transversals,
                           load_hypergraph, parse_hypergraph, render_hypergraph,
                           run, spectrum, subset_reduced, superset_reduced,
                           transversal_number, transversals_of_size, vertex_mask)
+from conftest import mask_vertices
 
 
 @st.composite
@@ -54,7 +55,8 @@ def brute_members(row):
 
 @given(rows_st())
 def test_row_parts_partition_ground_set(r):
-    parts = [r.zeros, r.ones, r.twos, *r.bubbles]
+    parts = [mask_vertices(m)
+             for m in (r.zero_mask, r.one_mask, r.two_mask, *r.bubble_masks)]
     assert sum(len(p) for p in parts) == r.w
     assert frozenset().union(*parts) == frozenset(range(1, r.w + 1))
 
@@ -75,8 +77,8 @@ def test_counts_match_brute_force(r):
 @given(rows_st())
 def test_minimum_size_count_is_bubble_product(r):
     product = 1
-    for bubble in r.bubbles:
-        product *= len(bubble)
+    for bubble in r.bubble_masks:
+        product *= bubble.bit_count()
     assert r.count_of_size(r.c_min) == product
 
 

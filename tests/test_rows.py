@@ -1,11 +1,13 @@
 import copy
 import itertools
 import pickle
+import time
 from math import comb
 
 import pytest
 
 from transversals import Row, bubble_segment_counts, row_from_tokens, vertex_mask
+from conftest import mask_vertices
 
 
 def brute_members(row, k=None):
@@ -23,13 +25,22 @@ def brute_members(row, k=None):
 class TestConstruction:
     def test_powerset(self):
         r = Row.powerset(3)
-        assert r.twos == {1, 2, 3}
-        assert not r.zeros and not r.ones and not r.bubbles
+        assert r.two_mask == vertex_mask({1, 2, 3})
+        assert not r.zero_mask and not r.one_mask and not r.bubble_masks
+
+    def test_powerset_of_a_million_vertices_is_fast(self):
+        # the full mask is built in one shift, not one vertex at a time
+        w = 1_000_000
+        start = time.perf_counter()
+        r = Row.powerset(w)
+        elapsed = time.perf_counter() - start
+        assert r == Row.from_masks(w, 0, 0, (1 << w + 1) - 2)
+        assert elapsed < 1.0
 
     def test_singleton_bubble_promoted(self):
         r = Row(3, (), (), {1}, [{2}, {3}])
-        assert r.ones == {2, 3}
-        assert r.bubbles == ()
+        assert r.one_mask == vertex_mask({2, 3})
+        assert r.bubble_masks == ()
 
     def test_empty_bubble_rejected(self):
         with pytest.raises(ValueError):
@@ -70,7 +81,8 @@ class TestConstruction:
 
     def test_masks_take_the_same_validation(self):
         assert Row.from_masks(2, 0, 0, 0b110) == Row.powerset(2)
-        assert Row.from_masks(3, 0, 0, 0b10, (0b1000, 0b100)).ones == {2, 3}
+        assert Row.from_masks(3, 0, 0, 0b10, (0b1000, 0b100)).one_mask == \
+            vertex_mask({2, 3})
         with pytest.raises(ValueError, match="^empty e-bubble$"):
             Row.from_masks(2, 0, 0, 0b110, (0,))
         with pytest.raises(ValueError, match="^row parts overlap$"):
@@ -101,7 +113,8 @@ class TestConstruction:
         r = Row(5, {1}, {2}, (), [{3, 5}, {4}])
         assert (r.zero_mask, r.one_mask, r.two_mask, r.bubble_masks) == (
             vertex_mask({1}), vertex_mask({2, 4}), 0, (vertex_mask({3, 5}),))
-        assert (r.zeros, r.ones, r.twos, r.bubbles) == (
+        parts = map(mask_vertices, (r.zero_mask, r.one_mask, r.two_mask))
+        assert (*parts, tuple(map(mask_vertices, r.bubble_masks))) == (
             {1}, {2, 4}, frozenset(), (frozenset({3, 5}),))
 
     def test_empty_ground_set(self):
@@ -206,7 +219,7 @@ class TestCounting:
 class TestGeneration:
     def test_pick_order_on_demo_row(self):
         r = row_from_tokens("2 e2 e1 2 1 e2 e1 0 e2")
-        assert r.bubbles == (frozenset({3, 7}), frozenset({2, 6, 9}))
+        assert r.bubble_masks == (vertex_mask({3, 7}), vertex_mask({2, 6, 9}))
         out = list(r.members_of_size(6))
         assert [set(x) for x in out[:3]] == [
             {5, 1, 4, 3, 7, 2}, {5, 1, 4, 3, 7, 6}, {5, 1, 4, 3, 7, 9}]
@@ -283,22 +296,26 @@ class TestSurgery:
 
     def test_free_position_moves(self):
         r = Row(3, (), (), {1, 2, 3})
-        assert r.require(2).ones == {2}
-        assert r.forbid(2).zeros == {2}
+        assert r.require(2).one_mask == vertex_mask({2})
+        assert r.forbid(2).zero_mask == vertex_mask({2})
 
     def test_bubble_hit_releases_rest(self):
         r = Row(4, (), (), (), [{1, 2, 3, 4}])
         got = r.require(2)
-        assert got.ones == {2} and got.twos == {1, 3, 4} and not got.bubbles
+        assert got.one_mask == vertex_mask({2})
+        assert got.two_mask == vertex_mask({1, 3, 4}) and not got.bubble_masks
 
     def test_forbid_shrinks_bubble_to_forced(self):
         r = Row(2, (), (), (), [{1, 2}])
         got = r.forbid(1)
-        assert got.zeros == {1} and got.ones == {2}
+        assert got.zero_mask == vertex_mask({1}) and got.one_mask == vertex_mask({2})
 
     def test_unknown_vertex(self):
         with pytest.raises(ValueError):
             Row(2, (), (), {1, 2}).require(9)
+        for cut in (Row.require, Row.forbid):
+            with pytest.raises(ValueError, match="vertex True not in ground set"):
+                cut(Row.powerset(3), True)
 
     @pytest.mark.parametrize("v", range(1, 8))
     def test_matches_brute_filter(self, v):
@@ -322,7 +339,7 @@ class TestTokens:
 
     def test_bare_e_is_one_bubble(self):
         r = row_from_tokens("e 2 e")
-        assert r.bubbles == (frozenset({1, 3}),)
+        assert r.bubble_masks == (vertex_mask({1, 3}),)
 
     def test_bad_token(self):
         with pytest.raises(ValueError):
