@@ -1,8 +1,10 @@
 """Randomized cross-check experiment: on random hypergraphs, compare the
 engine's exact counts against the brute-force sweep and the
-inclusion-exclusion oracle, and the size-k transversals of every windowed
-run ``run(hg, k, k)`` against the brute-force sets of size k; report
-compression statistics (final rows R versus represented transversals N).
+inclusion-exclusion oracle, the size-k transversals of every windowed
+run ``run(hg, k, k)`` against the brute-force sets of size k, and the
+output of ``transversals count FILE --exactly k`` for every k in -1..w+1
+against inclusion-exclusion; report compression statistics (final rows R
+versus represented transversals N).
 
 Usage:
     python scripts/cross_check.py [--instances 200] [--max-w 12] [--max-h 8] [--seed 1]
@@ -11,16 +13,20 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import pathlib
 import random
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from transversals import (Hypergraph, brute_transversals, count_total,
-                          inclusion_exclusion_count, run, spectrum,
-                          transversals_of_size)
+                          inclusion_exclusion_count, render_hypergraph, run,
+                          spectrum, transversals_of_size)
+from transversals.cli import main as cli_main
 
 
 def random_hypergraph(rng: random.Random, max_w: int, max_h: int) -> Hypergraph:
@@ -30,6 +36,14 @@ def random_hypergraph(rng: random.Random, max_w: int, max_h: int) -> Hypergraph:
         tuple(sorted(rng.sample(range(1, w + 1), rng.randint(1, w))))
         for _ in range(h))
     return Hypergraph(w, edges)
+
+
+def cli_count_exactly(path: pathlib.Path, k: int) -> str:
+    """stdout of ``transversals count PATH --exactly k``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(["count", str(path), "--exactly", str(k)])
+    return out.getvalue()
 
 
 def main() -> int:
@@ -45,8 +59,11 @@ def main() -> int:
     ratio_sum = 0.0
     s_max_seen = 0
     start = time.perf_counter()
+    workdir = tempfile.TemporaryDirectory()
+    path = pathlib.Path(workdir.name) / "instance.hg"
     for i in range(args.instances):
         hg = random_hypergraph(rng, args.max_w, args.max_h)
+        path.write_text(render_hypergraph(hg))
         family = run(hg)
         n_engine = count_total(family)
         brute = brute_transversals(hg)
@@ -59,16 +76,22 @@ def main() -> int:
             sorted(transversals_of_size(run(hg, k, k), k))
             == [x for x in brute if len(x) == k]
             for k in range(hg.w + 1))
-        ok = n_engine == n_brute == n_ie and per_k_ok and window_ok
+        exactly_ok = all(
+            cli_count_exactly(path, k)
+            == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
+            for k in range(-1, hg.w + 2))
+        ok = (n_engine == n_brute == n_ie and per_k_ok and window_ok
+              and exactly_ok)
         if not ok:
             mismatches += 1
             print(f"[{i}] MISMATCH on w={hg.w} h={hg.h}: engine={n_engine}, "
                   f"brute={n_brute}, ie={n_ie}, per_k_ok={per_k_ok}, "
-                  f"window_ok={window_ok}")
+                  f"window_ok={window_ok}, exactly_ok={exactly_ok}")
         if n_engine:
             ratio_sum += len(family.rows) / n_engine
         s_max_seen = max(s_max_seen, family.stats.s_max)
     elapsed = time.perf_counter() - start
+    workdir.cleanup()
 
     print(f"instances: {args.instances}  (max_w={args.max_w}, max_h={args.max_h}, "
           f"seed={args.seed})")

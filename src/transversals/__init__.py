@@ -1,10 +1,10 @@
 """Exact representation, counting and enumeration of all transversals
 (hitting sets) of a hypergraph via disjoint {0,1,2,e}-valued rows."""
 
-from .analytics import (Infeasible, Spectrum, count_at_least, count_total,
-                        filter_family, spectrum, transversal_number,
-                        transversals_of_size)
-from .engine import RowFamily, RunStats, impose, is_feasible, run
+from .analytics import (Infeasible, Spectrum, Tally, count_at_least,
+                        count_exactly, count_total, filter_family, spectrum,
+                        transversal_number, transversals_of_size)
+from .engine import RowFamily, RunStats, final_rows, impose, is_feasible, run
 from .hypergraph import (Hypergraph, HypergraphError, load_hypergraph,
                          parse_hypergraph, render_hypergraph)
 from .oracles import (all_rows, bell_numbers, brute_transversals,
@@ -18,9 +18,10 @@ __all__ = [
     "Hypergraph", "HypergraphError", "parse_hypergraph", "render_hypergraph",
     "load_hypergraph", "subset_reduced", "superset_reduced",
     "Row", "row_from_tokens", "bubble_segment_counts", "vertex_mask",
-    "RunStats", "RowFamily", "impose", "is_feasible", "run",
-    "Infeasible", "Spectrum", "count_total", "spectrum", "count_at_least",
-    "transversal_number", "transversals_of_size", "filter_family",
+    "RunStats", "RowFamily", "impose", "is_feasible", "final_rows", "run",
+    "Infeasible", "Spectrum", "Tally", "count_total", "spectrum",
+    "count_at_least", "count_exactly", "transversal_number",
+    "transversals_of_size", "filter_family",
     "brute_transversals", "inclusion_exclusion_count", "bell_numbers",
     "row_census", "row_census_brute", "all_rows",
     "__version__",

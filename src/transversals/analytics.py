@@ -1,12 +1,22 @@
 """Whole-family counting, generation and query filtering on top of a
-RowFamily produced by the engine."""
+RowFamily produced by the engine.
+
+The counts are folds over final rows: :class:`Tally` (R, N, k_min and
+tau_min) and :meth:`Spectrum.of` (per-size counts) read their rows once, so
+they answer a stored family and an engine stream
+(:func:`~transversals.engine.final_rows`) with the same formulas, and store
+no row of a stream.  :func:`count_total` sums :meth:`Row.size` as Tally
+does, without Tally's work for k_min.
+"""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .engine import RowFamily
+from .engine import RowFamily, RunStats, final_rows
+from .hypergraph import Hypergraph
 from .rows import Row, size_counts
 
 
@@ -20,6 +30,66 @@ class Spectrum:
 
     counts: tuple[int, ...]
     total: int
+
+    @classmethod
+    def of(cls, rows: Iterable[Row], w: int) -> "Spectrum":
+        """The spectrum of disjoint rows over {1..w}, read once."""
+        counts = size_counts(rows, w)
+        return cls(tuple(counts), sum(counts))
+
+    def at_least(self, k: int) -> int:
+        """Number of transversals of cardinality >= k: the spectrum's tail."""
+        return sum(self.counts[max(k, 0):])
+
+
+class Tally:
+    """The row count R, the total N, the smallest member size k_min and the
+    number tau_min of members of that size, added up one row at a time.
+
+    tau_min sums, over the rows whose ``c_min`` attains k_min, the product
+    of their bubble sizes: a minimum member takes the forced positions plus
+    exactly one position per bubble.
+    """
+
+    def __init__(self) -> None:
+        self.r_final = 0
+        self.n_total = 0
+        self.k_min: int | None = None
+        self.tau_min = 0
+        self.stats: RunStats | None = None
+
+    @classmethod
+    def of(cls, rows: Iterable[Row]) -> "Tally":
+        """Add up ``rows`` without keeping them."""
+        tally = cls()
+        deque(tally.tap(iter(rows)), maxlen=0)
+        return tally
+
+    def tap(self, rows: Iterator[Row]) -> Iterator[Row]:
+        """Yield ``rows`` unchanged, adding each one up, so another fold can
+        read the same stream.  The answers and the return value of ``rows``
+        (an engine stream's RunStats) are stored when the rows run out."""
+        r_final = n_total = tau_min = 0
+        k_min = None
+        while True:
+            try:
+                row = next(rows)
+            except StopIteration as stop:
+                self.r_final, self.n_total = r_final, n_total
+                self.k_min, self.tau_min = k_min, tau_min
+                self.stats = stop.value
+                return
+            r_final += 1
+            n_total += row.size()
+            c_min = row.c_min
+            if k_min is None or c_min < k_min:
+                k_min, tau_min = c_min, 0
+            if c_min == k_min:
+                count = 1
+                for bubble in row.bubble_masks:
+                    count *= bubble.bit_count()
+                tau_min += count
+            yield row
 
 
 def _refuse_pruned(family: RowFamily, lo: int = 0, hi: int | None = None) -> None:
@@ -46,36 +116,36 @@ def count_total(family: RowFamily) -> int:
 def spectrum(family: RowFamily) -> Spectrum:
     """Exact transversal counts for every cardinality 0..w."""
     _refuse_pruned(family)
-    counts = size_counts(family.rows, family.w)
-    return Spectrum(tuple(counts), sum(counts))
+    return Spectrum.of(family.rows, family.w)
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
-    """Number of transversals of cardinality >= k: the spectrum's tail."""
+    """Number of transversals of cardinality >= k."""
     _refuse_pruned(family, k)
-    return sum(size_counts(family.rows, family.w)[max(k, 0):])
+    return Spectrum.of(family.rows, family.w).at_least(k)
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:
-    """(smallest transversal size, number of transversals of that size).
-
-    The count is the product of bubble sizes summed over the rows whose
-    minimum member size attains the overall minimum; minimum members take
-    the forced positions plus exactly one position per bubble.
-    """
+    """(smallest transversal size, number of transversals of that size)."""
     _refuse_pruned(family)
-    if not family.rows:
+    tally = Tally.of(family.rows)
+    if tally.k_min is None:
         raise Infeasible("empty row family has no transversals")
-    k_min = min(row.c_min for row in family.rows)
-    tau_min = 0
-    for row in family.rows:
-        if row.c_min != k_min:
-            continue
-        count = 1
-        for bubble in row.bubble_masks:
-            count *= bubble.bit_count()
-        tau_min += count
-    return k_min, tau_min
+    return tally.k_min, tally.tau_min
+
+
+def count_exactly(hg: Hypergraph, k: int) -> int:
+    """Number of transversals of cardinality exactly k, the paper's counting
+    task, with no transversal generated and no row stored.
+
+    The engine runs only in the window [k, k], which keeps every final row
+    holding a size-k transversal (see :func:`~transversals.engine.final_rows`),
+    and the answer is digit k of the rows' summed size polynomials.  A k
+    outside 0..w gives 0 without a run.
+    """
+    if not 0 <= k <= hg.w:
+        return 0
+    return size_counts(final_rows(hg, k, k), hg.w, k)[k]
 
 
 def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]:

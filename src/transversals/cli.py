@@ -12,11 +12,11 @@ import json
 import os
 import sys
 import time
+from collections import deque
 
-from .analytics import (check_conditions, count_at_least, count_total,
-                        filter_family, spectrum, transversal_number,
-                        transversals_of_size)
-from .engine import run
+from .analytics import (Spectrum, Tally, check_conditions, count_exactly,
+                        count_total, filter_family, transversals_of_size)
+from .engine import final_rows, run
 from .hypergraph import Hypergraph, HypergraphError, load_hypergraph
 from .oracles import (BRUTE_VERTEX_LIMIT, IE_EDGE_LIMIT, brute_transversals,
                       inclusion_exclusion_count)
@@ -44,6 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="count all transversals")
     count.add_argument("--at-least", type=int, metavar="K",
                        help="also count transversals of cardinality >= K")
+    count.add_argument("--exactly", type=int, metavar="K",
+                       help="count only the transversals of cardinality K")
     count.add_argument("--verify", action="store_true",
                        help="cross-check against both oracles (within limits)")
     count.add_argument("--json", action="store_true",
@@ -87,52 +89,81 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
         raise HypergraphError(f"bad vertex list {text!r}") from exc
 
 
+def _verify(answer: int, checks) -> int:
+    """Compare ``answer`` with each (name, within limit, limit, oracle)."""
+    for name, within_limit, limit, oracle in checks:
+        if not within_limit:
+            print(f"verify {name}: skipped ({limit})")
+            continue
+        got = oracle()
+        if got != answer:
+            print(f"verification mismatch: {name} says {got}, "
+                  f"engine says {answer}", file=sys.stderr)
+            return EXIT_MISMATCH
+        print(f"verify {name}: {got} ok")
+    return EXIT_OK
+
+
 def _cmd_count(args, hg: Hypergraph) -> int:
+    if args.exactly is not None:
+        return _count_exactly(args, hg)
     start = time.perf_counter()
-    family = run(hg)
-    elapsed = time.perf_counter() - start
-    total = count_total(family)
-    k_min, tau_min = transversal_number(family)
+    # one pass over the engine's final rows; none is stored
+    tally = Tally()
+    rows = tally.tap(final_rows(hg))
     at_least = None
-    if args.at_least is not None:
-        at_least = count_at_least(family, args.at_least)
+    if args.at_least is None:
+        deque(rows, maxlen=0)
+    else:
+        at_least = Spectrum.of(rows, hg.w).at_least(args.at_least)
+    elapsed = time.perf_counter() - start
 
     if args.json:
         report = {
-            "n_total": total, "r_final": len(family.rows), "k_min": k_min,
-            "tau_min": tau_min, "impositions": family.stats.impositions,
-            "s_max_observed": family.stats.s_max, "elapsed": elapsed}
+            "n_total": tally.n_total, "r_final": tally.r_final,
+            "k_min": tally.k_min, "tau_min": tally.tau_min,
+            "impositions": tally.stats.impositions,
+            "s_max_observed": tally.stats.s_max, "elapsed": elapsed}
         if at_least is not None:
             report["at_least_k"] = args.at_least
             report["at_least_count"] = at_least
         print(json.dumps(report))
     else:
-        print(f"N = {total}, R = {len(family.rows)}, "
-              f"k_min = {k_min}, tau_min = {tau_min}")
+        print(f"N = {tally.n_total}, R = {tally.r_final}, "
+              f"k_min = {tally.k_min}, tau_min = {tally.tau_min}")
         if at_least is not None:
             print(f"N(|X| >= {args.at_least}) = {at_least}")
 
-    if args.verify:
-        for name, within_limit, limit, oracle in (
-                ("brute force", hg.w <= BRUTE_VERTEX_LIMIT, f"w > {BRUTE_VERTEX_LIMIT}",
-                 lambda: len(brute_transversals(hg))),
-                ("inclusion-exclusion", hg.h <= IE_EDGE_LIMIT, f"h > {IE_EDGE_LIMIT}",
-                 lambda: inclusion_exclusion_count(hg))):
-            if not within_limit:
-                print(f"verify {name}: skipped ({limit})")
-                continue
-            got = oracle()
-            if got != total:
-                print(f"verification mismatch: {name} says {got}, "
-                      f"engine says {total}", file=sys.stderr)
-                return EXIT_MISMATCH
-            print(f"verify {name}: {got} ok")
-    return EXIT_OK
+    if not args.verify:
+        return EXIT_OK
+    return _verify(tally.n_total, (
+        ("brute force", hg.w <= BRUTE_VERTEX_LIMIT, f"w > {BRUTE_VERTEX_LIMIT}",
+         lambda: len(brute_transversals(hg))),
+        ("inclusion-exclusion", hg.h <= IE_EDGE_LIMIT, f"h > {IE_EDGE_LIMIT}",
+         lambda: inclusion_exclusion_count(hg))))
+
+
+def _count_exactly(args, hg: Hypergraph) -> int:
+    if args.at_least is not None:
+        raise ValueError("--exactly cannot be combined with --at-least")
+    k = args.exactly
+    start = time.perf_counter()
+    count = count_exactly(hg, k)
+    elapsed = time.perf_counter() - start
+    if args.json:
+        print(json.dumps({"exactly_k": k, "exactly_count": count,
+                          "elapsed": elapsed}))
+    else:
+        print(f"N(|X| = {k}) = {count}")
+    if not args.verify:
+        return EXIT_OK
+    return _verify(count, (
+        ("inclusion-exclusion", hg.h <= IE_EDGE_LIMIT, f"h > {IE_EDGE_LIMIT}",
+         lambda: inclusion_exclusion_count(hg, k)),))
 
 
 def _cmd_spectrum(args, hg: Hypergraph) -> int:
-    family = run(hg)
-    for k, count in enumerate(spectrum(family).counts):
+    for k, count in enumerate(Spectrum.of(final_rows(hg), hg.w).counts):
         print(f"{k} {count}")
     return EXIT_OK
 

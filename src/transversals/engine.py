@@ -7,7 +7,7 @@ rows form a disjoint family whose union is the set of all transversals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Generator, Iterable
 
 from .hypergraph import Hypergraph
 from .rows import Row, vertex_mask
@@ -84,9 +84,13 @@ def is_feasible(row: Row, pending: Iterable[int]) -> bool:
     return True
 
 
-def run(hg: Hypergraph, min_card: int | None = None,
-        max_card: int | None = None) -> RowFamily:
-    """Impose all edges in input order and return the final row family.
+def final_rows(hg: Hypergraph, min_card: int | None = None,
+               max_card: int | None = None) -> Generator[Row, None, RunStats]:
+    """Impose all edges in input order and yield the final rows one by one;
+    the generator returns the run's :class:`RunStats` (the value of its
+    ``StopIteration``).  Only the work stack is held, so a caller that folds
+    the rows as they come needs no memory for them; :func:`run` stores them.
+    A bad window raises ValueError when the first row is asked for.
 
     The work stack is LIFO and sons are pushed so that the first son of a
     split is processed first; together with the fixed son order of
@@ -145,7 +149,6 @@ def run(hg: Hypergraph, min_card: int | None = None,
     impositions = 0
     s_max = 0
     max_stack = 0
-    final: list[Row] = []
     # (row, pc): every member of row hits the edges before the 1-based
     # index pc; pc == h + 1 marks a final row
     stack: list[tuple[Row, int]] = []
@@ -163,7 +166,7 @@ def run(hg: Hypergraph, min_card: int | None = None,
             if sons[0] is not row:
                 break
         else:
-            final.append(row)
+            yield row
             continue
         s_max = max(s_max, len(sons))
         # pushed last-son-first, so the first son is processed first; the
@@ -173,6 +176,18 @@ def run(hg: Hypergraph, min_card: int | None = None,
                 stack.append((son, pc))
         if sons[0].c_min <= ceiling:
             stack.append((sons[0], pc))
-    return RowFamily(w=hg.w, rows=tuple(final), min_card=min_card,
-                     max_card=max_card,
-                     stats=RunStats(impositions, s_max, max_stack))
+    return RunStats(impositions, s_max, max_stack)
+
+
+def run(hg: Hypergraph, min_card: int | None = None,
+        max_card: int | None = None) -> RowFamily:
+    """The final rows of :func:`final_rows`, stored in order, as a family
+    carrying the window and the run's :class:`RunStats`."""
+    stream = final_rows(hg, min_card, max_card)
+    rows = []
+    while True:
+        try:
+            rows.append(next(stream))
+        except StopIteration as stop:
+            return RowFamily(w=hg.w, rows=tuple(rows), min_card=min_card,
+                             max_card=max_card, stats=stop.value)

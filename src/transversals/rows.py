@@ -12,7 +12,7 @@ products instead of enumeration.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -181,7 +181,7 @@ class Row:
 
     def counts_by_size(self, limit: int) -> list[int]:
         """Exact member counts per cardinality, indexed k = 0..limit."""
-        return size_counts((self,), limit)
+        return size_counts((self,), self.w, limit)
 
     def count_of_size(self, k: int) -> int:
         """Number of represented sets of cardinality exactly k."""
@@ -328,18 +328,22 @@ def _store(row: Row, w: int, zeros: int, ones: int, twos: int,
     row.__post_init__()
 
 
-def size_counts(rows: Sequence[Row], limit: int) -> list[int]:
-    """Exact member counts per cardinality k = 0..limit, summed over rows.
+def size_counts(rows: Iterable[Row], w: int, limit: int | None = None) -> list[int]:
+    """Exact member counts per cardinality k = 0..limit (default w), summed
+    over pairwise disjoint rows over {1..w}, or over a single row.  The rows
+    are read once, so they may come from a stream.
 
-    Kronecker substitution: the counts are the base-2^bits digits of the
-    summed size polynomials evaluated at 2^bits.  No coefficient exceeds the
-    summed row sizes, disjoint rows or not, so digits that hold that sum
-    never carry into each other.
+    Kronecker substitution: the counts are the base-2^bits digits, with
+    bits = w + 1, of the summed size polynomials evaluated at 2^bits.  No
+    digit carries into the next, because no count reaches 2^bits: the
+    members of size k of disjoint rows, or of one row, are distinct k-subsets
+    of {1..w}, so there are at most C(w, k) <= 2^w < 2^(w + 1) of them.
     """
-    bits = max(1, sum(row.size() for row in rows).bit_length())
+    bits = w + 1
     value = sum(row.size_poly(bits) for row in rows)
     mask = (1 << bits) - 1
-    return [(value >> k * bits) & mask for k in range(limit + 1)]
+    return [(value >> k * bits) & mask
+            for k in range(w + 1 if limit is None else limit + 1)]
 
 
 def bubble_segment_counts(sizes: Iterable[int], limit: int) -> list[list[int]]:

@@ -1,13 +1,15 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
-from transversals import (Hypergraph, Infeasible, Row, RowFamily,
-                          brute_transversals, count_at_least, count_total,
-                          filter_family, parse_hypergraph, row_from_tokens,
-                          run, spectrum, transversal_number,
-                          transversals_of_size)
-from conftest import DEMO_TAU_MIN, DEMO_TOTAL
+from transversals import (Hypergraph, Infeasible, Row, RowFamily, Spectrum,
+                          Tally, brute_transversals, count_at_least,
+                          count_total, filter_family, final_rows,
+                          parse_hypergraph, row_from_tokens, run, spectrum,
+                          transversal_number, transversals_of_size)
+from conftest import DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL
 
 DEMO_QUERY_ROWS = [
     "2 2 e1 e1 e2 e3 0 1 1 e2 e3 e3 2 2",
@@ -40,7 +42,8 @@ def test_spectrum_counts_empty_set_only_without_edges(demo_family):
 
 
 def test_spectrum_sums_repeated_rows():
-    # spectrum adds per-row counts; it does not rely on disjoint rows
+    # spectrum adds per-row counts; rows that overlap are summed exactly too
+    # while every per-size sum stays below the digit bound 2^(w + 1)
     rows = (row_from_tokens("2 e1 e1 1 0 e2 e2"), Row.powerset(7),
             row_from_tokens("2 e1 e1 1 0 e2 e2"), row_from_tokens("1 1 1 1 1 1 1"))
     expected = [sum(1 for row in rows
@@ -50,6 +53,40 @@ def test_spectrum_sums_repeated_rows():
     sp = spectrum(RowFamily(w=7, rows=rows))
     assert list(sp.counts) == expected
     assert sp.total == sum(row.size() for row in rows)
+
+
+def test_stream_fold_demo(demo_hg, demo_family):
+    tally = Tally()
+    sp = Spectrum.of(tally.tap(final_rows(demo_hg)), demo_hg.w)
+    assert (tally.r_final, tally.n_total, tally.k_min, tally.tau_min) == \
+        (7, DEMO_TOTAL, DEMO_K_MIN, DEMO_TAU_MIN)
+    assert tally.stats == demo_family.stats
+    assert sp == spectrum(demo_family)
+    assert sp.at_least(5) == count_at_least(demo_family, 5)
+
+
+def test_stream_fold_memory_stays_below_stored_family():
+    # R = 5141 final rows: count's fold (Tally and Spectrum over the engine
+    # stream) must peak well below what run's stored family retains
+    rng = random.Random(4)
+    hg = Hypergraph(40, tuple(tuple(sorted(rng.sample(range(1, 41),
+                                                      rng.randint(2, 5))))
+                              for _ in range(30)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        family = run(hg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        del family
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tally = Tally()
+        sp = Spectrum.of(tally.tap(final_rows(hg)), hg.w)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert tally.r_final == 5141 and sp.total == tally.n_total
+    assert peak < retained / 4
 
 
 def test_count_at_least_demo(demo_family):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from transversals import cli
+from transversals import analytics, cli
 from transversals.cli import main
 from conftest import DEMO_FINAL_ROWS, DEMO_TEXT
 
@@ -118,6 +118,74 @@ class TestCount:
         code, out, err = run_cli(capsys, "count", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCountExactly:
+    @pytest.mark.parametrize("k, count", [("5", 419), ("14", 1), ("3", 0)])
+    def test_demo_counts(self, capsys, demo_file, k, count):
+        assert run_cli(capsys, "count", demo_file, "--exactly", k) == \
+            (0, f"N(|X| = {k}) = {count}\n", "")
+
+    def test_runs_engine_in_size_window(self, capsys, demo_file, monkeypatch):
+        windows = []
+        real = analytics.final_rows
+
+        def spy(hg, min_card=None, max_card=None):
+            windows.append((min_card, max_card))
+            return real(hg, min_card, max_card)
+
+        monkeypatch.setattr(analytics, "final_rows", spy)
+        assert run_cli(capsys, "count", demo_file, "--exactly", "5")[:2] == \
+            (0, "N(|X| = 5) = 419\n")
+        assert windows == [(5, 5)]
+
+    @pytest.mark.parametrize("k", ["-1", "15"])
+    def test_k_outside_ground_set_skips_engine(self, capsys, demo_file,
+                                               monkeypatch, k):
+        monkeypatch.setattr(analytics, "final_rows", None)
+        assert run_cli(capsys, "count", demo_file, "--exactly", k) == \
+            (0, f"N(|X| = {k}) = 0\n", "")
+
+    def test_at_least_is_usage_error(self, capsys, demo_file):
+        assert run_cli(capsys, "count", demo_file, "--exactly", "4",
+                       "--at-least", "5") == \
+            (2, "", "error: --exactly cannot be combined with --at-least\n")
+
+    def test_verify(self, capsys, demo_file):
+        assert run_cli(capsys, "count", demo_file, "--exactly", "6", "--verify") == \
+            (0, "N(|X| = 6) = 1171\nverify inclusion-exclusion: 1171 ok\n", "")
+
+    def test_verify_skips_over_edge_limit(self, capsys, tmp_path):
+        path = tmp_path / "many.hg"
+        path.write_text("3 21\n" + "1 2\n" * 21)
+        assert run_cli(capsys, "count", str(path), "--exactly", "2", "--verify") == \
+            (0, "N(|X| = 2) = 3\nverify inclusion-exclusion: skipped (h > 20)\n", "")
+
+    def test_verify_mismatch(self, capsys, demo_file, monkeypatch):
+        monkeypatch.setattr(cli, "inclusion_exclusion_count", lambda hg, k: 65)
+        assert run_cli(capsys, "count", demo_file, "--exactly", "4", "--verify") == \
+            (3, "N(|X| = 4) = 66\n",
+             "verification mismatch: inclusion-exclusion says 65, engine says 66\n")
+
+    def test_json(self, capsys, demo_file):
+        code, out, err = run_cli(capsys, "count", demo_file, "--exactly", "4",
+                                 "--json")
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert list(payload) == ["exactly_k", "exactly_count", "elapsed"]
+        assert (payload["exactly_k"], payload["exactly_count"]) == (4, 66)
+
+
+class TestFold:
+    """count and spectrum fold the engine's stream and store no row."""
+
+    @pytest.mark.parametrize("argv", [["count"], ["count", "--at-least", "5"],
+                                      ["spectrum"]])
+    def test_no_stored_family(self, capsys, demo_file, monkeypatch, argv):
+        monkeypatch.setattr(cli, "run", None)
+        code, out, err = run_cli(capsys, argv[0], demo_file, *argv[1:])
+        assert (code, err) == (0, "")
+        assert out.startswith("N = 8784, R = 7, " if argv[0] == "count" else "0 0\n")
 
 
 class TestSpectrum:
@@ -385,11 +453,13 @@ R = 4, N = 1344
      "N(|X| >= 5) = 8718\n"
      "verify brute force: 8784 ok\n"
      "verify inclusion-exclusion: 8784 ok\n"),
+    (["count", SAMPLE, "--exactly", "4"], "N(|X| = 4) = 66\n"),
     (["spectrum", SAMPLE], GOLDEN_SPECTRUM),
     (["rows", SAMPLE], "".join(line + "\n" for line in DEMO_FINAL_ROWS)),
     (["rows", SAMPLE, "--order", "size-asc"], GOLDEN_ROWS_SIZE_ASC),
     (["query", SAMPLE, "--require", "8,9", "--forbid", "7"], GOLDEN_QUERY),
-], ids=["count-verify", "spectrum", "rows-input", "rows-size-asc", "query"])
+], ids=["count-verify", "count-exactly", "spectrum", "rows-input",
+        "rows-size-asc", "query"])
 def test_golden_stdout(capsys, argv, expected):
     assert run_cli(capsys, *argv) == (0, expected, "")
 

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from transversals import (Hypergraph, Row, brute_transversals, count_at_least,
-                          count_total, impose, inclusion_exclusion_count,
-                          is_feasible, parse_hypergraph, row_from_tokens, run,
-                          spectrum, vertex_mask)
+from transversals import (Hypergraph, Row, Tally, brute_transversals,
+                          count_at_least, count_total, final_rows, impose,
+                          inclusion_exclusion_count, is_feasible,
+                          parse_hypergraph, row_from_tokens, run, spectrum,
+                          vertex_mask)
 from transversals import engine
 from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, mask_vertices
 
@@ -129,6 +130,20 @@ class TestBenchmarkHooks:
         assert calls["impose"] == family.stats.impositions
         assert calls["is_feasible"] > 0
 
+    def test_final_rows_calls_module_impose(self, demo_hg, monkeypatch):
+        # count and spectrum fold the generator without calling run
+        calls = []
+        real_impose = engine.impose
+
+        def counting(row, edge):
+            calls.append(edge)
+            return real_impose(row, edge)
+
+        monkeypatch.setattr(engine, "impose", counting)
+        tally = Tally.of(final_rows(demo_hg))
+        assert tally.r_final == 7
+        assert len(calls) == tally.stats.impositions == run(demo_hg).stats.impositions
+
     def test_known_admissible_rows_are_not_rechecked(self, monkeypatch):
         # once impose hands a row back, or makes it a split's first son, the
         # row is known to be feasible, so run never passes it to is_feasible
@@ -195,6 +210,14 @@ class TestRun:
     def test_final_rows_are_feasible(self, demo_hg, demo_family):
         for row in demo_family.rows:
             assert is_feasible(row, map(vertex_mask, demo_hg.edges))
+
+    def test_final_rows_stream_the_family(self, demo_hg, demo_family):
+        stream = final_rows(demo_hg)
+        rows = [next(stream) for _ in range(7)]
+        with pytest.raises(StopIteration) as stop:
+            next(stream)
+        assert [row.render() for row in rows] == DEMO_FINAL_ROWS
+        assert stop.value.value == demo_family.stats
 
     def test_deterministic(self, demo_hg, demo_family):
         again = run(demo_hg)

@@ -9,8 +9,9 @@ import tempfile
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from transversals import (Hypergraph, HypergraphError, Row, brute_transversals,
-                          count_at_least, count_total, filter_family, impose,
+from transversals import (Hypergraph, HypergraphError, Row, Spectrum, Tally,
+                          brute_transversals, count_at_least, count_exactly,
+                          count_total, filter_family, final_rows, impose,
                           inclusion_exclusion_count, is_feasible,
                           load_hypergraph, parse_hypergraph, render_hypergraph,
                           run, spectrum, subset_reduced, superset_reduced,
@@ -283,6 +284,69 @@ def test_transversal_number_matches_spectrum(hg):
     sp = spectrum(family)
     assert sp.counts[k_min] == tau_min
     assert all(c == 0 for c in sp.counts[:k_min])
+
+
+# ----- streamed folds -------------------------------------------------------
+
+def drain(stream):
+    """The rows of an engine stream, in order, and its return value."""
+    rows = []
+    while True:
+        try:
+            rows.append(next(stream))
+        except StopIteration as stop:
+            return rows, stop.value
+
+
+@settings(max_examples=80)
+@given(hypergraphs_st(), st.booleans(), st.none() | st.integers(0, 9),
+       st.none() | st.integers(0, 9), st.integers(-2, 10))
+def test_streamed_fold_matches_stored_analytics(hg, size_asc, min_card, max_card, k):
+    if size_asc:
+        hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
+    if min_card is not None and max_card is not None and min_card > max_card:
+        min_card, max_card = max_card, min_card
+    family = run(hg, min_card=min_card, max_card=max_card)
+    rows, stats = drain(final_rows(hg, min_card, max_card))
+    assert [row.render() for row in rows] == [row.render() for row in family.rows]
+    assert stats == family.stats
+
+    tally = Tally()
+    sp = Spectrum.of(tally.tap(final_rows(hg, min_card, max_card)), hg.w)
+    assert tally.stats == family.stats
+    stored = Tally.of(family.rows)
+    assert (tally.r_final, tally.n_total, tally.k_min, tally.tau_min) == \
+        (len(family.rows), stored.n_total, stored.k_min, stored.tau_min)
+    assert sp == Spectrum.of(family.rows, hg.w)
+
+    full = run(hg)
+    if min_card is None and max_card is None:
+        assert tally.n_total == count_total(full)
+        assert (tally.k_min, tally.tau_min) == transversal_number(full)
+        assert sp == spectrum(full)
+        assert sp.at_least(k) == count_at_least(full, k)
+    lo = min_card or 0
+    hi = hg.w if max_card is None else min(max_card, hg.w)
+    assert sp.counts[lo:hi + 1] == spectrum(full).counts[lo:hi + 1]
+
+
+@given(st.integers(0, 7).flatmap(
+    lambda w: st.lists(rows_st(min_w=w, max_w=w), max_size=6)))
+def test_tally_of_any_rows(rows):
+    # rows in any order, c_min rising or falling
+    tally = Tally.of(rows)
+    k_min = min((row.c_min for row in rows), default=None)
+    assert (tally.r_final, tally.n_total, tally.k_min, tally.stats) == \
+        (len(rows), sum(row.size() for row in rows), k_min, None)
+    assert tally.tau_min == sum(row.count_of_size(k_min) for row in rows)
+
+
+@settings(max_examples=60)
+@given(hypergraphs_st(), st.booleans(), st.integers(-1, 9))
+def test_count_exactly_matches_inclusion_exclusion(hg, size_asc, k):
+    if size_asc:
+        hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
+    assert count_exactly(hg, k) == inclusion_exclusion_count(hg, k)
 
 
 @settings(max_examples=50)
