@@ -90,10 +90,10 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
 
 
 def _verify(answer: int, checks) -> int:
-    """Compare ``answer`` with each (name, within limit, limit, oracle)."""
-    for name, within_limit, limit, oracle in checks:
-        if not within_limit:
-            print(f"verify {name}: skipped ({limit})")
+    """Compare ``answer`` with each (name, size name, size, limit, unit, oracle)."""
+    for name, size_name, size, limit, unit, oracle in checks:
+        if size > limit:
+            print(f"verify {name}: skipped ({size_name} > {limit}: 2^{size} {unit})")
             continue
         got = oracle()
         if got != answer:
@@ -137,9 +137,9 @@ def _cmd_count(args, hg: Hypergraph) -> int:
     if not args.verify:
         return EXIT_OK
     return _verify(tally.n_total, (
-        ("brute force", hg.w <= BRUTE_VERTEX_LIMIT, f"w > {BRUTE_VERTEX_LIMIT}",
+        ("brute force", "w", hg.w, BRUTE_VERTEX_LIMIT, "masks",
          lambda: len(brute_transversals(hg))),
-        ("inclusion-exclusion", hg.h <= IE_EDGE_LIMIT, f"h > {IE_EDGE_LIMIT}",
+        ("inclusion-exclusion", "h", hg.h, IE_EDGE_LIMIT, "subsets",
          lambda: inclusion_exclusion_count(hg))))
 
 
@@ -158,7 +158,7 @@ def _count_exactly(args, hg: Hypergraph) -> int:
     if not args.verify:
         return EXIT_OK
     return _verify(count, (
-        ("inclusion-exclusion", hg.h <= IE_EDGE_LIMIT, f"h > {IE_EDGE_LIMIT}",
+        ("inclusion-exclusion", "h", hg.h, IE_EDGE_LIMIT, "subsets",
          lambda: inclusion_exclusion_count(hg, k)),))
 
 
@@ -184,8 +184,8 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
 
 
 def _cmd_rows(args, hg: Hypergraph) -> int:
-    family = run(hg)
-    for row in family.rows:
+    # each row is printed as the engine finishes it; none is stored
+    for row in final_rows(hg):
         print(row.render())
     return EXIT_OK
 

@@ -192,67 +192,64 @@ class Row:
     # ----- generation ------------------------------------------------------
 
     def members_of_size(self, k: int) -> Iterator[tuple[int, ...]]:
-        """Yield every represented set of cardinality k, each exactly once.
+        """Yield every represented set of cardinality k exactly once, as a
+        sorted tuple.
 
-        Depth-first over pick blocks (the free block first, then bubbles in
-        stored order) with a stack of (accumulated set, block index, pick
-        interval) items.  The admissible pick interval for a block is
-        [max(lower, need - capacity_after), min(|block|, need - forced_after)]
-        where need is the cardinality still missing, lower is 0 for the
-        free block and 1 for a bubble, capacity_after is the total size of
-        the later blocks and forced_after the number of later bubbles.
-        Items with an empty interval are never pushed.
+        A member is the forced 1s plus one pick from each block: the free
+        block (possibly empty), then the bubbles in stored order.  With
+        ``need`` positions missing, a block other than the last picks a size
+        from min(|block|, need - later bubbles) down to max(0 for the free
+        block or 1 for a bubble, need - later positions), and each size's
+        picks in reverse lexicographic order; the last block takes the
+        ``need`` positions left, in lexicographic order.  So every pick can
+        be completed.  The reverse order is the forward order of the
+        complements: for subsets of equal size, S precedes T iff T's
+        complement precedes S's, as the least element of their symmetric
+        difference lies in S iff it lies in T's complement.  A stack holds
+        one pick iterator per open block, so the memory is O(w) however
+        many members the row has.
         """
-        if k < 0 or k > self.w:
+        if not self.c_min <= k <= self.c_max:
             return
-        base = _vertices(self.one_mask)
-        blocks: list[tuple[tuple[int, ...], int]] = []
-        if self.two_mask:
-            blocks.append((_vertices(self.two_mask), 0))
-        for bubble in self.bubble_masks:
-            blocks.append((_vertices(bubble), 1))
-        if not blocks:
-            if len(base) == k:
-                yield base
-            return
-
-        nblocks = len(blocks)
-        capacity_after = [0] * nblocks
-        forced_after = [0] * nblocks
-        capacity = forced = 0
-        for p in range(nblocks - 1, -1, -1):
-            capacity_after[p] = capacity
-            forced_after[p] = forced
-            capacity += len(blocks[p][0])
-            forced += blocks[p][1]
-
-        def interval(p: int, have: int) -> tuple[int, int]:
-            need = k - have
-            positions, lower = blocks[p]
-            return (max(lower, need - capacity_after[p]),
-                    min(len(positions), need - forced_after[p]))
-
-        lo, hi = interval(0, len(base))
-        if lo > hi:
-            return
-        last = nblocks - 1
-        stack = [(base, 0, lo, hi)]
+        blocks = [_vertices(self.two_mask), *map(_vertices, self.bubble_masks)]
+        last = len(blocks) - 1
+        # room[p]: the positions in blocks p..last
+        room = list(itertools.accumulate(map(len, reversed(blocks)), initial=0))[::-1]
+        # stack[p] holds the picks of block p - 1 and the need before them,
+        # chosen[p] the current one; stack[0] holds the forced 1s as one pick
+        stack = [(iter((_vertices(self.one_mask),)), k)]
+        chosen = [()] * last
         while stack:
-            acc, p, lo, hi = stack.pop()
-            positions, _ = blocks[p]
+            picks, need = stack[-1]
+            p = len(stack) - 1
+            block = blocks[p]
             if p == last:
-                for j in range(lo, hi + 1):
-                    for picked in itertools.combinations(positions, j):
-                        yield tuple(sorted(acc + picked))
+                head = tuple(itertools.chain.from_iterable(chosen))
+                for pick in picks:
+                    acc = (*head, *pick)
+                    for rest in itertools.combinations(block, need - len(pick)):
+                        yield tuple(sorted(acc + rest))
+                stack.pop()
                 continue
-            children = []
-            for j in range(lo, hi + 1):
-                for picked in itertools.combinations(positions, j):
-                    child = acc + picked
-                    clo, chi = interval(p + 1, len(child))
-                    if clo <= chi:
-                        children.append((child, p + 1, clo, chi))
-            stack.extend(children)
+            for pick in picks:
+                chosen[p] = pick
+                need -= len(pick)
+                n = len(block)
+                hi = min(n, need - (last - p))
+                lo = max(1 if p else 0, need - room[p + 1])
+                if hi == lo <= 1:
+                    # picks of at most one position: the block reversed gives
+                    # their reverse lexicographic order
+                    block_picks = itertools.combinations(block[::-1], hi)
+                else:
+                    complements = map(itertools.combinations, itertools.repeat(block),
+                                      range(n - hi, n - lo + 1))
+                    block_picks = map(frozenset(block).difference,
+                                      itertools.chain.from_iterable(complements))
+                stack.append((block_picks, need))
+                break
+            else:  # block p - 1 has no pick left
+                stack.pop()
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """Yield every represented set once, by increasing cardinality."""

@@ -52,12 +52,13 @@ class TestCount:
         assert "verify inclusion-exclusion: 8784 ok" in out
 
     @pytest.mark.parametrize("text, verify_lines", [
-        ("25 1\n1 2\n", "verify brute force: skipped (w > 24)\n"
+        ("25 1\n1 2\n", "verify brute force: skipped (w > 24: 2^25 masks)\n"
                          "verify inclusion-exclusion: 25165824 ok\n"),
         ("5 21\n" + "".join(" ".join(map(str, e)) + "\n" for e in
                             [*itertools.combinations(range(1, 6), 2),
                              *itertools.combinations(range(1, 6), 3), (1, 2, 3, 4)]),
-         "verify brute force: 6 ok\nverify inclusion-exclusion: skipped (h > 20)\n"),
+         "verify brute force: 6 ok\n"
+         "verify inclusion-exclusion: skipped (h > 20: 2^21 subsets)\n"),
     ], ids=["brute-skipped", "ie-skipped"])
     def test_verify_skips_oracle_over_its_limit(self, capsys, tmp_path, text,
                                                 verify_lines):
@@ -159,7 +160,8 @@ class TestCountExactly:
         path = tmp_path / "many.hg"
         path.write_text("3 21\n" + "1 2\n" * 21)
         assert run_cli(capsys, "count", str(path), "--exactly", "2", "--verify") == \
-            (0, "N(|X| = 2) = 3\nverify inclusion-exclusion: skipped (h > 20)\n", "")
+            (0, "N(|X| = 2) = 3\n"
+             "verify inclusion-exclusion: skipped (h > 20: 2^21 subsets)\n", "")
 
     def test_verify_mismatch(self, capsys, demo_file, monkeypatch):
         monkeypatch.setattr(cli, "inclusion_exclusion_count", lambda hg, k: 65)
@@ -177,15 +179,17 @@ class TestCountExactly:
 
 
 class TestFold:
-    """count and spectrum fold the engine's stream and store no row."""
+    """count and spectrum fold the engine's stream, and rows prints it; none
+    stores a row."""
 
     @pytest.mark.parametrize("argv", [["count"], ["count", "--at-least", "5"],
-                                      ["spectrum"]])
+                                      ["spectrum"], ["rows"]])
     def test_no_stored_family(self, capsys, demo_file, monkeypatch, argv):
         monkeypatch.setattr(cli, "run", None)
         code, out, err = run_cli(capsys, argv[0], demo_file, *argv[1:])
         assert (code, err) == (0, "")
-        assert out.startswith("N = 8784, R = 7, " if argv[0] == "count" else "0 0\n")
+        assert out.startswith({"count": "N = 8784, R = 7, ", "spectrum": "0 0\n",
+                               "rows": "\n".join(DEMO_FINAL_ROWS) + "\n"}[argv[0]])
 
 
 class TestSpectrum:

@@ -90,6 +90,44 @@ def test_generation_is_exact(r, k):
     assert all(len(x) == k and r.contains(x) for x in got)
 
 
+def reference_members_of_size(row, k):
+    """members_of_size's order, written out recursively with whole lists:
+    the free block, then the bubbles in stored order; every block but the
+    last takes its pick sizes from hi down to lo and each size in reverse
+    lexicographic order, the last takes the remaining positions in
+    lexicographic order."""
+    blocks = [tuple(sorted(mask_vertices(m)))
+              for m in (row.two_mask, *row.bubble_masks)]
+
+    def walk(p, acc, need):
+        if p == len(blocks):
+            yield tuple(sorted(acc))
+            return
+        later = blocks[p + 1:]
+        hi = min(len(blocks[p]), need - len(later))
+        lo = max(1 if p else 0, need - sum(map(len, later)))
+        picks = [pick for d in range(lo, hi + 1)
+                 for pick in itertools.combinations(blocks[p], d)]
+        if later:
+            picks.reverse()
+        for pick in picks:
+            yield from walk(p + 1, acc + pick, need - len(pick))
+
+    ones = tuple(mask_vertices(row.one_mask))
+    return walk(0, ones, k - len(ones))
+
+
+@settings(max_examples=300)
+@given(rows_st(max_w=10), st.data())
+def test_generation_order_matches_reference(r, data):
+    # any stored bubble order, not only the canonical one rows_st gives
+    r = Row.from_masks(r.w, r.zero_mask, r.one_mask, r.two_mask,
+                       tuple(data.draw(st.permutations(r.bubble_masks))))
+    # k in -1..w+1, mostly a size the row has members of
+    k = data.draw(st.integers(r.c_min, r.c_max) | st.integers(-1, r.w + 1))
+    assert list(r.members_of_size(k)) == list(reference_members_of_size(r, k))
+
+
 @given(rows_st())
 def test_full_expansion_is_exact(r):
     assert sorted(r.members()) == brute_members(r)

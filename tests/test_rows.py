@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -243,6 +244,24 @@ class TestGeneration:
 
     def test_empty_set_generation(self):
         assert list(Row.powerset(3).members_of_size(0)) == [()]
+
+    @pytest.mark.parametrize("tokens, first", [
+        ("2 " * 20 + "e1 e1", [(*range(11, 21), 21), (*range(11, 21), 22),
+                               (10, *range(12, 21), 21)]),
+        ("e1 " * 22 + "e2 e2", [(*range(13, 23), 23), (*range(13, 23), 24),
+                                (12, *range(14, 23), 23)]),
+    ], ids=["free-block", "bubble"])
+    def test_first_members_come_in_small_memory(self, tokens, first):
+        # the first block alone has C(20, 10) + C(20, 9) or C(22, 10) + C(22, 9) picks
+        r = row_from_tokens(tokens)
+        tracemalloc.start()
+        try:
+            got = list(itertools.islice(r.members_of_size(11), 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == first
+        assert peak < 1 << 20
 
     def test_matches_counts(self):
         r = Row(8, {8}, {5}, {1, 4}, [{3, 7}, {2, 6}])
