@@ -1,18 +1,19 @@
-"""Whole-family counting, generation and query filtering on top of a
-RowFamily produced by the engine.
+"""Counting, generation and query filtering over the engine's final rows,
+stored in a RowFamily or streamed by :func:`~transversals.engine.final_rows`.
 
-The counts are folds over final rows: :class:`Tally` (R, N, k_min and
-tau_min) and :meth:`Spectrum.of` (per-size counts) read their rows once, so
-they answer a stored family and an engine stream
-(:func:`~transversals.engine.final_rows`) with the same formulas, and store
-no row of a stream.  :func:`count_total` sums :meth:`Row.size` as Tally
-does, without Tally's work for k_min.
+Every answer is one pass over the rows: :class:`Tally` (R, N, k_min and
+tau_min) and :meth:`Spectrum.of` (per-size counts) fold them, and
+:func:`filter_rows` cuts them one at a time, so a stored family and an
+engine stream get the same formulas and no row of a stream is stored.
+:func:`count_total` sums :meth:`Row.size` as Tally does, without Tally's
+work for k_min.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .engine import RowFamily, RunStats, final_rows
@@ -152,12 +153,7 @@ def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]
     """Every represented transversal of cardinality k exactly once, row by
     row; row disjointness rules out duplicates."""
     _refuse_pruned(family, k, k)
-
-    def generate() -> Iterator[tuple[int, ...]]:
-        for row in family.rows:
-            yield from row.members_of_size(k)
-
-    return generate()
+    return chain.from_iterable(row.members_of_size(k) for row in family.rows)
 
 
 def check_conditions(w: int, require: Iterable[int],
@@ -174,25 +170,27 @@ def check_conditions(w: int, require: Iterable[int],
     return require, forbid
 
 
-def filter_family(family: RowFamily, require: Iterable[int] = (),
-                  forbid: Iterable[int] = ()) -> RowFamily:
-    """Restrict the family to members containing all of ``require`` and none
-    of ``forbid``, by single-vertex surgery on each row.
-
-    Filtering the already-built family replaces re-running the engine for
-    every query; rows whose members all violate a condition drop out.
-    """
-    require, forbid = check_conditions(family.w, require, forbid)
+def filter_rows(rows: Iterable[Row], require: frozenset[int],
+                forbid: frozenset[int]) -> Iterator[Row]:
+    """Cut each row down to its members containing all of ``require`` and
+    none of ``forbid``, by single-vertex surgery, reading ``rows`` once;
+    rows whose members all violate a condition drop out.  The conditions
+    must have passed :func:`check_conditions`."""
     surgery = ([(Row.require, v) for v in sorted(require)]
                + [(Row.forbid, v) for v in sorted(forbid)])
-    filtered = []
-    for row in family.rows:
+    for row in rows:
         for cut, v in surgery:
             row = cut(row, v)
             if row is None:
                 break
         else:
-            filtered.append(row)
-    return RowFamily(w=family.w, rows=tuple(filtered),
-                     min_card=family.min_card, max_card=family.max_card,
-                     stats=None)
+            yield row
+
+
+def filter_family(family: RowFamily, require: Iterable[int] = (),
+                  forbid: Iterable[int] = ()) -> RowFamily:
+    """Restrict the family to members containing all of ``require`` and none
+    of ``forbid`` (see :func:`filter_rows`), with no engine re-run."""
+    require, forbid = check_conditions(family.w, require, forbid)
+    return RowFamily(family.w, tuple(filter_rows(family.rows, require, forbid)),
+                     family.min_card, family.max_card)

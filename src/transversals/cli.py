@@ -15,8 +15,8 @@ import time
 from collections import deque
 
 from .analytics import (Spectrum, Tally, check_conditions, count_exactly,
-                        count_total, filter_family, transversals_of_size)
-from .engine import final_rows, run
+                        filter_rows)
+from .engine import final_rows
 from .hypergraph import Hypergraph, HypergraphError, load_hypergraph
 from .oracles import (BRUTE_VERTEX_LIMIT, IE_EDGE_LIMIT, brute_transversals,
                       inclusion_exclusion_count)
@@ -173,9 +173,9 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
         raise ValueError("--limit must be >= 0")
     if not 0 <= args.k <= hg.w:
         return EXIT_OK
-    # the [k, k] window builds only the rows holding size-k transversals
-    family = run(hg, min_card=args.k, max_card=args.k)
-    found = transversals_of_size(family, args.k)
+    # the [k, k] window yields only the rows holding size-k transversals
+    found = itertools.chain.from_iterable(
+        row.members_of_size(args.k) for row in final_rows(hg, args.k, args.k))
     if args.limit is not None:
         found = itertools.islice(found, args.limit)
     for xs in found:
@@ -193,10 +193,11 @@ def _cmd_rows(args, hg: Hypergraph) -> int:
 def _cmd_query(args, hg: Hypergraph) -> int:
     require, forbid = check_conditions(hg.w, _parse_vertex_list(args.require),
                                        _parse_vertex_list(args.forbid))
-    filtered = filter_family(run(hg), require=require, forbid=forbid)
-    for row in filtered.rows:
+    # each row is cut and printed as the engine yields it; none is stored
+    tally = Tally()
+    for row in tally.tap(filter_rows(final_rows(hg), require, forbid)):
         print(row.render())
-    print(f"R = {len(filtered.rows)}, N = {count_total(filtered)}")
+    print(f"R = {tally.r_final}, N = {tally.n_total}")
     return EXIT_OK
 
 

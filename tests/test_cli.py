@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from transversals import analytics, cli
+from transversals import analytics, cli, engine
 from transversals.cli import main
 from conftest import DEMO_FINAL_ROWS, DEMO_TEXT
 
@@ -179,17 +179,33 @@ class TestCountExactly:
 
 
 class TestFold:
-    """count and spectrum fold the engine's stream, and rows prints it; none
-    stores a row."""
+    """Every subcommand reads the engine's stream once: count and spectrum
+    fold it, rows prints it, enumerate expands it and query cuts it.  None
+    stores a row or builds a family."""
 
-    @pytest.mark.parametrize("argv", [["count"], ["count", "--at-least", "5"],
-                                      ["spectrum"], ["rows"]])
+    @pytest.mark.parametrize("argv", [
+        ["count"], ["count", "--at-least", "5"], ["spectrum"], ["rows"],
+        ["enumerate", "--k", "4"], ["query", "--require", "8,9", "--forbid", "7"]])
     def test_no_stored_family(self, capsys, demo_file, monkeypatch, argv):
-        monkeypatch.setattr(cli, "run", None)
+        def no_family(*args, **kwargs):
+            raise AssertionError("a RowFamily was built")
+
+        calls = []
+        real = cli.final_rows
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "RowFamily", no_family)
+        monkeypatch.setattr(analytics, "RowFamily", no_family)
+        monkeypatch.setattr(cli, "final_rows", spy)
         code, out, err = run_cli(capsys, argv[0], demo_file, *argv[1:])
-        assert (code, err) == (0, "")
+        assert (code, err, len(calls)) == (0, "", 1)
         assert out.startswith({"count": "N = 8784, R = 7, ", "spectrum": "0 0\n",
-                               "rows": "\n".join(DEMO_FINAL_ROWS) + "\n"}[argv[0]])
+                               "rows": "\n".join(DEMO_FINAL_ROWS) + "\n",
+                               "enumerate": "4 8 10 12\n",
+                               "query": GOLDEN_QUERY}[argv[0]])
 
 
 class TestSpectrum:
@@ -232,23 +248,39 @@ class TestEnumerate:
 
     def test_k_outside_ground_set_skips_engine(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "run", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(cli, "final_rows", lambda *a: calls.append(a))
         for k in ("-1", "15"):
             assert run_cli(capsys, "enumerate", SAMPLE, "--k", k) == (0, "", "")
         assert calls == []
 
     def test_runs_engine_in_size_window(self, capsys, monkeypatch):
         windows = []
-        real_run = cli.run
+        real = cli.final_rows
 
-        def spy(hg, **window):
+        def spy(hg, *window):
             windows.append(window)
-            return real_run(hg, **window)
+            return real(hg, *window)
 
-        monkeypatch.setattr(cli, "run", spy)
+        monkeypatch.setattr(cli, "final_rows", spy)
         code, out, _ = run_cli(capsys, "enumerate", SAMPLE, "--k", "4")
         assert (code, len(out.splitlines())) == (0, 66)
-        assert windows == [{"min_card": 4, "max_card": 4}]
+        assert windows == [(4, 4)]
+
+    def test_limit_takes_one_row(self, capsys, monkeypatch):
+        # the [5, 5] window has 7 rows; the first member of the first row
+        # is printed before the engine yields a second
+        taken = []
+        real = cli.final_rows
+
+        def counting(*args):
+            for row in real(*args):
+                taken.append(row)
+                yield row
+
+        monkeypatch.setattr(cli, "final_rows", counting)
+        assert run_cli(capsys, "enumerate", SAMPLE, "--k", "5", "--limit", "1") == \
+            (0, "4 8 9 10 12\n", "")
+        assert len(taken) == 1
 
 
 class TestRows:
@@ -305,7 +337,7 @@ class TestQuery:
     def test_overlap_reported_before_engine_run(self, capsys, demo_file,
                                                 monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "run", lambda hg: calls.append(hg))
+        monkeypatch.setattr(cli, "final_rows", lambda *a: calls.append(a))
         code, _, err = run_cli(capsys, "query", demo_file,
                                "--require", "8", "--forbid", "8")
         assert (code, err, calls) == (

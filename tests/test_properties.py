@@ -16,6 +16,7 @@ from transversals import (Hypergraph, HypergraphError, Row, Spectrum, Tally,
                           load_hypergraph, parse_hypergraph, render_hypergraph,
                           run, spectrum, subset_reduced, superset_reduced,
                           transversal_number, transversals_of_size, vertex_mask)
+from transversals.analytics import filter_rows
 from conftest import mask_vertices
 
 
@@ -394,6 +395,8 @@ def test_filter_family_matches_brute_filter(hg, data):
     forbid = data.draw(st.frozensets(
         st.integers(1, hg.w)).filter(lambda f: not (f & require)))
     filtered = filter_family(run(hg), require=require, forbid=forbid)
+    # the stream filter cuts the same rows in the same order
+    assert list(filter_rows(final_rows(hg), require, forbid)) == list(filtered.rows)
     expanded = [x for row in filtered.rows for x in row.members()]
     assert len(expanded) == len(set(expanded))
     assert sorted(expanded) == [
