@@ -1,10 +1,10 @@
 """Randomized cross-check experiment: on random hypergraphs, compare the
 engine's exact counts against the brute-force sweep and the
 inclusion-exclusion oracle, the size-k transversals of every windowed
-run ``run(hg, k, k)`` against the brute-force sets of size k, and the
-output of ``transversals count FILE --exactly k`` for every k in -1..w+1
-against inclusion-exclusion; report compression statistics (final rows R
-versus represented transversals N).
+stream ``final_rows(hg, k, k)`` against the brute-force sets of size k,
+and the output of ``transversals count FILE --exactly k`` for every k in
+-1..w+1 against inclusion-exclusion; report compression statistics (final
+rows R versus represented transversals N).
 
 Usage:
     python scripts/cross_check.py [--instances 200] [--max-w 12] [--max-h 8] [--seed 1]
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+from itertools import chain
 import pathlib
 import random
 import sys
@@ -24,8 +25,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from transversals import (Hypergraph, brute_transversals, count_total,
-                          inclusion_exclusion_count, render_hypergraph, run,
-                          spectrum, transversals_of_size)
+                          final_rows, inclusion_exclusion_count,
+                          render_hypergraph, run, spectrum)
 from transversals.cli import main as cli_main
 
 
@@ -73,7 +74,8 @@ def main() -> int:
         per_k_ok = all(sp.counts[k] == inclusion_exclusion_count(hg, k)
                        for k in range(hg.w + 1))
         window_ok = all(
-            sorted(transversals_of_size(run(hg, k, k), k))
+            sorted(chain.from_iterable(
+                r.members_of_size(k) for r in final_rows(hg, k, k)))
             == [x for x in brute if len(x) == k]
             for k in range(hg.w + 1))
         exactly_ok = all(

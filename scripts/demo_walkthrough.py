@@ -1,9 +1,11 @@
 """Walk through the full pipeline on a hypergraph file: build the row
 family, print it with per-row sizes, then the cardinality spectrum, the
-transversal number and a subset/superset query.
+transversal number and a subset/superset query.  Bad input (a missing or
+malformed file, a vertex list that is not integers or a vertex outside
+1..w) gives one ``error:`` line on stderr and exit status 2.
 
 Usage:
-    python scripts/demo_walkthrough.py [file]
+    python scripts/demo_walkthrough.py [file] [--require 8,9] [--forbid 7]
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from transversals import (count_at_least, count_total, filter_family,
-                          load_hypergraph, run, spectrum, transversal_number)
+from transversals import (HypergraphError, count_at_least, count_total,
+                          filter_family, load_hypergraph, run, spectrum,
+                          transversal_number)
 
 DEFAULT_FILE = pathlib.Path(__file__).resolve().parent.parent / "data" / "sample14.hg"
 
@@ -28,12 +31,20 @@ def main() -> int:
     parser.add_argument("--forbid", default="", help="comma-separated vertices")
     args = parser.parse_args()
 
-    hg = load_hypergraph(args.file)
-    print(f"hypergraph: w={hg.w}, h={hg.h}, d={hg.d}")
+    try:
+        hg = load_hypergraph(args.file)
+        require = [int(v) for v in args.require.split(",") if v]
+        forbid = [int(v) for v in args.forbid.split(",") if v]
+        start = time.perf_counter()
+        family = run(hg)
+        elapsed = time.perf_counter() - start
+        filtered = (filter_family(family, require=require, forbid=forbid)
+                    if require or forbid else None)
+    except (HypergraphError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    start = time.perf_counter()
-    family = run(hg)
-    elapsed = time.perf_counter() - start
+    print(f"hypergraph: w={hg.w}, h={hg.h}, d={hg.d}")
     total = count_total(family)
     print(f"\nfinal rows ({len(family.rows)} rows, {total} transversals, "
           f"{elapsed * 1000:.2f} ms):")
@@ -51,10 +62,7 @@ def main() -> int:
     print(f"transversal number: k_min={k_min}, tau_min={tau_min}")
     print(f"at least k_min+1 elements: {count_at_least(family, k_min + 1)}")
 
-    require = [int(v) for v in args.require.split(",") if v]
-    forbid = [int(v) for v in args.forbid.split(",") if v]
-    if require or forbid:
-        filtered = filter_family(family, require=require, forbid=forbid)
+    if filtered is not None:
         print(f"\nquery require={require} forbid={forbid} "
               f"({len(filtered.rows)} rows, {count_total(filtered)} members):")
         for row in filtered.rows:

@@ -1,5 +1,8 @@
 """Counting, generation and query filtering over the engine's final rows,
 stored in a RowFamily or streamed by :func:`~transversals.engine.final_rows`.
+A stored family always holds every transversal, so its answers need no
+window check; a cardinality window exists only on the stream, as in
+:func:`count_exactly`.
 
 Every answer is one pass over the rows: :class:`Tally` (R, N, k_min and
 tau_min) and :meth:`Spectrum.of` (per-size counts) fold them, and
@@ -93,42 +96,23 @@ class Tally:
             yield row
 
 
-def _refuse_pruned(family: RowFamily, lo: int = 0, hi: int | None = None) -> None:
-    """The one rule for pruned families: answer a query about sizes lo..hi
-    (the whole family by default) only if every size in it that a
-    transversal can have, 0..w, lies inside the run's window
-    min_card..max_card, since the run may have discarded the others."""
-    w = family.w
-    lo, hi = max(lo, 0), min(w if hi is None else hi, w)
-    floor = family.min_card or 0
-    ceiling = w if family.max_card is None else family.max_card
-    if lo <= hi and (lo < floor or hi > ceiling):
-        raise ValueError(
-            f"family was pruned to cardinalities {floor}..{ceiling}; "
-            f"an answer involving sizes {lo}..{hi} would be incomplete")
-
-
 def count_total(family: RowFamily) -> int:
     """Total number of represented transversals."""
-    _refuse_pruned(family)
     return sum(row.size() for row in family.rows)
 
 
 def spectrum(family: RowFamily) -> Spectrum:
     """Exact transversal counts for every cardinality 0..w."""
-    _refuse_pruned(family)
     return Spectrum.of(family.rows, family.w)
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
     """Number of transversals of cardinality >= k."""
-    _refuse_pruned(family, k)
     return Spectrum.of(family.rows, family.w).at_least(k)
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:
     """(smallest transversal size, number of transversals of that size)."""
-    _refuse_pruned(family)
     tally = Tally.of(family.rows)
     if tally.k_min is None:
         raise Infeasible("empty row family has no transversals")
@@ -152,7 +136,6 @@ def count_exactly(hg: Hypergraph, k: int) -> int:
 def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]:
     """Every represented transversal of cardinality k exactly once, row by
     row; row disjointness rules out duplicates."""
-    _refuse_pruned(family, k, k)
     return chain.from_iterable(row.members_of_size(k) for row in family.rows)
 
 
@@ -192,5 +175,5 @@ def filter_family(family: RowFamily, require: Iterable[int] = (),
     """Restrict the family to members containing all of ``require`` and none
     of ``forbid`` (see :func:`filter_rows`), with no engine re-run."""
     require, forbid = check_conditions(family.w, require, forbid)
-    return RowFamily(family.w, tuple(filter_rows(family.rows, require, forbid)),
-                     family.min_card, family.max_card)
+    return RowFamily(w=family.w,
+                     rows=tuple(filter_rows(family.rows, require, forbid)))

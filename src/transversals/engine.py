@@ -22,17 +22,13 @@ class RunStats:
 
 @dataclass(frozen=True)
 class RowFamily:
-    """Ordered list of pairwise-disjoint rows plus the run bookkeeping.
-
-    ``min_card`` and ``max_card`` record the cardinality window of the
-    producing run: rows with no member inside it were pruned, so analytics
-    refuse every answer that involves a cardinality outside it.
+    """Ordered list of pairwise-disjoint rows whose members are exactly the
+    transversals, plus the run bookkeeping.  A stored family is always
+    complete; a cardinality window lives only on :func:`final_rows`.
     """
 
     w: int
     rows: tuple[Row, ...]
-    min_card: int | None = None
-    max_card: int | None = None
     stats: RunStats | None = None
 
 
@@ -179,15 +175,13 @@ def final_rows(hg: Hypergraph, min_card: int | None = None,
     return RunStats(impositions, s_max, max_stack)
 
 
-def run(hg: Hypergraph, min_card: int | None = None,
-        max_card: int | None = None) -> RowFamily:
-    """The final rows of :func:`final_rows`, stored in order, as a family
-    carrying the window and the run's :class:`RunStats`."""
-    stream = final_rows(hg, min_card, max_card)
+def run(hg: Hypergraph) -> RowFamily:
+    """The final rows of the full run of :func:`final_rows`, stored in
+    order, with the run's :class:`RunStats`."""
+    stream = final_rows(hg)
     rows = []
     while True:
         try:
             rows.append(next(stream))
         except StopIteration as stop:
-            return RowFamily(w=hg.w, rows=tuple(rows), min_card=min_card,
-                             max_card=max_card, stats=stop.value)
+            return RowFamily(w=hg.w, rows=tuple(rows), stats=stop.value)

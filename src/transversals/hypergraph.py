@@ -39,7 +39,7 @@ class Hypergraph:
                 raise HypergraphError(f"edge {i} has a non-integer vertex")
             vertices = sorted(set(edge))
             if not vertices:
-                raise HypergraphError("empty edge")
+                raise HypergraphError(f"edge {i} is empty")
             if vertices[0] < 1 or vertices[-1] > self.w:
                 raise HypergraphError(f"edge {i} has a vertex outside 1..{self.w}")
             cleaned.append(tuple(vertices))

@@ -12,6 +12,16 @@ def mask_vertices(mask):
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+def drain(stream):
+    """The rows of an engine stream, in order, and its return value."""
+    rows = []
+    while True:
+        try:
+            rows.append(next(stream))
+        except StopIteration as stop:
+            return rows, stop.value
+
+
 DEMO_TEXT = """\
 14 6
 3 4 9

@@ -414,6 +414,12 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: edge 1 has a vertex outside 1..3\n"
 
+    def test_empty_json_edge_names_edge_by_index(self, capsys, tmp_path):
+        path = tmp_path / "empty-edge.json"
+        path.write_text('{"w": 3, "edges": [[1,2],[]]}')
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert (code, out, err) == (2, "", "error: edge 2 is empty\n")
+
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         depth = 100_000

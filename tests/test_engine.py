@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from transversals import (Hypergraph, Row, Tally, brute_transversals,
-                          count_at_least, count_total, final_rows, impose,
+from transversals import (Hypergraph, Row, Spectrum, Tally, brute_transversals,
+                          count_total, final_rows, impose,
                           inclusion_exclusion_count, is_feasible,
                           parse_hypergraph, row_from_tokens, run, spectrum,
                           vertex_mask)
 from transversals import engine
-from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, mask_vertices
+from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, drain, mask_vertices
 
 MOD4 = "2 2 e1 e1 e2 e3 e3 e4 e1 e2 e3 e3 e4 e4"
 
@@ -233,51 +233,46 @@ class TestRun:
 
 
 class TestMinCardRun:
-    def test_records_threshold(self, demo_hg):
-        family = run(demo_hg, min_card=9)
-        assert family.min_card == 9
-
     def test_keeps_every_large_transversal_once(self, demo_hg):
-        family = run(demo_hg, min_card=9)
-        expanded = [x for row in family.rows for x in row.members()
+        rows, _ = drain(final_rows(demo_hg, min_card=9))
+        expanded = [x for row in rows for x in row.members()
                     if len(x) >= 9]
         expected = [x for x in brute_transversals(demo_hg) if len(x) >= 9]
         assert len(expanded) == len(set(expanded))
         assert sorted(set(expanded)) == expected
-        assert count_at_least(family, 9) == len(expected)
+        assert Spectrum.of(rows, demo_hg.w).at_least(9) == len(expected)
 
     def test_impossible_threshold_gives_empty_family(self, demo_hg):
-        assert run(demo_hg, min_card=15).rows == ()
+        assert drain(final_rows(demo_hg, min_card=15))[0] == []
 
     def test_negative_threshold_rejected(self, demo_hg):
         with pytest.raises(ValueError):
-            run(demo_hg, min_card=-1)
+            drain(final_rows(demo_hg, min_card=-1))
 
 
 class TestWindowRun:
-    def test_records_window(self, demo_hg):
-        family = run(demo_hg, min_card=5, max_card=5)
-        assert (family.min_card, family.max_card) == (5, 5)
-
     def test_keeps_full_run_rows_meeting_window(self, demo_hg, demo_family):
         for lo, hi in [(4, 4), (5, 5), (9, 9), (0, 4), (6, 8), (14, 14)]:
-            got = run(demo_hg, min_card=lo, max_card=hi).rows
-            assert got == tuple(r for r in demo_family.rows
-                                if r.c_max >= lo and r.c_min <= hi)
+            got, _ = drain(final_rows(demo_hg, min_card=lo, max_card=hi))
+            assert tuple(got) == tuple(r for r in demo_family.rows
+                                       if r.c_max >= lo and r.c_min <= hi)
+        # max_card = w prunes nothing
+        got, _ = drain(final_rows(demo_hg, max_card=demo_hg.w))
+        assert tuple(got) == demo_family.rows
 
     def test_prunes_impositions(self, demo_hg, demo_family):
         # every final row of the demo has c_min >= 4, so [3, 3] keeps none
-        family = run(demo_hg, min_card=3, max_card=3)
-        assert family.rows == ()
-        assert family.stats.impositions < demo_family.stats.impositions
+        rows, stats = drain(final_rows(demo_hg, min_card=3, max_card=3))
+        assert rows == []
+        assert stats.impositions < demo_family.stats.impositions
 
     def test_max_card_alone_keeps_small_transversals(self, demo_hg):
-        family = run(demo_hg, max_card=4)
-        expanded = [x for row in family.rows for x in row.members()
+        rows, _ = drain(final_rows(demo_hg, max_card=4))
+        expanded = [x for row in rows for x in row.members()
                     if len(x) <= 4]
         assert sorted(expanded) == \
             [x for x in brute_transversals(demo_hg) if len(x) <= 4]
-        assert all(row.c_min <= 4 for row in family.rows)
+        assert all(row.c_min <= 4 for row in rows)
 
     @pytest.mark.parametrize("min_card, max_card, message", [
         (None, -1, "max_card must be >= 0"),
@@ -286,4 +281,4 @@ class TestWindowRun:
     ])
     def test_bad_window_rejected(self, demo_hg, min_card, max_card, message):
         with pytest.raises(ValueError, match=message):
-            run(demo_hg, min_card=min_card, max_card=max_card)
+            drain(final_rows(demo_hg, min_card=min_card, max_card=max_card))

@@ -51,8 +51,10 @@ def test_duplicate_vertices_collapse():
 
 
 def test_empty_edge_rejected():
-    with pytest.raises(HypergraphError):
+    with pytest.raises(HypergraphError, match="^edge 1 is empty$"):
         Hypergraph(3, ((),))
+    with pytest.raises(HypergraphError, match="^edge 2 is empty$"):
+        Hypergraph(3, ((1, 2), ()))
 
 
 def test_nonpositive_w_rejected():

@@ -17,7 +17,7 @@ from transversals import (Hypergraph, HypergraphError, Row, Spectrum, Tally,
                           run, spectrum, subset_reduced, superset_reduced,
                           transversal_number, transversals_of_size, vertex_mask)
 from transversals.analytics import filter_rows
-from conftest import mask_vertices
+from conftest import drain, mask_vertices
 
 
 @st.composite
@@ -195,8 +195,8 @@ def test_engine_matches_brute_force(hg):
 @settings(max_examples=60)
 @given(hypergraphs_st(), st.integers(0, 9))
 def test_pruned_engine_keeps_large_transversals_once(hg, k):
-    family = run(hg, min_card=k)
-    expanded = [x for row in family.rows for x in row.members() if len(x) >= k]
+    rows, _ = drain(final_rows(hg, min_card=k))
+    expanded = [x for row in rows for x in row.members() if len(x) >= k]
     assert len(expanded) == len(set(expanded))
     assert sorted(set(expanded)) == \
         [x for x in brute_transversals(hg) if len(x) >= k]
@@ -209,18 +209,18 @@ def test_size_window_keeps_full_run_rows_holding_size_k(hg, size_asc):
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
     full = run(hg)
     for k in range(hg.w + 1):
-        window = run(hg, min_card=k, max_card=k)
-        assert window.rows == tuple(
+        window, _ = drain(final_rows(hg, min_card=k, max_card=k))
+        assert tuple(window) == tuple(
             row for row in full.rows if row.c_min <= k <= row.c_max)
-        assert list(transversals_of_size(window, k)) == \
-            list(transversals_of_size(full, k))
+        members = [x for r in window for x in r.members_of_size(k)]
+        assert members == list(transversals_of_size(full, k))
 
 
 @settings(max_examples=60)
 @given(hypergraphs_st(), st.integers(0, 8))
 def test_size_window_members_match_brute_force(hg, k):
-    family = run(hg, min_card=k, max_card=k)
-    got = [x for row in family.rows for x in row.members() if len(x) == k]
+    rows, _ = drain(final_rows(hg, min_card=k, max_card=k))
+    got = [x for row in rows for x in row.members() if len(x) == k]
     assert len(got) == len(set(got))
     assert sorted(got) == [x for x in brute_transversals(hg) if len(x) == k]
 
@@ -262,11 +262,10 @@ def test_run_matches_reference_loop(hg, size_asc, min_card, max_card):
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
     if min_card is not None and max_card is not None and min_card > max_card:
         min_card, max_card = max_card, min_card
-    family = run(hg, min_card=min_card, max_card=max_card)
-    rows, stats = reference_run(hg, min_card, max_card)
-    assert [row.render() for row in family.rows] == [row.render() for row in rows]
-    assert (family.stats.impositions, family.stats.s_max,
-            family.stats.max_stack) == stats
+    rows, stats = drain(final_rows(hg, min_card=min_card, max_card=max_card))
+    ref_rows, ref_stats = reference_run(hg, min_card, max_card)
+    assert [row.render() for row in rows] == [row.render() for row in ref_rows]
+    assert (stats.impositions, stats.s_max, stats.max_stack) == ref_stats
 
 
 @settings(max_examples=60)
@@ -327,16 +326,6 @@ def test_transversal_number_matches_spectrum(hg):
 
 # ----- streamed folds -------------------------------------------------------
 
-def drain(stream):
-    """The rows of an engine stream, in order, and its return value."""
-    rows = []
-    while True:
-        try:
-            rows.append(next(stream))
-        except StopIteration as stop:
-            return rows, stop.value
-
-
 @settings(max_examples=80)
 @given(hypergraphs_st(), st.booleans(), st.none() | st.integers(0, 9),
        st.none() | st.integers(0, 9), st.integers(-2, 10))
@@ -345,27 +334,28 @@ def test_streamed_fold_matches_stored_analytics(hg, size_asc, min_card, max_card
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
     if min_card is not None and max_card is not None and min_card > max_card:
         min_card, max_card = max_card, min_card
-    family = run(hg, min_card=min_card, max_card=max_card)
+    lo = min_card or 0
+    hi = hg.w if max_card is None else min(max_card, hg.w)
+    full = run(hg)
+    # the windowed stream keeps the full run's rows whose sizes meet lo..hi
+    kept = [row for row in full.rows if row.c_max >= lo and row.c_min <= hi]
     rows, stats = drain(final_rows(hg, min_card, max_card))
-    assert [row.render() for row in rows] == [row.render() for row in family.rows]
-    assert stats == family.stats
+    assert [row.render() for row in rows] == [row.render() for row in kept]
 
     tally = Tally()
     sp = Spectrum.of(tally.tap(final_rows(hg, min_card, max_card)), hg.w)
-    assert tally.stats == family.stats
-    stored = Tally.of(family.rows)
+    assert tally.stats == stats
+    stored = Tally.of(kept)
     assert (tally.r_final, tally.n_total, tally.k_min, tally.tau_min) == \
-        (len(family.rows), stored.n_total, stored.k_min, stored.tau_min)
-    assert sp == Spectrum.of(family.rows, hg.w)
+        (len(kept), stored.n_total, stored.k_min, stored.tau_min)
+    assert sp == Spectrum.of(kept, hg.w)
 
-    full = run(hg)
     if min_card is None and max_card is None:
+        assert stats == full.stats
         assert tally.n_total == count_total(full)
         assert (tally.k_min, tally.tau_min) == transversal_number(full)
         assert sp == spectrum(full)
         assert sp.at_least(k) == count_at_least(full, k)
-    lo = min_card or 0
-    hi = hg.w if max_card is None else min(max_card, hg.w)
     assert sp.counts[lo:hi + 1] == spectrum(full).counts[lo:hi + 1]
 
 
@@ -402,6 +392,28 @@ def test_filter_family_matches_brute_filter(hg, data):
     assert sorted(expanded) == [
         x for x in brute_transversals(hg)
         if require <= set(x) and forbid.isdisjoint(x)]
+
+
+@settings(max_examples=50)
+@given(hypergraphs_st(), st.booleans(), st.integers(0, 8), st.data())
+def test_window_commutes_with_query_filtering(hg, size_asc, k, data):
+    if size_asc:
+        hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
+    require = data.draw(st.frozensets(st.integers(1, hg.w)))
+    forbid = data.draw(st.frozensets(
+        st.integers(1, hg.w)).filter(lambda f: not (f & require)))
+
+    def size_k(stream):
+        return [x for r in filter_rows(stream, require, forbid)
+                for x in r.members_of_size(k)]
+
+    got = size_k(final_rows(hg, k, k))
+    # the same members in the same order as from the full stream
+    assert got == size_k(final_rows(hg))
+    assert len(got) == len(set(got))
+    assert sorted(got) == [
+        x for x in brute_transversals(hg)
+        if len(x) == k and require <= set(x) and forbid.isdisjoint(x)]
 
 
 # ----- reductions and parsing -----------------------------------------------

@@ -1,0 +1,38 @@
+"""The demo walkthrough script: its query output, and its input errors as one
+``error:`` line on stderr with exit status 2, as in the CLI."""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+DEMO_SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "demo_walkthrough.py"
+
+
+def walkthrough(*args):
+    proc = subprocess.run([sys.executable, str(DEMO_SCRIPT), *args],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_query_on_default_file():
+    code, out, err = walkthrough("--require", "8,9", "--forbid", "7")
+    assert (code, err) == (0, "")
+    assert "transversal number: k_min=4, tau_min=66\n" in out
+    assert "query require=[8, 9] forbid=[7] (4 rows, 1344 members):\n" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--require", "99"], "error: vertex 99 not in ground set 1..14\n"),
+    (["--require", "3", "--forbid", "3"], "error: require and forbid overlap on [3]\n"),
+    (["--require", "x"], "error: invalid literal for int() with base 10: 'x'\n"),
+], ids=["outside-ground-set", "overlap", "not-an-integer"])
+def test_bad_condition(args, message):
+    assert walkthrough(*args) == (2, "", message)
+
+
+def test_missing_file(tmp_path):
+    code, out, err = walkthrough(str(tmp_path / "missing.hg"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
