@@ -24,6 +24,14 @@ from transversals import (HypergraphError, count_at_least, count_total,
 DEFAULT_FILE = pathlib.Path(__file__).resolve().parent.parent / "data" / "sample14.hg"
 
 
+def vertex_list(text: str) -> list[int]:
+    """The vertices of a comma-separated list such as ``8,9``."""
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValueError(f"bad vertex list {text!r}") from None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("file", nargs="?", default=str(DEFAULT_FILE))
@@ -33,8 +41,8 @@ def main() -> int:
 
     try:
         hg = load_hypergraph(args.file)
-        require = [int(v) for v in args.require.split(",") if v]
-        forbid = [int(v) for v in args.forbid.split(",") if v]
+        require = vertex_list(args.require)
+        forbid = vertex_list(args.forbid)
         start = time.perf_counter()
         family = run(hg)
         elapsed = time.perf_counter() - start

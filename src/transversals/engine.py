@@ -52,20 +52,19 @@ def impose(row: Row, edge: int) -> list[Row]:
         if bubble & edge == bubble:
             return [row]
     w, zeros, ones, twos = row.w, row.zero_mask, row.one_mask, row.two_mask
-    make = Row.from_masks
     cut = list(bubbles)
     sons = []
     for i, bubble in enumerate(bubbles):
         part = bubble & edge
         if part:
             cut[i] = part
-            sons.append(make(w, zeros, ones, twos | bubble ^ part, tuple(cut)))
+            sons.append(Row(w, zeros, ones, twos | bubble ^ part, tuple(cut)))
             zeros |= part
             cut[i] = bubble ^ part
     free_hit = twos & edge
     if free_hit:
         cut.append(free_hit)
-        sons.append(make(w, zeros, ones, twos ^ free_hit, tuple(cut)))
+        sons.append(Row(w, zeros, ones, twos ^ free_hit, tuple(cut)))
     return sons
 
 
@@ -133,14 +132,12 @@ def final_rows(hg: Hypergraph, min_card: int | None = None,
         raise ValueError("min_card must be <= max_card")
     edges = [vertex_mask(e) for e in hg.edges]
     h = len(edges)
-    # pending[pc - 1]: the edges from the 1-based index pc on
-    pending = [edges[i:] for i in range(h + 1)]
     floor = min_card or 0
     ceiling = hg.w if max_card is None else max_card
 
-    def admissible(row: Row, pc: int) -> bool:
+    def admissible(row: Row, pending: list[int]) -> bool:
         return (row.c_max >= floor and row.c_min <= ceiling
-                and is_feasible(row, pending[pc - 1]))
+                and is_feasible(row, pending))
 
     impositions = 0
     s_max = 0
@@ -149,7 +146,7 @@ def final_rows(hg: Hypergraph, min_card: int | None = None,
     # index pc; pc == h + 1 marks a final row
     stack: list[tuple[Row, int]] = []
     root = Row.powerset(hg.w)
-    if admissible(root, 1):
+    if admissible(root, edges):
         stack.append((root, 1))
     while stack:
         max_stack = max(max_stack, len(stack))
@@ -165,10 +162,13 @@ def final_rows(hg: Hypergraph, min_card: int | None = None,
             yield row
             continue
         s_max = max(s_max, len(sons))
+        # the sons' pending edges: sliced once per split rather than stored
+        # for every pc, which would hold h(h + 1)/2 references
+        rest = edges[pc - 1:]
         # pushed last-son-first, so the first son is processed first; the
         # first son can leave the window only by its c_min
         for son in sons[:0:-1]:
-            if admissible(son, pc):
+            if admissible(son, rest):
                 stack.append((son, pc))
         if sons[0].c_min <= ceiling:
             stack.append((sons[0], pc))

@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .hypergraph import Hypergraph
-from .rows import Row
+from .rows import Row, vertex_mask
 
 BRUTE_VERTEX_LIMIT = 24
 IE_EDGE_LIMIT = 20
@@ -110,10 +110,10 @@ def all_rows(w: int) -> Iterator[Row]:
         rest = [v for v in universe if not region_mask >> (v - 1) & 1]
         for blocks in _partitions_min2(region):
             for labels in itertools.product((0, 1, 2), repeat=len(rest)):
-                zeros, ones, twos = set(), set(), set()
+                parts = ([], [], [])
                 for v, label in zip(rest, labels):
-                    (zeros, ones, twos)[label].add(v)
-                yield Row(w, zeros, ones, twos, tuple(map(frozenset, blocks)))
+                    parts[label].append(v)
+                yield Row(w, *map(vertex_mask, parts), map(vertex_mask, blocks))
 
 
 def row_census_brute(w: int) -> int:

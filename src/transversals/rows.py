@@ -45,9 +45,11 @@ _set = object.__setattr__
 class Row:
     """One {0,1,2,e}-valued row over the ground set {1..w}.
 
-    The parts are stored as int bitmasks, bit v standing for vertex v:
-    ``zero_mask``, ``one_mask``, ``two_mask`` and the tuple ``bubble_masks``.
-    Rows are immutable.
+    ``Row(w, zeros, ones, twos, bubbles)`` takes the parts as int bitmasks,
+    bit v standing for vertex v, and ``bubbles`` as an iterable of masks;
+    :func:`vertex_mask` converts a vertex set and :func:`row_from_tokens`
+    parses text.  They are stored as ``zero_mask``, ``one_mask``,
+    ``two_mask`` and the tuple ``bubble_masks``.  Rows are immutable.
 
     ``bubble_masks`` keeps the order given at construction; generation walks
     the bubbles in that order, so the order is part of the row's behaviour
@@ -62,34 +64,28 @@ class Row:
 
     __slots__ = ("w", "zero_mask", "one_mask", "two_mask", "bubble_masks")
 
-    def __init__(self, w: int, zeros: Iterable[int], ones: Iterable[int],
-                 twos: Iterable[int], bubbles: Iterable[Iterable[int]] = ()) -> None:
-        try:
-            masks = (vertex_mask(zeros), vertex_mask(ones), vertex_mask(twos),
-                     tuple(vertex_mask(bubble) for bubble in bubbles))
-        except ValueError:
-            raise ValueError(f"row parts do not partition 1..{w}") from None
-        _store(self, w, *masks)
-
-    @classmethod
-    def from_masks(cls, w: int, zeros: int, ones: int, twos: int,
-                   bubbles: tuple[int, ...] = ()) -> "Row":
-        """The row with the given part masks, validated like every row."""
-        row = object.__new__(cls)
-        _store(row, w, zeros, ones, twos, tuple(bubbles))
-        return row
+    def __init__(self, w: int, zeros: int, ones: int, twos: int,
+                 bubbles: Iterable[int] = ()) -> None:
+        _set(self, "w", w)
+        _set(self, "zero_mask", zeros)
+        _set(self, "one_mask", ones)
+        _set(self, "two_mask", twos)
+        _set(self, "bubble_masks", tuple(bubbles))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         """The one validation path, run on every row built: promote
         one-position bubbles to forced positions, reject an empty bubble,
-        and check that the parts are disjoint (their popcounts add up to
-        the popcount of their union) and cover exactly 1..w.  The
+        and check that the parts are int masks, disjoint (their popcounts
+        add up to the popcount of their union) and cover exactly 1..w.  The
         benchmark's tracer times row construction by wrapping this name."""
         w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
         bubbles = self.bubble_masks
         if type(w) is not int or w < 0:
             raise ValueError(f"row width must be an int >= 0, not {w!r}")
         union = zeros | ones | twos
+        if type(union) is not int:
+            raise TypeError("row parts must be int bitmasks")
         total = zeros.bit_count() + ones.bit_count() + twos.bit_count()
         promote = False
         for bubble in bubbles:
@@ -120,13 +116,13 @@ class Row:
 
     def __reduce__(self):
         # pickle and copy rebuild through the validating constructor
-        return Row.from_masks, (self.w, self.zero_mask, self.one_mask,
-                                self.two_mask, self.bubble_masks)
+        return Row, (self.w, self.zero_mask, self.one_mask, self.two_mask,
+                     self.bubble_masks)
 
     @classmethod
     def powerset(cls, w: int) -> "Row":
         """The all-free row denoting every subset of {1..w}."""
-        return cls.from_masks(w, 0, 0, (1 << w + 1) - 2)
+        return cls(w, 0, 0, (1 << w + 1) - 2)
 
     def _key(self):
         return (self.w, self.zero_mask, self.one_mask, self.two_mask,
@@ -179,15 +175,11 @@ class Row:
             value *= (x + 1) ** bubble.bit_count() - 1
         return value
 
-    def counts_by_size(self, limit: int) -> list[int]:
-        """Exact member counts per cardinality, indexed k = 0..limit."""
-        return size_counts((self,), self.w, limit)
-
     def count_of_size(self, k: int) -> int:
         """Number of represented sets of cardinality exactly k."""
         if k < 0 or k > self.w:
             return 0
-        return self.counts_by_size(k)[k]
+        return size_counts((self,), self.w, k)[k]
 
     # ----- generation ------------------------------------------------------
 
@@ -273,12 +265,12 @@ class Row:
         w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
         bubbles = self.bubble_masks
         if bit & twos:
-            return Row.from_masks(w, zeros, ones | bit, twos ^ bit, bubbles)
+            return Row(w, zeros, ones | bit, twos ^ bit, bubbles)
         for i, bubble in enumerate(bubbles):
             if bit & bubble:
                 # v satisfies the bubble; the other positions become free
-                return Row.from_masks(w, zeros, ones | bit, twos | bubble ^ bit,
-                                      bubbles[:i] + bubbles[i + 1:])
+                return Row(w, zeros, ones | bit, twos | bubble ^ bit,
+                           bubbles[:i] + bubbles[i + 1:])
 
     def forbid(self, v: int) -> "Row | None":
         """Restrict to members avoiding v; None if every member holds v."""
@@ -290,12 +282,12 @@ class Row:
         w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
         bubbles = self.bubble_masks
         if bit & twos:
-            return Row.from_masks(w, zeros | bit, ones, twos ^ bit, bubbles)
+            return Row(w, zeros | bit, ones, twos ^ bit, bubbles)
         for i, bubble in enumerate(bubbles):
             if bit & bubble:
                 # the constructor promotes a singleton remainder to a forced 1
-                return Row.from_masks(w, zeros | bit, ones, twos,
-                                      bubbles[:i] + (bubble ^ bit,) + bubbles[i + 1:])
+                return Row(w, zeros | bit, ones, twos,
+                           bubbles[:i] + (bubble ^ bit,) + bubbles[i + 1:])
 
     # ----- canonical text form ----------------------------------------------
 
@@ -312,17 +304,6 @@ class Row:
             for v in _vertices(bubble):
                 token[v] = f"e{i}"
         return " ".join(token[1:])
-
-
-def _store(row: Row, w: int, zeros: int, ones: int, twos: int,
-           bubbles: tuple[int, ...]) -> None:
-    """Fill a fresh row's masks and run the one validation path on it."""
-    _set(row, "w", w)
-    _set(row, "zero_mask", zeros)
-    _set(row, "one_mask", ones)
-    _set(row, "two_mask", twos)
-    _set(row, "bubble_masks", bubbles)
-    row.__post_init__()
 
 
 def size_counts(rows: Iterable[Row], w: int, limit: int | None = None) -> list[int]:
@@ -352,9 +333,8 @@ def bubble_segment_counts(sizes: Iterable[int], limit: int) -> list[list[int]]:
     for n in sizes:
         # size-1 bubbles are promoted to forced positions, so carry the ones
         bubble = (1 << row.w + n + 1) - (1 << row.w + 1)
-        row = Row.from_masks(row.w + n, 0, row.one_mask, 0,
-                             row.bubble_masks + (bubble,))
-        segments.append(row.counts_by_size(limit))
+        row = Row(row.w + n, 0, row.one_mask, 0, row.bubble_masks + (bubble,))
+        segments.append(size_counts((row,), row.w, limit))
     return segments
 
 
@@ -365,19 +345,15 @@ def row_from_tokens(text: str) -> Row:
     token string controls the generation order of the resulting row.
     """
     tokens = text.split()
-    zeros, ones, twos = set(), set(), set()
-    groups: dict[str, set[int]] = {}
+    parts = {"0": 0, "1": 0, "2": 0}
+    groups: dict[str, int] = {}
     for pos, tok in enumerate(tokens, start=1):
-        if tok == "0":
-            zeros.add(pos)
-        elif tok == "1":
-            ones.add(pos)
-        elif tok == "2":
-            twos.add(pos)
+        if tok in parts:
+            parts[tok] |= 1 << pos
         elif tok == "e" or (tok.startswith("e") and tok[1:].isdigit()):
-            groups.setdefault(tok, set()).add(pos)
+            groups[tok] = groups.get(tok, 0) | 1 << pos
         else:
             raise ValueError(f"bad row token {tok!r}")
     order = sorted(groups, key=lambda t: 0 if t == "e" else int(t[1:]))
-    return Row(len(tokens), zeros, ones, twos,
-               tuple(frozenset(groups[t]) for t in order))
+    return Row(len(tokens), parts["0"], parts["1"], parts["2"],
+               [groups[t] for t in order])

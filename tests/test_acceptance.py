@@ -16,7 +16,7 @@ from transversals import (Hypergraph, Row, brute_transversals, count_total,
                           is_feasible, row_census, row_census_brute,
                           row_from_tokens, run, spectrum, transversal_number,
                           transversals_of_size, vertex_mask)
-from transversals.rows import bubble_segment_counts
+from transversals.rows import bubble_segment_counts, size_counts
 from conftest import (DEMO_FINAL_ROWS, DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL)
 
 CORPUS_SIZE = 200
@@ -63,9 +63,8 @@ def test_criterion_2_transversal_number(demo_family):
 
 
 def test_criterion_3_per_row_counting():
-    row = Row(12, (), (), (), [frozenset({1, 2}), frozenset({3, 4, 5}),
-                               frozenset({6, 7, 8}), frozenset({9, 10, 11, 12})])
-    assert row.counts_by_size(12)[4:] == [72, 288, 534, 594, 431, 208, 65, 12, 1]
+    row = row_from_tokens("e1 e1 e2 e2 e2 e3 e3 e3 e4 e4 e4 e4")
+    assert size_counts((row,), 12, 12)[4:] == [72, 288, 534, 594, 431, 208, 65, 12, 1]
     segments = bubble_segment_counts([2, 3, 3, 4], 5)
     assert segments[0] == [0, 2, 1, 0, 0, 0]
     assert segments[1] == [0, 0, 6, 9, 5, 1]

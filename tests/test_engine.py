@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -41,19 +42,19 @@ class TestImpose:
         ]
 
     def test_forced_hit_passes_through(self):
-        r = Row(3, (), {2}, {1, 3})
+        r = row_from_tokens("2 1 2")
         assert impose(r, vertex_mask({2, 3})) == [r]
 
     def test_contained_bubble_passes_through(self):
-        r = Row(4, (), (), {3, 4}, [{1, 2}])
+        r = row_from_tokens("e1 e1 2 2")
         assert impose(r, vertex_mask({1, 2})) == [r]
 
     def test_unreachable_edge_kills_row(self):
-        r = Row(3, {1, 2}, (), {3})
+        r = row_from_tokens("0 0 2")
         assert impose(r, vertex_mask({1, 2})) == []
 
     def test_sons_partition_the_hitters(self):
-        r = Row(6, {6}, (), {1, 2}, [{3, 4, 5}])
+        r = row_from_tokens("2 2 e1 e1 e1 0")
         edge = {1, 3, 6}
         sons = impose(r, vertex_mask(edge))
         expanded = [x for s in sons for x in s.members()]
@@ -71,7 +72,8 @@ class TestWideMasks:
     TWOS = set(range(1, W + 1)) - ZEROS - ONES - {64, 65, 100, 128, 129}
 
     def row(self):
-        return Row(self.W, self.ZEROS, self.ONES, self.TWOS, self.BUBBLES)
+        return Row(self.W, *map(vertex_mask, (self.ZEROS, self.ONES, self.TWOS)),
+                   map(vertex_mask, self.BUBBLES))
 
     @staticmethod
     def parts(row):
@@ -173,7 +175,7 @@ class TestBenchmarkHooks:
         assert rechecked == []
 
     def test_passthrough_returns_the_same_row(self):
-        row = Row(3, (), {2}, {1, 3})
+        row = row_from_tokens("2 1 2")
         sons = impose(row, vertex_mask({2, 3}))
         assert len(sons) == 1 and sons[0] is row
 
@@ -200,6 +202,19 @@ class TestRun:
     def test_no_edges(self):
         family = run(parse_hypergraph("3 0\n"))
         assert [r.render() for r in family.rows] == ["2 2 2"]
+
+    def test_many_edges_keep_engine_state_small(self):
+        # the sons' pending edges are sliced once per split; one list per
+        # edge index would hold h(h + 1)/2 references, 8 million at h = 4000
+        hg = Hypergraph(2, ((1, 2),) * 4000)
+        tracemalloc.start()
+        try:
+            rows = list(final_rows(hg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.render() for row in rows] == ["e1 e1"]
+        assert peak < 1 << 20
 
     def test_forced_vertices(self):
         family = run(Hypergraph(2, ((1,), (2,))))

@@ -14,9 +14,11 @@ from transversals import (Hypergraph, HypergraphError, Row, Spectrum, Tally,
                           count_total, filter_family, final_rows, impose,
                           inclusion_exclusion_count, is_feasible,
                           load_hypergraph, parse_hypergraph, render_hypergraph,
-                          run, spectrum, subset_reduced, superset_reduced,
-                          transversal_number, transversals_of_size, vertex_mask)
+                          row_from_tokens, run, spectrum, subset_reduced,
+                          superset_reduced, transversal_number,
+                          transversals_of_size, vertex_mask)
 from transversals.analytics import filter_rows
+from transversals.rows import size_counts
 from conftest import drain, mask_vertices
 
 
@@ -35,7 +37,8 @@ def rows_st(draw, min_w=0, max_w=8):
             twos.add(v)
         else:
             groups.setdefault(label, set()).add(v)
-    return Row(w, zeros, ones, twos, tuple(map(frozenset, groups.values())))
+    return Row(w, vertex_mask(zeros), vertex_mask(ones), vertex_mask(twos),
+               map(vertex_mask, groups.values()))
 
 
 @st.composite
@@ -65,7 +68,7 @@ def test_row_parts_partition_ground_set(r):
 
 @given(rows_st())
 def test_counts_sum_to_size(r):
-    assert sum(r.counts_by_size(r.w)) == r.size()
+    assert sum(size_counts((r,), r.w, r.w)) == r.size()
 
 
 @given(rows_st())
@@ -73,7 +76,7 @@ def test_counts_match_brute_force(r):
     by_size = [0] * (r.w + 1)
     for x in brute_members(r):
         by_size[len(x)] += 1
-    assert r.counts_by_size(r.w) == by_size
+    assert size_counts((r,), r.w, r.w) == by_size
 
 
 @given(rows_st())
@@ -82,6 +85,11 @@ def test_minimum_size_count_is_bubble_product(r):
     for bubble in r.bubble_masks:
         product *= bubble.bit_count()
     assert r.count_of_size(r.c_min) == product
+
+
+@given(rows_st())
+def test_tokens_round_trip(r):
+    assert row_from_tokens(r.render()) == r
 
 
 @given(rows_st(), st.integers(0, 8))
@@ -122,8 +130,8 @@ def reference_members_of_size(row, k):
 @given(rows_st(max_w=10), st.data())
 def test_generation_order_matches_reference(r, data):
     # any stored bubble order, not only the canonical one rows_st gives
-    r = Row.from_masks(r.w, r.zero_mask, r.one_mask, r.two_mask,
-                       tuple(data.draw(st.permutations(r.bubble_masks))))
+    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
+            data.draw(st.permutations(r.bubble_masks)))
     # k in -1..w+1, mostly a size the row has members of
     k = data.draw(st.integers(r.c_min, r.c_max) | st.integers(-1, r.w + 1))
     assert list(r.members_of_size(k)) == list(reference_members_of_size(r, k))

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from transversals import Row, bubble_segment_counts, row_from_tokens, vertex_mask
-from conftest import mask_vertices
+from transversals.rows import size_counts
 
 
 def brute_members(row, k=None):
@@ -35,66 +35,78 @@ class TestConstruction:
         start = time.perf_counter()
         r = Row.powerset(w)
         elapsed = time.perf_counter() - start
-        assert r == Row.from_masks(w, 0, 0, (1 << w + 1) - 2)
+        assert r == Row(w, 0, 0, (1 << w + 1) - 2)
         assert elapsed < 1.0
 
     def test_singleton_bubble_promoted(self):
-        r = Row(3, (), (), {1}, [{2}, {3}])
+        r = row_from_tokens("2 e1 e2")
         assert r.one_mask == vertex_mask({2, 3})
         assert r.bubble_masks == ()
 
     def test_empty_bubble_rejected(self):
         with pytest.raises(ValueError):
-            Row(2, (), (), {1, 2}, [set()])
+            Row(2, 0, 0, vertex_mask({1, 2}), [0])
 
     def test_overlapping_parts_rejected(self):
         with pytest.raises(ValueError):
-            Row(2, {1}, {1}, {2})
+            Row(2, vertex_mask({1}), vertex_mask({1}), vertex_mask({2}))
 
     def test_incomplete_partition_rejected(self):
         with pytest.raises(ValueError):
-            Row(3, {1}, (), {2})
+            Row(3, vertex_mask({1}), 0, vertex_mask({2}))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            Row(2, {1}, (), {2, 5})
+            Row(2, vertex_mask({1}), 0, vertex_mask({2, 5}))
 
-    @pytest.mark.parametrize("zeros, twos", [
-        ({0}, {1, 2}),              # vertex 0
-        ({-1}, {1, 2}),             # negative vertex
-        ({1}, {2, 3}),              # vertex > w
-        ({1.0}, {2}),               # non-int vertex
-        (("1",), {2}),
-        ((None,), {1, 2}),
-        ({True}, {2}),
-    ])
-    def test_bad_vertex_rejected_with_partition_message(self, zeros, twos):
+    @pytest.mark.parametrize("mask", [0b111, 0b1110, -0b110],
+                             ids=["bit-0", "above-w", "negative"])
+    def test_bad_mask_rejected_with_partition_message(self, mask):
+        # bit 0, a bit above w and a negative mask (infinitely many high
+        # bits) all reach outside 1..w, as a part or as a bubble
         with pytest.raises(ValueError, match=r"^row parts do not partition 1\.\.2$"):
-            Row(2, zeros, (), twos)
+            Row(2, 0, 0, mask)
         with pytest.raises(ValueError, match=r"^row parts do not partition 1\.\.2$"):
-            Row(2, (), (), twos, [set(zeros) | {1}])
+            Row(2, 0, 0, 0, [mask])
+
+    @pytest.mark.parametrize("vertex", [0, -1, 1.0, "1", None, True],
+                             ids=["zero", "negative", "float", "str", "none", "bool"])
+    def test_vertex_mask_rejects_bad_vertex(self, vertex):
+        # vertex sets become masks here only, so a bad vertex stops here
+        with pytest.raises(ValueError, match=r"is not an int >= 1$"):
+            vertex_mask({2, vertex})
+
+    @pytest.mark.parametrize("parts", [
+        ({1}, 0, 0b110),                                   # a vertex set
+        (frozenset(), frozenset({1}), frozenset({2})),     # only vertex sets
+        (0, 0, 6.0),
+        (0, 0, 0, [{1, 2}]),                               # a set as bubble
+        (0, 0, 0, ["0b110"]),
+    ], ids=["set", "all-sets", "float", "set-bubble", "str-bubble"])
+    def test_non_int_part_rejected(self, parts):
+        with pytest.raises(TypeError):
+            Row(2, *parts)
 
     def test_overlap_message(self):
         with pytest.raises(ValueError, match="^row parts overlap$"):
-            Row(3, (), {2}, {1, 3}, [{2}])
+            Row(3, 0, vertex_mask({2}), vertex_mask({1, 3}), [vertex_mask({2})])
         with pytest.raises(ValueError, match="^row parts overlap$"):
-            Row(3, (), (), {1, 2, 3}, [{2, 3}])
+            Row(3, 0, 0, vertex_mask({1, 2, 3}), [vertex_mask({2, 3})])
 
     def test_masks_take_the_same_validation(self):
-        assert Row.from_masks(2, 0, 0, 0b110) == Row.powerset(2)
-        assert Row.from_masks(3, 0, 0, 0b10, (0b1000, 0b100)).one_mask == \
-            vertex_mask({2, 3})
+        assert Row(2, 0, 0, 0b110) == Row.powerset(2)
+        assert Row(3, 0, 0, 0b10, (0b1000, 0b100)).one_mask == vertex_mask({2, 3})
         with pytest.raises(ValueError, match="^empty e-bubble$"):
-            Row.from_masks(2, 0, 0, 0b110, (0,))
+            Row(2, 0, 0, 0b110, (0,))
         with pytest.raises(ValueError, match="^row parts overlap$"):
-            Row.from_masks(2, 0b10, 0b10, 0b100)
+            Row(2, 0b10, 0b10, 0b100)
         with pytest.raises(ValueError, match=r"^row parts do not partition 1\.\.2$"):
-            Row.from_masks(2, 0b1, 0, 0b110)
+            Row(2, 0b1, 0, 0b110)
 
     def test_bad_width_rejected(self):
         for w in (-1, -5, 2.0):
             with pytest.raises(ValueError, match="row width"):
-                Row(w, (), (), ())
+                Row(w, 0, 0, 0)
 
     def test_immutable(self):
         r = Row.powerset(2)
@@ -110,25 +122,18 @@ class TestConstruction:
         for again in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
             assert again == r and again.bubble_masks == r.bubble_masks
 
-    def test_masks_and_sets_agree(self):
-        r = Row(5, {1}, {2}, (), [{3, 5}, {4}])
-        assert (r.zero_mask, r.one_mask, r.two_mask, r.bubble_masks) == (
-            vertex_mask({1}), vertex_mask({2, 4}), 0, (vertex_mask({3, 5}),))
-        parts = map(mask_vertices, (r.zero_mask, r.one_mask, r.two_mask))
-        assert (*parts, tuple(map(mask_vertices, r.bubble_masks))) == (
-            {1}, {2, 4}, frozenset(), (frozenset({3, 5}),))
-
     def test_empty_ground_set(self):
-        r = Row(0, (), (), ())
+        r = Row(0, 0, 0, 0)
         assert r.size() == 1
         assert r.contains(())
 
     def test_equality_ignores_bubble_order(self):
-        a = Row(4, (), (), (), [{1, 2}, {3, 4}])
-        b = Row(4, (), (), (), [{3, 4}, {1, 2}])
+        a = row_from_tokens("e1 e1 e2 e2")
+        b = row_from_tokens("e2 e2 e1 e1")
+        assert a.bubble_masks == b.bubble_masks[::-1]
         assert a == b
         assert hash(a) == hash(b)
-        assert a != Row(4, (), (), (), [{1, 3}, {2, 4}])
+        assert a != row_from_tokens("e1 e2 e1 e2")
 
 
 class TestMembership:
@@ -156,7 +161,7 @@ class TestSize:
         assert r1.size() == 7560
 
     def test_single_bubble(self):
-        assert Row(2, (), (), (), [{1, 2}]).size() == 3
+        assert row_from_tokens("e1 e1").size() == 3
 
     def test_cardinality_bounds(self):
         r5 = row_from_tokens("2 2 0 0 0 0 0 1 1 1 e1 e1 2 2")
@@ -169,12 +174,11 @@ class TestSize:
 
 class TestCounting:
     # the four-bubble row with block sizes 2, 3, 3, 4
-    R0 = Row(12, (), (), (), [frozenset({1, 2}), frozenset({3, 4, 5}),
-                              frozenset({6, 7, 8}), frozenset({9, 10, 11, 12})])
+    R0 = row_from_tokens("e1 e1 e2 e2 e2 e3 e3 e3 e4 e4 e4 e4")
 
     def test_coefficient_vector(self):
-        assert self.R0.counts_by_size(12) == [0, 0, 0, 0, 72, 288, 534, 594,
-                                              431, 208, 65, 12, 1]
+        assert size_counts((self.R0,), 12, 12) == [0, 0, 0, 0, 72, 288, 534,
+                                                   594, 431, 208, 65, 12, 1]
 
     def test_segment_prefix_counts(self):
         assert bubble_segment_counts([2, 3, 3, 4], 5) == [
@@ -193,27 +197,27 @@ class TestCounting:
         assert r1.count_of_size(r1.c_max) == 1
 
     def test_counts_sum_to_size(self):
-        assert sum(self.R0.counts_by_size(12)) == self.R0.size() == 2205
+        assert sum(size_counts((self.R0,), 12, 12)) == self.R0.size() == 2205
 
     def test_size_zero_count(self):
         assert Row.powerset(3).count_of_size(0) == 1
-        assert Row(2, (), {1}, {2}).count_of_size(0) == 0
-        assert Row(2, (), (), (), [{1, 2}]).count_of_size(0) == 0
+        assert row_from_tokens("1 2").count_of_size(0) == 0
+        assert row_from_tokens("e1 e1").count_of_size(0) == 0
 
     def test_counts_wider_than_64_bits(self):
-        assert Row.powerset(200).counts_by_size(200) == \
+        assert size_counts((Row.powerset(200),), 200, 200) == \
             [comb(200, k) for k in range(201)]
 
     def test_counts_against_brute_force(self):
-        r = Row(7, {4}, {6}, {1, 7}, [{2, 3, 5}])
+        r = row_from_tokens("2 e1 e1 0 e1 1 2")
         expected = [len(brute_members(r, k)) for k in range(8)]
-        assert r.counts_by_size(7) == expected
+        assert size_counts((r,), 7, 7) == expected
 
     def test_binomial_row(self):
         # a free block counts by a full binomial row, a bubble by one
         # without the empty pick
-        assert Row.powerset(5).counts_by_size(5) == [1, 5, 10, 10, 5, 1]
-        assert Row.powerset(0).counts_by_size(0) == [1]
+        assert size_counts((Row.powerset(5),), 5, 5) == [1, 5, 10, 10, 5, 1]
+        assert size_counts((Row.powerset(0),), 0, 0) == [1]
         assert bubble_segment_counts([5], 5) == [[0, 5, 10, 10, 5, 1]]
 
 
@@ -228,17 +232,17 @@ class TestGeneration:
         assert sorted(out) == sorted(brute_members(r, 6))
 
     def test_single_bubble(self):
-        r = Row(2, (), (), (), [{1, 2}])
+        r = row_from_tokens("e1 e1")
         assert list(r.members_of_size(1)) == [(1,), (2,)]
         assert list(r.members_of_size(2)) == [(1, 2)]
 
     def test_out_of_range_k(self):
-        r = Row(2, (), (), (), [{1, 2}])
+        r = row_from_tokens("e1 e1")
         assert list(r.members_of_size(0)) == []
         assert list(r.members_of_size(3)) == []
 
     def test_only_forced_positions(self):
-        r = Row(3, {1}, {2, 3}, ())
+        r = row_from_tokens("0 1 1")
         assert list(r.members_of_size(2)) == [(2, 3)]
         assert list(r.members_of_size(1)) == []
 
@@ -264,7 +268,7 @@ class TestGeneration:
         assert peak < 1 << 20
 
     def test_matches_counts(self):
-        r = Row(8, {8}, {5}, {1, 4}, [{3, 7}, {2, 6}])
+        r = row_from_tokens("2 e2 e1 2 1 e2 e1 0")
         for k in range(9):
             got = list(r.members_of_size(k))
             assert len(got) == r.count_of_size(k)
@@ -278,7 +282,7 @@ class TestFullExpansion:
             brute_members(Row.powerset(3)))
 
     def test_single_bubble(self):
-        assert sorted(Row(2, (), (), (), [{1, 2}]).members()) == [
+        assert sorted(row_from_tokens("e1 e1").members()) == [
             (1,), (1, 2), (2,)]
 
     def test_demo_row_expands_to_size(self):
@@ -301,44 +305,44 @@ class TestSurgery:
         assert got.render() == "2 2 0 0 0 1 0 1 1 1 2 2 2 2"
 
     def test_require_is_idempotent_on_ones(self):
-        r = Row(3, (), {1}, {2, 3})
+        r = row_from_tokens("1 2 2")
         assert r.require(1) is r
 
     def test_forbid_is_idempotent_on_zeros(self):
-        r = Row(3, {1}, (), {2, 3})
+        r = row_from_tokens("0 2 2")
         assert r.forbid(1) is r
 
     def test_dead_results(self):
-        r = Row(3, {1}, {2}, {3})
+        r = row_from_tokens("0 1 2")
         assert r.require(1) is None
         assert r.forbid(2) is None
 
     def test_free_position_moves(self):
-        r = Row(3, (), (), {1, 2, 3})
+        r = row_from_tokens("2 2 2")
         assert r.require(2).one_mask == vertex_mask({2})
         assert r.forbid(2).zero_mask == vertex_mask({2})
 
     def test_bubble_hit_releases_rest(self):
-        r = Row(4, (), (), (), [{1, 2, 3, 4}])
+        r = row_from_tokens("e1 e1 e1 e1")
         got = r.require(2)
         assert got.one_mask == vertex_mask({2})
         assert got.two_mask == vertex_mask({1, 3, 4}) and not got.bubble_masks
 
     def test_forbid_shrinks_bubble_to_forced(self):
-        r = Row(2, (), (), (), [{1, 2}])
+        r = row_from_tokens("e1 e1")
         got = r.forbid(1)
         assert got.zero_mask == vertex_mask({1}) and got.one_mask == vertex_mask({2})
 
     def test_unknown_vertex(self):
         with pytest.raises(ValueError):
-            Row(2, (), (), {1, 2}).require(9)
+            row_from_tokens("2 2").require(9)
         for cut in (Row.require, Row.forbid):
             with pytest.raises(ValueError, match="vertex True not in ground set"):
                 cut(Row.powerset(3), True)
 
     @pytest.mark.parametrize("v", range(1, 8))
     def test_matches_brute_filter(self, v):
-        r = Row(7, {4}, {6}, {1, 7}, [{2, 3, 5}])
+        r = row_from_tokens("2 e1 e1 0 e1 1 2")
         kept = r.require(v)
         expected = sorted(x for x in brute_members(r) if v in x)
         assert sorted(kept.members() if kept else []) == expected

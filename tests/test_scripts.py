@@ -26,7 +26,7 @@ def test_query_on_default_file():
 @pytest.mark.parametrize("args, message", [
     (["--require", "99"], "error: vertex 99 not in ground set 1..14\n"),
     (["--require", "3", "--forbid", "3"], "error: require and forbid overlap on [3]\n"),
-    (["--require", "x"], "error: invalid literal for int() with base 10: 'x'\n"),
+    (["--require", "x"], "error: bad vertex list 'x'\n"),
 ], ids=["outside-ground-set", "overlap", "not-an-integer"])
 def test_bad_condition(args, message):
     assert walkthrough(*args) == (2, "", message)
