@@ -1,7 +1,7 @@
 """Randomized cross-check experiment: on random hypergraphs, compare the
 engine's exact counts against the brute-force sweep and the
-inclusion-exclusion oracle, the size-k transversals of every windowed
-stream ``final_rows(hg, k, k)`` against the brute-force sets of size k,
+inclusion-exclusion oracle, the size-k transversals of every stream
+``final_rows(hg, k)`` for a fixed k against the brute-force sets of size k,
 and the output of ``transversals count FILE --exactly k`` for every k in
 -1..w+1 against inclusion-exclusion; report compression statistics (final
 rows R versus represented transversals N).
@@ -73,22 +73,22 @@ def main() -> int:
         sp = spectrum(family)
         per_k_ok = all(sp.counts[k] == inclusion_exclusion_count(hg, k)
                        for k in range(hg.w + 1))
-        window_ok = all(
+        size_k_ok = all(
             sorted(chain.from_iterable(
-                r.members_of_size(k) for r in final_rows(hg, k, k)))
+                r.members_of_size(k) for r in final_rows(hg, k)))
             == [x for x in brute if len(x) == k]
             for k in range(hg.w + 1))
         exactly_ok = all(
             cli_count_exactly(path, k)
             == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
             for k in range(-1, hg.w + 2))
-        ok = (n_engine == n_brute == n_ie and per_k_ok and window_ok
+        ok = (n_engine == n_brute == n_ie and per_k_ok and size_k_ok
               and exactly_ok)
         if not ok:
             mismatches += 1
             print(f"[{i}] MISMATCH on w={hg.w} h={hg.h}: engine={n_engine}, "
                   f"brute={n_brute}, ie={n_ie}, per_k_ok={per_k_ok}, "
-                  f"window_ok={window_ok}, exactly_ok={exactly_ok}")
+                  f"size_k_ok={size_k_ok}, exactly_ok={exactly_ok}")
         if n_engine:
             ratio_sum += len(family.rows) / n_engine
         s_max_seen = max(s_max_seen, family.stats.s_max)

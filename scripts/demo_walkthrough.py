@@ -25,9 +25,13 @@ DEFAULT_FILE = pathlib.Path(__file__).resolve().parent.parent / "data" / "sample
 
 
 def vertex_list(text: str) -> list[int]:
-    """The vertices of a comma-separated list such as ``8,9``."""
+    """The vertices of a comma-separated list such as ``8,9``, read as the
+    CLI reads them: a blank list is empty, an empty token is an error."""
+    text = text.strip()
+    if not text:
+        return []
     try:
-        return [int(v) for v in text.split(",") if v]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"bad vertex list {text!r}") from None
 

@@ -1,7 +1,7 @@
 """Counting, generation and query filtering over the engine's final rows,
 stored in a RowFamily or streamed by :func:`~transversals.engine.final_rows`.
 A stored family always holds every transversal, so its answers need no
-window check; a cardinality window exists only on the stream, as in
+size check; a fixed cardinality k exists only on the stream, as in
 :func:`count_exactly`.
 
 Every answer is one pass over the rows: :class:`Tally` (R, N, k_min and
@@ -123,14 +123,15 @@ def count_exactly(hg: Hypergraph, k: int) -> int:
     """Number of transversals of cardinality exactly k, the paper's counting
     task, with no transversal generated and no row stored.
 
-    The engine runs only in the window [k, k], which keeps every final row
-    holding a size-k transversal (see :func:`~transversals.engine.final_rows`),
-    and the answer is digit k of the rows' summed size polynomials.  A k
-    outside 0..w gives 0 without a run.
+    The engine run for k keeps only the final rows holding a size-k
+    transversal (see :func:`~transversals.engine.final_rows`), and the
+    answer is digit k of the rows' summed size polynomials.  An int k
+    outside 0..w gives 0 without a run; the engine refuses any other k
+    (``True``, ``2.5`` or ``"3"``) with ValueError.
     """
-    if not 0 <= k <= hg.w:
+    if type(k) is int and not 0 <= k <= hg.w:
         return 0
-    return size_counts(final_rows(hg, k, k), hg.w, k)[k]
+    return size_counts(final_rows(hg, k), hg.w, k)[k]
 
 
 def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]:

@@ -89,18 +89,21 @@ def _parse_vertex_list(text: str) -> tuple[int, ...]:
         raise HypergraphError(f"bad vertex list {text!r}") from exc
 
 
-def _verify(answer: int, checks) -> int:
-    """Compare ``answer`` with each (name, size name, size, limit, unit, oracle)."""
+def _verify(args, answer: int, checks) -> int:
+    """Compare ``answer`` with each (name, size name, size, limit, unit, oracle);
+    under ``--json`` the verify lines go to stderr, so stdout is one object."""
+    out = sys.stderr if args.json else sys.stdout
     for name, size_name, size, limit, unit, oracle in checks:
         if size > limit:
-            print(f"verify {name}: skipped ({size_name} > {limit}: 2^{size} {unit})")
+            print(f"verify {name}: skipped ({size_name} > {limit}: 2^{size} {unit})",
+                  file=out)
             continue
         got = oracle()
         if got != answer:
             print(f"verification mismatch: {name} says {got}, "
                   f"engine says {answer}", file=sys.stderr)
             return EXIT_MISMATCH
-        print(f"verify {name}: {got} ok")
+        print(f"verify {name}: {got} ok", file=out)
     return EXIT_OK
 
 
@@ -136,7 +139,7 @@ def _cmd_count(args, hg: Hypergraph) -> int:
 
     if not args.verify:
         return EXIT_OK
-    return _verify(tally.n_total, (
+    return _verify(args, tally.n_total, (
         ("brute force", "w", hg.w, BRUTE_VERTEX_LIMIT, "masks",
          lambda: len(brute_transversals(hg))),
         ("inclusion-exclusion", "h", hg.h, IE_EDGE_LIMIT, "subsets",
@@ -157,7 +160,7 @@ def _count_exactly(args, hg: Hypergraph) -> int:
         print(f"N(|X| = {k}) = {count}")
     if not args.verify:
         return EXIT_OK
-    return _verify(count, (
+    return _verify(args, count, (
         ("inclusion-exclusion", "h", hg.h, IE_EDGE_LIMIT, "subsets",
          lambda: inclusion_exclusion_count(hg, k)),))
 
@@ -173,9 +176,9 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
         raise ValueError("--limit must be >= 0")
     if not 0 <= args.k <= hg.w:
         return EXIT_OK
-    # the [k, k] window yields only the rows holding size-k transversals
+    # the run for k yields only the rows holding size-k transversals
     found = itertools.chain.from_iterable(
-        row.members_of_size(args.k) for row in final_rows(hg, args.k, args.k))
+        row.members_of_size(args.k) for row in final_rows(hg, args.k))
     if args.limit is not None:
         found = itertools.islice(found, args.limit)
     for xs in found:

@@ -24,7 +24,7 @@ class RunStats:
 class RowFamily:
     """Ordered list of pairwise-disjoint rows whose members are exactly the
     transversals, plus the run bookkeeping.  A stored family is always
-    complete; a cardinality window lives only on :func:`final_rows`.
+    complete; a fixed cardinality k lives only on :func:`final_rows`.
     """
 
     w: int
@@ -79,75 +79,63 @@ def is_feasible(row: Row, pending: Iterable[int]) -> bool:
     return True
 
 
-def final_rows(hg: Hypergraph, min_card: int | None = None,
-               max_card: int | None = None) -> Generator[Row, None, RunStats]:
+def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, RunStats]:
     """Impose all edges in input order and yield the final rows one by one;
     the generator returns the run's :class:`RunStats` (the value of its
     ``StopIteration``).  Only the work stack is held, so a caller that folds
     the rows as they come needs no memory for them; :func:`run` stores them.
-    A bad window raises ValueError when the first row is asked for.
+    A ``k`` other than None or an int >= 0 raises ValueError when the first
+    row is asked for.
 
     The work stack is LIFO and sons are pushed so that the first son of a
     split is processed first; together with the fixed son order of
     :func:`impose` this makes the traversal, the final row order and all
     statistics deterministic.
 
-    ``min_card`` and ``max_card`` set a cardinality window: sons with
-    ``c_max < min_card`` or ``c_min > max_card`` are pruned.  This is sound
-    because along every path of the run ``c_min`` never falls and ``c_max``
-    never rises.  :func:`impose` keeps the ones, gives every cut bubble a
-    non-empty part in its own son and leaves the earlier cut bubbles a
-    non-empty rest (an empty rest would mean the bubble lies inside the
-    edge, and the row passes through); a one-position part or rest becomes
-    a forced 1, and the free son adds one bubble or 1.  So ``c_min`` =
-    |ones| + |bubbles| cannot fall, and ``c_max`` = w - |zeros| cannot rise
-    since zeros only grow.  A row pruned for its window therefore has no
-    final descendant that meets the window, and every final row of the full
-    run that meets it has only admissible ancestors.  The windowed run thus
-    keeps exactly the final rows of the full run whose member sizes
-    ``c_min..c_max`` meet ``min_card..max_card``, in the same order.  Member
-    sizes of a row are contiguous from ``c_min`` to ``c_max`` (add free
-    positions or bubble positions one at a time), so the window [k, k]
-    keeps exactly the rows that hold a transversal of size k, and the size-k
-    members come out as from the full run.
+    With an int ``k`` the run keeps exactly the final rows of the full run
+    that hold a transversal of size k, in the same order: sons with
+    ``c_min > k`` or ``c_max < k`` are pruned.  This is sound because along
+    every path ``c_min`` never falls and ``c_max`` never rises.
+    :func:`impose` keeps the ones, gives every cut bubble a non-empty part
+    in its own son and leaves the earlier cut bubbles a non-empty rest (an
+    empty rest would mean the bubble lies inside the edge, and the row
+    passes through); a one-position part or rest becomes a forced 1, and
+    the free son adds one bubble or 1.  So ``c_min`` = |ones| + |bubbles|
+    cannot fall, and ``c_max`` = w - |zeros| cannot rise since zeros only
+    grow.  A pruned row therefore has no final descendant with k in
+    ``c_min..c_max``, and every final row of the full run that has it there
+    has only unpruned ancestors.  Member sizes of a row are contiguous from
+    ``c_min`` to ``c_max`` (add free positions or bubble positions one at a
+    time), so these are exactly the rows holding a size-k transversal.
 
-    Two checks are skipped because their answer is known.  A row is on the
-    stack only if it was admissible for its pending edges, and a suffix of
-    them is a subset.  (1) When :func:`impose` passes the row through, it
-    keeps its zeros, ``c_min`` and ``c_max`` and so stays admissible.
-    Pushing and popping it at once would change neither ``max_stack`` nor
-    the final order, nor ``s_max``, which the first imposition (a split of
-    the all-free root) has already raised to 1; so the next edge is imposed
-    on it directly.  (2) :func:`impose` builds its first son before zeroing
-    any cut part, so that son keeps the row's zeros and ``c_max`` and is
-    feasible and above ``min_card``; only its ``c_min <= max_card`` is
-    checked.  An admissible row always has a son, since no pending edge
-    lies inside its zeros.
+    Three checks are skipped because their answer is known.  A row is on
+    the stack only if it was admissible (feasible for its pending edges,
+    and with k in ``c_min..c_max`` if k is set), and a suffix of them is a
+    subset.  (1) The root has no zeros and
+    :class:`~transversals.hypergraph.Hypergraph` rejects empty edges, so no
+    edge lies inside its zeros; only ``k <= w`` is checked.  (2) When
+    :func:`impose` passes the row through, it keeps its zeros, ``c_min``
+    and ``c_max`` and so stays admissible.  Pushing and popping it at once
+    would change neither ``max_stack`` nor the final order, nor ``s_max``,
+    which the first imposition (a split of the all-free root) has already
+    raised to 1; so the next edge is imposed on it directly.  (3)
+    :func:`impose` builds its first son before zeroing any cut part, so
+    that son keeps the row's zeros and ``c_max`` and is feasible with
+    ``c_max >= k``; only its ``c_min <= k`` is checked.  An admissible row
+    always has a son, since no pending edge lies inside its zeros.
     """
-    if min_card is not None and min_card < 0:
-        raise ValueError("min_card must be >= 0")
-    if max_card is not None and max_card < 0:
-        raise ValueError("max_card must be >= 0")
-    if min_card is not None and max_card is not None and min_card > max_card:
-        raise ValueError("min_card must be <= max_card")
+    if k is not None and (type(k) is not int or k < 0):
+        raise ValueError(f"k must be None or an int >= 0, not {k!r}")
     edges = [vertex_mask(e) for e in hg.edges]
     h = len(edges)
-    floor = min_card or 0
-    ceiling = hg.w if max_card is None else max_card
-
-    def admissible(row: Row, pending: list[int]) -> bool:
-        return (row.c_max >= floor and row.c_min <= ceiling
-                and is_feasible(row, pending))
-
     impositions = 0
     s_max = 0
     max_stack = 0
     # (row, pc): every member of row hits the edges before the 1-based
     # index pc; pc == h + 1 marks a final row
     stack: list[tuple[Row, int]] = []
-    root = Row.powerset(hg.w)
-    if admissible(root, edges):
-        stack.append((root, 1))
+    if k is None or k <= hg.w:
+        stack.append((Row.powerset(hg.w), 1))
     while stack:
         max_stack = max(max_stack, len(stack))
         row, pc = stack.pop()
@@ -166,11 +154,11 @@ def final_rows(hg: Hypergraph, min_card: int | None = None,
         # for every pc, which would hold h(h + 1)/2 references
         rest = edges[pc - 1:]
         # pushed last-son-first, so the first son is processed first; the
-        # first son can leave the window only by its c_min
+        # first son can lose k only by its c_min
         for son in sons[:0:-1]:
-            if admissible(son, rest):
+            if (k is None or son.c_min <= k <= son.c_max) and is_feasible(son, rest):
                 stack.append((son, pc))
-        if sons[0].c_min <= ceiling:
+        if k is None or sons[0].c_min <= k:
             stack.append((sons[0], pc))
     return RunStats(impositions, s_max, max_stack)
 

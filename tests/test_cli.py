@@ -88,6 +88,12 @@ class TestCount:
         assert payload["s_max_observed"] >= 1
         assert payload["elapsed"] >= 0
 
+    def test_json_verify_keeps_stdout_one_object(self, capsys, demo_file):
+        code, out, err = run_cli(capsys, "count", demo_file, "--json", "--verify")
+        assert (code, json.loads(out)["n_total"]) == (0, 8784)
+        assert err == ("verify brute force: 8784 ok\n"
+                       "verify inclusion-exclusion: 8784 ok\n")
+
     def test_size_ascending_order_same_count(self, capsys, demo_file):
         code, out, _ = run_cli(capsys, "count", demo_file,
                                "--order", "size-asc")
@@ -128,17 +134,17 @@ class TestCountExactly:
             (0, f"N(|X| = {k}) = {count}\n", "")
 
     def test_runs_engine_in_size_window(self, capsys, demo_file, monkeypatch):
-        windows = []
+        sizes = []
         real = analytics.final_rows
 
-        def spy(hg, min_card=None, max_card=None):
-            windows.append((min_card, max_card))
-            return real(hg, min_card, max_card)
+        def spy(hg, k=None):
+            sizes.append(k)
+            return real(hg, k)
 
         monkeypatch.setattr(analytics, "final_rows", spy)
         assert run_cli(capsys, "count", demo_file, "--exactly", "5")[:2] == \
             (0, "N(|X| = 5) = 419\n")
-        assert windows == [(5, 5)]
+        assert sizes == [5]
 
     @pytest.mark.parametrize("k", ["-1", "15"])
     def test_k_outside_ground_set_skips_engine(self, capsys, demo_file,
@@ -176,6 +182,12 @@ class TestCountExactly:
         assert (code, err) == (0, "")
         assert list(payload) == ["exactly_k", "exactly_count", "elapsed"]
         assert (payload["exactly_k"], payload["exactly_count"]) == (4, 66)
+
+    def test_json_verify_keeps_stdout_one_object(self, capsys, demo_file):
+        code, out, err = run_cli(capsys, "count", demo_file, "--exactly", "4",
+                                 "--json", "--verify")
+        assert (code, json.loads(out)["exactly_count"]) == (0, 66)
+        assert err == "verify inclusion-exclusion: 66 ok\n"
 
 
 class TestFold:
@@ -254,20 +266,20 @@ class TestEnumerate:
         assert calls == []
 
     def test_runs_engine_in_size_window(self, capsys, monkeypatch):
-        windows = []
+        sizes = []
         real = cli.final_rows
 
-        def spy(hg, *window):
-            windows.append(window)
-            return real(hg, *window)
+        def spy(hg, k=None):
+            sizes.append(k)
+            return real(hg, k)
 
         monkeypatch.setattr(cli, "final_rows", spy)
         code, out, _ = run_cli(capsys, "enumerate", SAMPLE, "--k", "4")
         assert (code, len(out.splitlines())) == (0, 66)
-        assert windows == [(4, 4)]
+        assert sizes == [4]
 
     def test_limit_takes_one_row(self, capsys, monkeypatch):
-        # the [5, 5] window has 7 rows; the first member of the first row
+        # the run for k = 5 has 7 rows; the first member of the first row
         # is printed before the engine yields a second
         taken = []
         real = cli.final_rows

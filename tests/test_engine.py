@@ -3,11 +3,10 @@ import tracemalloc
 
 import pytest
 
-from transversals import (Hypergraph, Row, Spectrum, Tally, brute_transversals,
-                          count_total, final_rows, impose,
-                          inclusion_exclusion_count, is_feasible,
-                          parse_hypergraph, row_from_tokens, run, spectrum,
-                          vertex_mask)
+from transversals import (Hypergraph, Row, Tally, count_exactly, count_total,
+                          final_rows, impose, inclusion_exclusion_count,
+                          is_feasible, parse_hypergraph, row_from_tokens, run,
+                          spectrum, vertex_mask)
 from transversals import engine
 from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, drain, mask_vertices
 
@@ -248,52 +247,36 @@ class TestRun:
 
 
 class TestMinCardRun:
-    def test_keeps_every_large_transversal_once(self, demo_hg):
-        rows, _ = drain(final_rows(demo_hg, min_card=9))
-        expanded = [x for row in rows for x in row.members()
-                    if len(x) >= 9]
-        expected = [x for x in brute_transversals(demo_hg) if len(x) >= 9]
-        assert len(expanded) == len(set(expanded))
-        assert sorted(set(expanded)) == expected
-        assert Spectrum.of(rows, demo_hg.w).at_least(9) == len(expected)
-
     def test_impossible_threshold_gives_empty_family(self, demo_hg):
-        assert drain(final_rows(demo_hg, min_card=15))[0] == []
+        assert drain(final_rows(demo_hg, 15))[0] == []
 
     def test_negative_threshold_rejected(self, demo_hg):
         with pytest.raises(ValueError):
-            drain(final_rows(demo_hg, min_card=-1))
+            drain(final_rows(demo_hg, -1))
 
 
 class TestWindowRun:
     def test_keeps_full_run_rows_meeting_window(self, demo_hg, demo_family):
-        for lo, hi in [(4, 4), (5, 5), (9, 9), (0, 4), (6, 8), (14, 14)]:
-            got, _ = drain(final_rows(demo_hg, min_card=lo, max_card=hi))
+        for k in range(demo_hg.w + 2):
+            got, _ = drain(final_rows(demo_hg, k))
             assert tuple(got) == tuple(r for r in demo_family.rows
-                                       if r.c_max >= lo and r.c_min <= hi)
-        # max_card = w prunes nothing
-        got, _ = drain(final_rows(demo_hg, max_card=demo_hg.w))
-        assert tuple(got) == demo_family.rows
+                                       if r.c_min <= k <= r.c_max)
 
     def test_prunes_impositions(self, demo_hg, demo_family):
-        # every final row of the demo has c_min >= 4, so [3, 3] keeps none
-        rows, stats = drain(final_rows(demo_hg, min_card=3, max_card=3))
+        # every final row of the demo has c_min >= 4, so k = 3 keeps none
+        rows, stats = drain(final_rows(demo_hg, 3))
         assert rows == []
         assert stats.impositions < demo_family.stats.impositions
 
-    def test_max_card_alone_keeps_small_transversals(self, demo_hg):
-        rows, _ = drain(final_rows(demo_hg, max_card=4))
-        expanded = [x for row in rows for x in row.members()
-                    if len(x) <= 4]
-        assert sorted(expanded) == \
-            [x for x in brute_transversals(demo_hg) if len(x) <= 4]
-        assert all(row.c_min <= 4 for row in rows)
+    @pytest.mark.parametrize("k", [-1, 2.5, True, "3"],
+                             ids=["negative", "float", "bool", "str"])
+    def test_bad_k_rejected(self, demo_hg, k):
+        stream = final_rows(demo_hg, k)
+        with pytest.raises(ValueError, match="k must be None or an int >= 0"):
+            next(stream)
 
-    @pytest.mark.parametrize("min_card, max_card, message", [
-        (None, -1, "max_card must be >= 0"),
-        (-1, 3, "min_card must be >= 0"),
-        (4, 3, "min_card must be <= max_card"),
-    ])
-    def test_bad_window_rejected(self, demo_hg, min_card, max_card, message):
-        with pytest.raises(ValueError, match=message):
-            drain(final_rows(demo_hg, min_card=min_card, max_card=max_card))
+    @pytest.mark.parametrize("k", [True, 2.5, 99.5, "3"],
+                             ids=["bool", "float", "float-past-w", "str"])
+    def test_count_exactly_rejects_non_int_k(self, demo_hg, k):
+        with pytest.raises(ValueError, match="k must be None or an int >= 0"):
+            count_exactly(demo_hg, k)

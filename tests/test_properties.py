@@ -201,23 +201,13 @@ def test_engine_matches_brute_force(hg):
 
 
 @settings(max_examples=60)
-@given(hypergraphs_st(), st.integers(0, 9))
-def test_pruned_engine_keeps_large_transversals_once(hg, k):
-    rows, _ = drain(final_rows(hg, min_card=k))
-    expanded = [x for row in rows for x in row.members() if len(x) >= k]
-    assert len(expanded) == len(set(expanded))
-    assert sorted(set(expanded)) == \
-        [x for x in brute_transversals(hg) if len(x) >= k]
-
-
-@settings(max_examples=60)
 @given(hypergraphs_st(), st.booleans())
 def test_size_window_keeps_full_run_rows_holding_size_k(hg, size_asc):
     if size_asc:
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
     full = run(hg)
     for k in range(hg.w + 1):
-        window, _ = drain(final_rows(hg, min_card=k, max_card=k))
+        window, _ = drain(final_rows(hg, k))
         assert tuple(window) == tuple(
             row for row in full.rows if row.c_min <= k <= row.c_max)
         members = [x for r in window for x in r.members_of_size(k)]
@@ -227,20 +217,19 @@ def test_size_window_keeps_full_run_rows_holding_size_k(hg, size_asc):
 @settings(max_examples=60)
 @given(hypergraphs_st(), st.integers(0, 8))
 def test_size_window_members_match_brute_force(hg, k):
-    rows, _ = drain(final_rows(hg, min_card=k, max_card=k))
+    rows, _ = drain(final_rows(hg, k))
     got = [x for row in rows for x in row.members() if len(x) == k]
     assert len(got) == len(set(got))
     assert sorted(got) == [x for x in brute_transversals(hg) if len(x) == k]
 
-def reference_run(hg, min_card, max_card):
-    """The engine loop with no skipped check: pop a row, impose its next
-    edge, and push every son that passes the window and feasibility."""
+def reference_run(hg, k):
+    """The engine loop with no skipped check: push the root and every son
+    that takes in size k (if k is set) and is feasible, pop a row and
+    impose its next edge."""
     edges = [vertex_mask(e) for e in hg.edges]
-    floor = min_card or 0
-    ceiling = hg.w if max_card is None else max_card
 
     def admissible(row, done):
-        return (row.c_max >= floor and row.c_min <= ceiling
+        return ((k is None or row.c_min <= k <= row.c_max)
                 and is_feasible(row, edges[done:]))
 
     impositions = s_max = max_stack = 0
@@ -264,14 +253,12 @@ def reference_run(hg, min_card, max_card):
 
 @settings(max_examples=80)
 @given(hypergraphs_st(max_w=9, max_h=7), st.booleans(),
-       st.none() | st.integers(0, 10), st.none() | st.integers(0, 10))
-def test_run_matches_reference_loop(hg, size_asc, min_card, max_card):
+       st.none() | st.integers(0, 10))
+def test_run_matches_reference_loop(hg, size_asc, k):
     if size_asc:
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
-    if min_card is not None and max_card is not None and min_card > max_card:
-        min_card, max_card = max_card, min_card
-    rows, stats = drain(final_rows(hg, min_card=min_card, max_card=max_card))
-    ref_rows, ref_stats = reference_run(hg, min_card, max_card)
+    rows, stats = drain(final_rows(hg, k))
+    ref_rows, ref_stats = reference_run(hg, k)
     assert [row.render() for row in rows] == [row.render() for row in ref_rows]
     assert (stats.impositions, stats.s_max, stats.max_stack) == ref_stats
 
@@ -335,36 +322,34 @@ def test_transversal_number_matches_spectrum(hg):
 # ----- streamed folds -------------------------------------------------------
 
 @settings(max_examples=80)
-@given(hypergraphs_st(), st.booleans(), st.none() | st.integers(0, 9),
-       st.none() | st.integers(0, 9), st.integers(-2, 10))
-def test_streamed_fold_matches_stored_analytics(hg, size_asc, min_card, max_card, k):
+@given(hypergraphs_st(), st.booleans(), st.none() | st.integers(0, 10),
+       st.integers(-2, 10))
+def test_streamed_fold_matches_stored_analytics(hg, size_asc, k, at_least):
     if size_asc:
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
-    if min_card is not None and max_card is not None and min_card > max_card:
-        min_card, max_card = max_card, min_card
-    lo = min_card or 0
-    hi = hg.w if max_card is None else min(max_card, hg.w)
     full = run(hg)
-    # the windowed stream keeps the full run's rows whose sizes meet lo..hi
-    kept = [row for row in full.rows if row.c_max >= lo and row.c_min <= hi]
-    rows, stats = drain(final_rows(hg, min_card, max_card))
+    # the stream for k keeps the full run's rows holding a size-k member
+    kept = [row for row in full.rows
+            if k is None or row.c_min <= k <= row.c_max]
+    rows, stats = drain(final_rows(hg, k))
     assert [row.render() for row in rows] == [row.render() for row in kept]
 
     tally = Tally()
-    sp = Spectrum.of(tally.tap(final_rows(hg, min_card, max_card)), hg.w)
+    sp = Spectrum.of(tally.tap(final_rows(hg, k)), hg.w)
     assert tally.stats == stats
     stored = Tally.of(kept)
     assert (tally.r_final, tally.n_total, tally.k_min, tally.tau_min) == \
         (len(kept), stored.n_total, stored.k_min, stored.tau_min)
     assert sp == Spectrum.of(kept, hg.w)
 
-    if min_card is None and max_card is None:
+    if k is None:
         assert stats == full.stats
         assert tally.n_total == count_total(full)
         assert (tally.k_min, tally.tau_min) == transversal_number(full)
         assert sp == spectrum(full)
-        assert sp.at_least(k) == count_at_least(full, k)
-    assert sp.counts[lo:hi + 1] == spectrum(full).counts[lo:hi + 1]
+        assert sp.at_least(at_least) == count_at_least(full, at_least)
+    else:
+        assert sp.counts[k:k + 1] == spectrum(full).counts[k:k + 1]
 
 
 @given(st.integers(0, 7).flatmap(
@@ -415,7 +400,7 @@ def test_window_commutes_with_query_filtering(hg, size_asc, k, data):
         return [x for r in filter_rows(stream, require, forbid)
                 for x in r.members_of_size(k)]
 
-    got = size_k(final_rows(hg, k, k))
+    got = size_k(final_rows(hg, k))
     # the same members in the same order as from the full stream
     assert got == size_k(final_rows(hg))
     assert len(got) == len(set(got))

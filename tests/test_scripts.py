@@ -27,7 +27,8 @@ def test_query_on_default_file():
     (["--require", "99"], "error: vertex 99 not in ground set 1..14\n"),
     (["--require", "3", "--forbid", "3"], "error: require and forbid overlap on [3]\n"),
     (["--require", "x"], "error: bad vertex list 'x'\n"),
-], ids=["outside-ground-set", "overlap", "not-an-integer"])
+    (["--require", "8,,9"], "error: bad vertex list '8,,9'\n"),
+], ids=["outside-ground-set", "overlap", "not-an-integer", "empty-token"])
 def test_bad_condition(args, message):
     assert walkthrough(*args) == (2, "", message)
 
@@ -36,3 +37,10 @@ def test_missing_file(tmp_path):
     code, out, err = walkthrough(str(tmp_path / "missing.hg"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_blank_condition_is_empty():
+    # as in the CLI, a blank list names no vertex, so no query is run
+    code, out, err = walkthrough("--require", " ")
+    assert (code, err) == (0, "")
+    assert "\nquery " not in out
