@@ -181,8 +181,9 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
         row.members_of_size(args.k) for row in final_rows(hg, args.k))
     if args.limit is not None:
         found = itertools.islice(found, args.limit)
-    for xs in found:
-        print(" ".join(map(str, xs)))
+    # one label per vertex; writelines pulls the lines one at a time
+    label = [str(v) for v in range(hg.w + 1)]
+    sys.stdout.writelines(" ".join(map(label.__getitem__, xs)) + "\n" for xs in found)
     return EXIT_OK
 
 

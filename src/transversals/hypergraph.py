@@ -60,24 +60,26 @@ def parse_hypergraph(text: str) -> Hypergraph:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise HypergraphError("empty input")
+    # the header and the edge lines are never quoted, so a message stays
+    # one short line however long the bad line is
     header = lines[0].split()
     if len(header) != 2:
-        raise HypergraphError(f"malformed header {lines[0]!r}, expected 'w h'")
+        raise HypergraphError("malformed header, expected 'w h'")
     try:
         w, h = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise HypergraphError(f"malformed header {lines[0]!r}") from exc
+        raise HypergraphError("malformed header, w and h must be integers") from exc
     if h < 0:
         raise HypergraphError(f"negative edge count {h}")
     if len(lines) - 1 != h:
         raise HypergraphError(
             f"header announces {h} edges but {len(lines) - 1} edge lines follow")
     edges = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:], start=1):
         try:
             edges.append(tuple(int(tok) for tok in line.split()))
         except ValueError as exc:
-            raise HypergraphError(f"bad edge line {line!r}") from exc
+            raise HypergraphError(f"edge line {i} has a non-integer vertex") from exc
     return Hypergraph(w, tuple(edges))
 
 

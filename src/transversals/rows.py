@@ -12,7 +12,7 @@ products instead of enumeration.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -27,6 +27,16 @@ def vertex_mask(vertices: Iterable[int]) -> int:
             raise ValueError(f"vertex {v!r} is not an int >= 1")
         mask |= 1 << v
     return mask
+
+
+def _picks(block: tuple[int, ...], d: int) -> Iterator[Collection[int]]:
+    """The d-position picks of an ascending block, in reverse lexicographic
+    order (see :meth:`Row.members_of_size`): from the reversed block for
+    d <= 1, else as the complements of the forward picks of the rest."""
+    if d <= 1:
+        return itertools.combinations(block[::-1], d)
+    return map(frozenset(block).difference,
+               itertools.combinations(block, len(block) - d))
 
 
 def _vertices(mask: int) -> tuple[int, ...]:
@@ -190,11 +200,12 @@ class Row:
         A member is the forced 1s plus one pick from each block: the free
         block (possibly empty), then the bubbles in stored order.  With
         ``need`` positions missing, a block other than the last picks a size
-        from min(|block|, need - later bubbles) down to max(0 for the free
-        block or 1 for a bubble, need - later positions), and each size's
-        picks in reverse lexicographic order; the last block takes the
-        ``need`` positions left, in lexicographic order.  So every pick can
-        be completed.  The reverse order is the forward order of the
+        d from min(|block|, need - later bubbles) down to max(0 for the free
+        block or 1 for a bubble, need - later positions), so every pick can
+        be completed; the last block takes the ``need`` positions left, in
+        lexicographic order.  Each size d has its own pick source, in
+        reverse lexicographic order (:func:`_picks`).  For d <= 1 that is
+        the block reversed.  For d >= 2 it is the forward order of the
         complements: for subsets of equal size, S precedes T iff T's
         complement precedes S's, as the least element of their symmetric
         difference lies in S iff it lies in T's complement.  A stack holds
@@ -226,19 +237,12 @@ class Row:
             for pick in picks:
                 chosen[p] = pick
                 need -= len(pick)
-                n = len(block)
-                hi = min(n, need - (last - p))
+                hi = min(len(block), need - (last - p))
                 lo = max(1 if p else 0, need - room[p + 1])
-                if hi == lo <= 1:
-                    # picks of at most one position: the block reversed gives
-                    # their reverse lexicographic order
-                    block_picks = itertools.combinations(block[::-1], hi)
-                else:
-                    complements = map(itertools.combinations, itertools.repeat(block),
-                                      range(n - hi, n - lo + 1))
-                    block_picks = map(frozenset(block).difference,
-                                      itertools.chain.from_iterable(complements))
-                stack.append((block_picks, need))
+                # repeat() binds this block now; the loop rebinds ``block``
+                # before the later sizes' picks are read
+                stack.append((itertools.chain.from_iterable(
+                    map(_picks, itertools.repeat(block), range(hi, lo - 1, -1))), need))
                 break
             else:  # block p - 1 has no pick left
                 stack.pop()

@@ -426,6 +426,19 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: edge 1 has a vertex outside 1..3\n"
 
+    @pytest.mark.parametrize("text", [
+        "3 1\n" + "1 " * 50_000 + "x\n",
+        "3 " + "1 " * 50_000 + "\n1 2\n",
+        "x" * 100_000 + " 1\n1 2\n",
+    ], ids=["bad-edge-line", "long-header", "non-integer-header"])
+    def test_long_bad_text_line_is_not_quoted(self, capsys, tmp_path, text):
+        path = tmp_path / "long.hg"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
     def test_empty_json_edge_names_edge_by_index(self, capsys, tmp_path):
         path = tmp_path / "empty-edge.json"
         path.write_text('{"w": 3, "edges": [[1,2],[]]}')

@@ -1,6 +1,8 @@
 """Randomized invariants for rows, the engine and the analytics layer,
 cross-checked against the brute-force and inclusion-exclusion oracles."""
 
+import contextlib
+import io
 import itertools
 import json
 import pathlib
@@ -18,6 +20,7 @@ from transversals import (Hypergraph, HypergraphError, Row, Spectrum, Tally,
                           superset_reduced, transversal_number,
                           transversals_of_size, vertex_mask)
 from transversals.analytics import filter_rows
+from transversals.cli import main
 from transversals.rows import size_counts
 from conftest import drain, mask_vertices
 
@@ -407,6 +410,27 @@ def test_window_commutes_with_query_filtering(hg, size_asc, k, data):
     assert sorted(got) == [
         x for x in brute_transversals(hg)
         if len(x) == k and require <= set(x) and forbid.isdisjoint(x)]
+
+
+@settings(max_examples=60)
+@given(hypergraphs_st(max_w=12, max_h=6), st.data())
+def test_enumerate_prints_the_size_k_stream(hg, data):
+    k = data.draw(st.integers(-1, hg.w + 1))
+    limit = data.draw(st.none() | st.integers(0, 50))
+    argv = ["enumerate", "--k", str(k)]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.hg"
+        path.write_text(render_hypergraph(hg))
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, str(path)]) == 0
+    # a K outside 0..w prints nothing and never starts the engine
+    found = () if k < 0 else itertools.chain.from_iterable(
+        r.members_of_size(k) for r in final_rows(hg, k))
+    assert out.getvalue() == "".join(
+        " ".join(map(str, xs)) + "\n" for xs in itertools.islice(found, limit))
 
 
 # ----- reductions and parsing -----------------------------------------------

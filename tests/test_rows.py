@@ -267,6 +267,17 @@ class TestGeneration:
         assert got == first
         assert peak < 1 << 20
 
+    def test_deep_picks_stay_flat(self):
+        # 1 399- and 1 398-position picks from a 1 498-position free block:
+        # a generator nested once per picked position would overflow the stack
+        r = row_from_tokens("2 " * 1498 + "e1 e1")
+        start = time.perf_counter()
+        got = list(itertools.islice(r.members_of_size(1400), 200))
+        elapsed = time.perf_counter() - start
+        assert got[:2] == [tuple(range(100, 1500)), (*range(100, 1499), 1500)]
+        assert len(got) == 200
+        assert elapsed < 0.5
+
     def test_matches_counts(self):
         r = row_from_tokens("2 e2 e1 2 1 e2 e1 0")
         for k in range(9):
