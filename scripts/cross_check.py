@@ -2,9 +2,11 @@
 engine's exact counts against the brute-force sweep and the
 inclusion-exclusion oracle, the size-k transversals of every stream
 ``final_rows(hg, k)`` for a fixed k against the brute-force sets of size k,
-and the output of ``transversals count FILE --exactly k`` for every k in
--1..w+1 against inclusion-exclusion; report compression statistics (final
-rows R versus represented transversals N).
+the output of ``transversals count FILE --exactly k`` for every k in
+-1..w+1 against inclusion-exclusion, and the stream cut by one random
+require/forbid pair (``filter_rows``) against the brute-force transversals
+that meet it; report compression statistics (final rows R versus
+represented transversals N).
 
 Usage:
     python scripts/cross_check.py [--instances 200] [--max-w 12] [--max-h 8] [--seed 1]
@@ -26,7 +28,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from transversals import (Hypergraph, brute_transversals, count_total,
                           final_rows, inclusion_exclusion_count,
-                          render_hypergraph, run, spectrum)
+                          render_hypergraph, run, spectrum, vertex_mask)
+from transversals.analytics import filter_rows
 from transversals.cli import main as cli_main
 
 
@@ -82,13 +85,22 @@ def main() -> int:
             cli_count_exactly(path, k)
             == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
             for k in range(-1, hg.w + 2))
+        # each vertex is required with odds 1/5, forbidden with 1/5, else free
+        fate = {v: rng.randrange(5) for v in range(1, hg.w + 1)}
+        require = {v for v, f in fate.items() if f == 0}
+        forbid = {v for v, f in fate.items() if f == 1}
+        filter_ok = sorted(chain.from_iterable(
+            r.members() for r in filter_rows(final_rows(hg), vertex_mask(require),
+                                             vertex_mask(forbid)))) == [
+            x for x in brute if require <= set(x) and forbid.isdisjoint(x)]
         ok = (n_engine == n_brute == n_ie and per_k_ok and size_k_ok
-              and exactly_ok)
+              and exactly_ok and filter_ok)
         if not ok:
             mismatches += 1
             print(f"[{i}] MISMATCH on w={hg.w} h={hg.h}: engine={n_engine}, "
                   f"brute={n_brute}, ie={n_ie}, per_k_ok={per_k_ok}, "
-                  f"size_k_ok={size_k_ok}, exactly_ok={exactly_ok}")
+                  f"size_k_ok={size_k_ok}, exactly_ok={exactly_ok}, "
+                  f"filter_ok={filter_ok}")
         if n_engine:
             ratio_sum += len(family.rows) / n_engine
         s_max_seen = max(s_max_seen, family.stats.s_max)

@@ -6,8 +6,9 @@ size check; a fixed cardinality k exists only on the stream, as in
 
 Every answer is one pass over the rows: :class:`Tally` (R, N, k_min and
 tau_min) and :meth:`Spectrum.of` (per-size counts) fold them, and
-:func:`filter_rows` cuts them one at a time, so a stored family and an
-engine stream get the same formulas and no row of a stream is stored.
+:func:`filter_rows` cuts each row with one multi-vertex
+:meth:`Row.restrict`, so a stored family and an engine stream get the same
+formulas and no row of a stream is stored.
 :func:`count_total` sums :meth:`Row.size` as Tally does, without Tally's
 work for k_min.
 """
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .engine import RowFamily, RunStats, final_rows
 from .hypergraph import Hypergraph
-from .rows import Row, size_counts
+from .rows import Row, size_counts, vertex_mask
 
 
 class Infeasible(Exception):
@@ -141,9 +142,10 @@ def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]
 
 
 def check_conditions(w: int, require: Iterable[int],
-                     forbid: Iterable[int]) -> tuple[frozenset[int], frozenset[int]]:
+                     forbid: Iterable[int]) -> tuple[int, int]:
     """The one check of query conditions, made before any row is touched:
-    no vertex both required and forbidden, each vertex a non-bool int in 1..w."""
+    no vertex both required and forbidden, each vertex a non-bool int in
+    1..w.  Returns the two vertex masks."""
     require, forbid = frozenset(require), frozenset(forbid)
     if require & forbid:
         raise ValueError(
@@ -151,23 +153,18 @@ def check_conditions(w: int, require: Iterable[int],
     for v in sorted(require | forbid):
         if type(v) is not int or not 1 <= v <= w:
             raise ValueError(f"vertex {v} not in ground set 1..{w}")
-    return require, forbid
+    return vertex_mask(require), vertex_mask(forbid)
 
 
-def filter_rows(rows: Iterable[Row], require: frozenset[int],
-                forbid: frozenset[int]) -> Iterator[Row]:
-    """Cut each row down to its members containing all of ``require`` and
-    none of ``forbid``, by single-vertex surgery, reading ``rows`` once;
-    rows whose members all violate a condition drop out.  The conditions
-    must have passed :func:`check_conditions`."""
-    surgery = ([(Row.require, v) for v in sorted(require)]
-               + [(Row.forbid, v) for v in sorted(forbid)])
+def filter_rows(rows: Iterable[Row], require: int,
+                forbid: int) -> Iterator[Row]:
+    """Cut each row down to its members containing every vertex of the mask
+    ``require`` and none of the mask ``forbid``, with one :meth:`Row.restrict`
+    per row, reading ``rows`` once; rows whose members all violate a
+    condition drop out.  The masks come from :func:`check_conditions`."""
     for row in rows:
-        for cut, v in surgery:
-            row = cut(row, v)
-            if row is None:
-                break
-        else:
+        row = row.restrict(require, forbid)
+        if row is not None:
             yield row
 
 

@@ -6,6 +6,11 @@ import json
 from dataclasses import dataclass
 
 
+# The largest vertex count: rows hold w-bit masks, and a header w of up
+# to the 4 300 digits int() reads would fail deep in the engine instead.
+MAX_W = 1 << 22
+
+
 class HypergraphError(ValueError):
     """Malformed hypergraph input (bad header, empty edge, non-integer or
     out-of-range vertex)."""
@@ -28,9 +33,10 @@ class Hypergraph:
     def __post_init__(self) -> None:
         # type() rather than isinstance(): bool is an int subclass, and a
         # bool or float vertex would pass the range checks and give a
-        # silently wrong count
-        if type(self.w) is not int or self.w < 1:
-            raise HypergraphError(f"vertex count must be a positive integer, got {self.w!r}")
+        # silently wrong count; w may have thousands of digits, so no
+        # message quotes it
+        if type(self.w) is not int or not 1 <= self.w <= MAX_W:
+            raise HypergraphError(f"vertex count must be an integer in 1..{MAX_W}")
         cleaned = []
         # an edge is named by its 1-based index, never by its contents,
         # so the message stays one short line however large the edge is
@@ -60,8 +66,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise HypergraphError("empty input")
-    # the header and the edge lines are never quoted, so a message stays
-    # one short line however long the bad line is
+    # the header, its numbers and the edge lines are never quoted, so a
+    # message stays one short line however long the bad line is
     header = lines[0].split()
     if len(header) != 2:
         raise HypergraphError("malformed header, expected 'w h'")
@@ -70,10 +76,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
     except ValueError as exc:
         raise HypergraphError("malformed header, w and h must be integers") from exc
     if h < 0:
-        raise HypergraphError(f"negative edge count {h}")
+        raise HypergraphError("negative edge count")
     if len(lines) - 1 != h:
         raise HypergraphError(
-            f"header announces {h} edges but {len(lines) - 1} edge lines follow")
+            f"header announces {'more' if h > len(lines) - 1 else 'fewer'} edges "
+            f"than the {len(lines) - 1} edge lines that follow")
     edges = []
     for i, line in enumerate(lines[1:], start=1):
         try:

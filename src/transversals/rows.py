@@ -252,46 +252,33 @@ class Row:
         for k in range(self.c_min, self.c_max + 1):
             yield from self.members_of_size(k)
 
-    # ----- single-vertex surgery -------------------------------------------
+    # ----- query surgery ------------------------------------------------------
 
-    def _bit(self, v: int) -> int:
-        if type(v) is int and 1 <= v <= self.w:
-            return 1 << v
-        raise ValueError(f"vertex {v} not in ground set 1..{self.w}")
-
-    def require(self, v: int) -> "Row | None":
-        """Restrict to members containing v; None if no member does."""
-        bit = self._bit(v)
-        if bit & self.zero_mask:
+    def restrict(self, require: int, forbid: int) -> "Row | None":
+        """Restrict to the members holding every vertex of the mask
+        ``require`` and none of the mask ``forbid``, in one cut: None if no
+        member does, the row itself if all do.  A bubble that ``require``
+        hits is satisfied, so its positions that neither mask names are
+        freed; any other bubble loses the forbidden positions and keeps its
+        place in the bubble order, and the constructor promotes a
+        one-position remainder.  A bit outside 1..w, or in both masks,
+        fails the constructor's partition check."""
+        zeros, ones = self.zero_mask, self.one_mask
+        if require & zeros or forbid & ones:
             return None
-        if bit & self.one_mask:
+        cut = require | forbid
+        if not cut & ~(zeros | ones):
             return self
-        w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
-        bubbles = self.bubble_masks
-        if bit & twos:
-            return Row(w, zeros, ones | bit, twos ^ bit, bubbles)
-        for i, bubble in enumerate(bubbles):
-            if bit & bubble:
-                # v satisfies the bubble; the other positions become free
-                return Row(w, zeros, ones | bit, twos | bubble ^ bit,
-                           bubbles[:i] + bubbles[i + 1:])
-
-    def forbid(self, v: int) -> "Row | None":
-        """Restrict to members avoiding v; None if every member holds v."""
-        bit = self._bit(v)
-        if bit & self.one_mask:
-            return None
-        if bit & self.zero_mask:
-            return self
-        w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
-        bubbles = self.bubble_masks
-        if bit & twos:
-            return Row(w, zeros | bit, ones, twos ^ bit, bubbles)
-        for i, bubble in enumerate(bubbles):
-            if bit & bubble:
-                # the constructor promotes a singleton remainder to a forced 1
-                return Row(w, zeros | bit, ones, twos,
-                           bubbles[:i] + (bubble ^ bit,) + bubbles[i + 1:])
+        freed, bubbles = 0, []
+        for bubble in self.bubble_masks:
+            if bubble & require:
+                freed |= bubble
+            elif bubble & ~forbid:
+                bubbles.append(bubble & ~forbid)
+            else:  # every position of the bubble is forbidden
+                return None
+        return Row(self.w, zeros | forbid, ones | require,
+                   (self.two_mask | freed) & ~cut, bubbles)
 
     # ----- canonical text form ----------------------------------------------
 

@@ -163,6 +163,24 @@ class TestFilterFamily:
         with pytest.raises(ValueError, match="vertex True not in ground set"):
             filter_family(RowFamily(w=3, rows=()), forbid={True})
 
+    @pytest.mark.parametrize("require, forbid", [
+        ({8, 9}, {7}), (set(), {9}), ({1, 2, 3}, {4, 5, 13}), (set(), set())],
+        ids=["demo-query", "one-forbid", "many-each", "none"])
+    def test_one_row_built_per_row_yielded(self, demo_family, monkeypatch,
+                                           require, forbid):
+        # each row is cut once, so a dropped row builds nothing and a kept
+        # one at most one new Row
+        built = []
+        validate = Row.__post_init__
+
+        def spy(row):
+            built.append(row)
+            validate(row)
+
+        monkeypatch.setattr(Row, "__post_init__", spy)
+        got = filter_family(demo_family, require=require, forbid=forbid)
+        assert len(built) <= len(got.rows)
+
     def test_forbidding_a_forced_vertex_drops_rows(self, demo_family):
         # vertex 9 is forced in every final row except the first
         got = filter_family(demo_family, forbid={9})

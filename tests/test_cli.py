@@ -11,6 +11,7 @@ import pytest
 
 from transversals import analytics, cli, engine
 from transversals.cli import main
+from transversals.hypergraph import MAX_W
 from conftest import DEMO_FINAL_ROWS, DEMO_TEXT
 
 
@@ -438,6 +439,29 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("name, text", [
+        ("huge-w.hg", "9" * 4299 + " 1\n1 2\n"),
+        ("negative-w.hg", "-" + "9" * 4299 + " 0\n"),
+        ("negative-h.hg", "3 -" + "9" * 4299 + "\n"),
+        ("huge-h.hg", "3 " + "9" * 4299 + "\n1 2\n"),
+        ("huge-w.json", '{"w": ' + "9" * 4299 + ', "edges": [[1]]}'),
+    ], ids=["huge-w", "negative-w", "negative-h", "huge-h", "huge-json-w"])
+    def test_huge_header_number_is_not_quoted(self, capsys, tmp_path, name, text):
+        # 4 299 digits is just inside int()'s limit, so each number parses
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    def test_w_above_bound_is_input_error(self, capsys, tmp_path):
+        # rejected while parsing, before any row mask is allocated
+        path = tmp_path / "wide.hg"
+        path.write_text(f"{MAX_W + 1} 1\n1 2\n")
+        assert run_cli(capsys, "count", str(path)) == (
+            2, "", f"error: vertex count must be an integer in 1..{MAX_W}\n")
 
     def test_empty_json_edge_names_edge_by_index(self, capsys, tmp_path):
         path = tmp_path / "empty-edge.json"

@@ -92,14 +92,15 @@ class TestWideMasks:
 
     def test_require_and_forbid_on_wide_row(self):
         row = self.row()
-        assert self.parts(row.require(100)) == (
+        assert self.parts(row.restrict(vertex_mask({100}), 0)) == (
             self.ZEROS, {3, 100}, self.TWOS | {64, 65}, {frozenset({128, 129})})
-        assert self.parts(row.forbid(129)) == (
+        assert self.parts(row.restrict(0, vertex_mask({129}))) == (
             {1, 66, 129}, {3, 128}, self.TWOS, {frozenset({64, 65, 100})})
-        assert self.parts(row.require(130)) == (
+        assert self.parts(row.restrict(vertex_mask({130}), 0)) == (
             self.ZEROS, {3, 130}, self.TWOS - {130},
             {frozenset({64, 65, 100}), frozenset({128, 129})})
-        assert row.forbid(66) is row and row.require(66) is None
+        assert row.restrict(0, vertex_mask({66})) is row
+        assert row.restrict(vertex_mask({66}), 0) is None
 
     def test_run_and_spectrum_past_bit_64(self):
         rng = random.Random(7)

@@ -5,6 +5,7 @@ import pytest
 from transversals import (Hypergraph, HypergraphError, load_hypergraph,
                           parse_hypergraph, render_hypergraph, subset_reduced,
                           superset_reduced)
+from transversals.hypergraph import MAX_W
 from conftest import DEMO_TEXT
 
 
@@ -34,10 +35,22 @@ def test_malformed_header():
 
 
 def test_edge_count_mismatch():
-    with pytest.raises(HypergraphError):
+    with pytest.raises(HypergraphError,
+                       match="header announces more edges than the 1 edge lines"):
         parse_hypergraph("3 2\n1 2\n")
-    with pytest.raises(HypergraphError):
+    with pytest.raises(HypergraphError,
+                       match="header announces fewer edges than the 2 edge lines"):
         parse_hypergraph("3 1\n1 2\n2 3\n")
+
+
+def test_vertex_count_bound():
+    # no row is built here, so no mask of these widths is allocated
+    assert parse_hypergraph("3000000 0\n").w == 3_000_000
+    assert Hypergraph(MAX_W).w == MAX_W
+    for w in (MAX_W + 1, 10 ** 4298, 0, -1):
+        with pytest.raises(HypergraphError, match=f"^vertex count must be an "
+                                                  f"integer in 1..{MAX_W}$"):
+            Hypergraph(w)
 
 
 def test_bad_edge_line():

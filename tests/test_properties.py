@@ -148,12 +148,70 @@ def test_full_expansion_is_exact(r):
 @given(rows_st(min_w=1), st.data())
 def test_surgery_matches_brute_filter(r, data):
     v = data.draw(st.integers(1, r.w))
-    kept = r.require(v)
+    kept = r.restrict(vertex_mask({v}), 0)
     assert sorted(kept.members() if kept else []) == \
         [x for x in brute_members(r) if v in x]
-    dropped = r.forbid(v)
+    dropped = r.restrict(0, vertex_mask({v}))
     assert sorted(dropped.members() if dropped else []) == \
         [x for x in brute_members(r) if v not in x]
+
+
+def require_one(row, v):
+    """The deleted single-vertex rule: members containing v."""
+    bit = 1 << v
+    if bit & row.zero_mask:
+        return None
+    if bit & row.one_mask:
+        return row
+    bubbles = row.bubble_masks
+    if bit & row.two_mask:
+        return Row(row.w, row.zero_mask, row.one_mask | bit,
+                   row.two_mask ^ bit, bubbles)
+    i = next(i for i, b in enumerate(bubbles) if bit & b)
+    return Row(row.w, row.zero_mask, row.one_mask | bit,
+               row.two_mask | bubbles[i] ^ bit, bubbles[:i] + bubbles[i + 1:])
+
+
+def forbid_one(row, v):
+    """The deleted single-vertex rule: members avoiding v."""
+    bit = 1 << v
+    if bit & row.one_mask:
+        return None
+    if bit & row.zero_mask:
+        return row
+    bubbles = row.bubble_masks
+    if bit & row.two_mask:
+        return Row(row.w, row.zero_mask | bit, row.one_mask,
+                   row.two_mask ^ bit, bubbles)
+    i = next(i for i, b in enumerate(bubbles) if bit & b)
+    # the constructor promotes a one-position remainder to a forced 1
+    return Row(row.w, row.zero_mask | bit, row.one_mask, row.two_mask,
+               bubbles[:i] + (bubbles[i] ^ bit,) + bubbles[i + 1:])
+
+
+@settings(max_examples=300)
+@given(rows_st(min_w=1, max_w=10), st.data())
+def test_restrict_matches_single_vertex_surgery(r, data):
+    # any stored bubble order, not only the canonical one rows_st gives
+    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
+            data.draw(st.permutations(r.bubble_masks)))
+    require = data.draw(st.frozensets(st.integers(1, r.w)))
+    forbid = data.draw(st.frozensets(st.integers(1, r.w))) - require
+    expected = r
+    for cut, v in ([(require_one, v) for v in sorted(require)]
+                   + [(forbid_one, v) for v in sorted(forbid)]):
+        expected = cut(expected, v)
+        if expected is None:
+            break
+    got = r.restrict(vertex_mask(require), vertex_mask(forbid))
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert (got.zero_mask, got.one_mask, got.two_mask, got.bubble_masks) == \
+            (expected.zero_mask, expected.one_mask, expected.two_mask,
+             expected.bubble_masks)
+        assert (got is r) == (expected is r)
+    assert sorted(got.members() if got else []) == [
+        x for x in brute_members(r) if require <= set(x) and forbid.isdisjoint(x)]
 
 
 # ----- imposition and the engine -------------------------------------------
@@ -168,25 +226,16 @@ def test_impose_splits_hitters_disjointly(r, data):
         x for x in r.members() if set(x) & edge)
 
 
-def avoiding(row, vertices):
-    """The row's members avoiding every vertex, by single-vertex surgery."""
-    for v in vertices:
-        if row is None:
-            break
-        row = row.forbid(v)
-    return row
-
-
 @given(rows_st(min_w=60, max_w=140), st.data())
 def test_wide_rows_split_and_filter_by_size(r, data):
     # past bit 64 the members cannot be listed, so check sizes: the sons
     # hold the members hitting the edge, the surgery halves partition r
     edge = data.draw(st.frozensets(st.integers(1, r.w), min_size=1, max_size=8))
-    missed = avoiding(r, edge)
+    missed = r.restrict(0, vertex_mask(edge))
     assert sum(son.size() for son in impose(r, vertex_mask(edge))) == \
         r.size() - (missed.size() if missed else 0)
     v = data.draw(st.integers(1, r.w))
-    halves = [r.require(v), r.forbid(v)]
+    halves = [r.restrict(vertex_mask({v}), 0), r.restrict(0, vertex_mask({v}))]
     assert sum(half.size() for half in halves if half) == r.size()
     assert all(half.contains(next(half.members_of_size(half.c_min)))
                for half in halves if half)
@@ -382,7 +431,8 @@ def test_filter_family_matches_brute_filter(hg, data):
         st.integers(1, hg.w)).filter(lambda f: not (f & require)))
     filtered = filter_family(run(hg), require=require, forbid=forbid)
     # the stream filter cuts the same rows in the same order
-    assert list(filter_rows(final_rows(hg), require, forbid)) == list(filtered.rows)
+    assert list(filter_rows(final_rows(hg), vertex_mask(require),
+                            vertex_mask(forbid))) == list(filtered.rows)
     expanded = [x for row in filtered.rows for x in row.members()]
     assert len(expanded) == len(set(expanded))
     assert sorted(expanded) == [
@@ -400,7 +450,8 @@ def test_window_commutes_with_query_filtering(hg, size_asc, k, data):
         st.integers(1, hg.w)).filter(lambda f: not (f & require)))
 
     def size_k(stream):
-        return [x for r in filter_rows(stream, require, forbid)
+        return [x for r in filter_rows(stream, vertex_mask(require),
+                                       vertex_mask(forbid))
                 for x in r.members_of_size(k)]
 
     got = size_k(final_rows(hg, k))

@@ -307,57 +307,62 @@ class TestFullExpansion:
 class TestSurgery:
     def test_demo_filter_chain(self):
         r1 = row_from_tokens("2 2 e1 e1 e2 e3 e3 e4 2 e2 e3 e3 e4 e4")
-        got = r1.forbid(7).require(8).require(9)
+        got = r1.restrict(vertex_mask({8, 9}), vertex_mask({7}))
         assert got.render() == "2 2 e1 e1 e2 e3 0 1 1 e2 e3 e3 2 2"
 
     def test_demo_filter_chain_collapses_bubbles(self):
         r3 = row_from_tokens("2 2 0 0 0 e1 e1 e2 1 1 2 2 e2 2")
-        got = r3.forbid(7).require(8).require(9)
+        got = r3.restrict(vertex_mask({8, 9}), vertex_mask({7}))
         assert got.render() == "2 2 0 0 0 1 0 1 1 1 2 2 2 2"
 
     def test_require_is_idempotent_on_ones(self):
         r = row_from_tokens("1 2 2")
-        assert r.require(1) is r
+        assert r.restrict(vertex_mask({1}), 0) is r
 
     def test_forbid_is_idempotent_on_zeros(self):
         r = row_from_tokens("0 2 2")
-        assert r.forbid(1) is r
+        assert r.restrict(0, vertex_mask({1})) is r
 
     def test_dead_results(self):
         r = row_from_tokens("0 1 2")
-        assert r.require(1) is None
-        assert r.forbid(2) is None
+        assert r.restrict(vertex_mask({1}), 0) is None
+        assert r.restrict(0, vertex_mask({2})) is None
 
     def test_free_position_moves(self):
         r = row_from_tokens("2 2 2")
-        assert r.require(2).one_mask == vertex_mask({2})
-        assert r.forbid(2).zero_mask == vertex_mask({2})
+        assert r.restrict(vertex_mask({2}), 0).one_mask == vertex_mask({2})
+        assert r.restrict(0, vertex_mask({2})).zero_mask == vertex_mask({2})
 
     def test_bubble_hit_releases_rest(self):
         r = row_from_tokens("e1 e1 e1 e1")
-        got = r.require(2)
+        got = r.restrict(vertex_mask({2}), 0)
         assert got.one_mask == vertex_mask({2})
         assert got.two_mask == vertex_mask({1, 3, 4}) and not got.bubble_masks
 
     def test_forbid_shrinks_bubble_to_forced(self):
         r = row_from_tokens("e1 e1")
-        got = r.forbid(1)
+        got = r.restrict(0, vertex_mask({1}))
         assert got.zero_mask == vertex_mask({1}) and got.one_mask == vertex_mask({2})
 
     def test_unknown_vertex(self):
-        with pytest.raises(ValueError):
-            row_from_tokens("2 2").require(9)
-        for cut in (Row.require, Row.forbid):
-            with pytest.raises(ValueError, match="vertex True not in ground set"):
-                cut(Row.powerset(3), True)
+        # a bit outside 1..w fails the constructor's partition check
+        with pytest.raises(ValueError, match="do not partition"):
+            row_from_tokens("2 2").restrict(vertex_mask({9}), 0)
+        for require, forbid in ((1, 0), (0, 1)):
+            with pytest.raises(ValueError, match="do not partition"):
+                Row.powerset(3).restrict(require, forbid)
+
+    def test_overlapping_masks(self):
+        with pytest.raises(ValueError, match="overlap"):
+            Row.powerset(3).restrict(vertex_mask({2}), vertex_mask({2}))
 
     @pytest.mark.parametrize("v", range(1, 8))
     def test_matches_brute_filter(self, v):
         r = row_from_tokens("2 e1 e1 0 e1 1 2")
-        kept = r.require(v)
+        kept = r.restrict(vertex_mask({v}), 0)
         expected = sorted(x for x in brute_members(r) if v in x)
         assert sorted(kept.members() if kept else []) == expected
-        dropped = r.forbid(v)
+        dropped = r.restrict(0, vertex_mask({v}))
         expected = sorted(x for x in brute_members(r) if v not in x)
         assert sorted(dropped.members() if dropped else []) == expected
 
