@@ -18,22 +18,10 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from transversals import (HypergraphError, count_at_least, count_total,
-                          filter_family, load_hypergraph, run, spectrum,
-                          transversal_number)
+                          filter_family, load_hypergraph, parse_vertex_list,
+                          run, spectrum, transversal_number)
 
 DEFAULT_FILE = pathlib.Path(__file__).resolve().parent.parent / "data" / "sample14.hg"
-
-
-def vertex_list(text: str) -> list[int]:
-    """The vertices of a comma-separated list such as ``8,9``, read as the
-    CLI reads them: a blank list is empty, an empty token is an error."""
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ValueError(f"bad vertex list {text!r}") from None
 
 
 def main() -> int:
@@ -45,8 +33,8 @@ def main() -> int:
 
     try:
         hg = load_hypergraph(args.file)
-        require = vertex_list(args.require)
-        forbid = vertex_list(args.forbid)
+        require = list(parse_vertex_list(args.require))
+        forbid = list(parse_vertex_list(args.forbid))
         start = time.perf_counter()
         family = run(hg)
         elapsed = time.perf_counter() - start

@@ -6,7 +6,7 @@ from .analytics import (Infeasible, Spectrum, Tally, count_at_least,
                         transversal_number, transversals_of_size)
 from .engine import RowFamily, RunStats, final_rows, impose, is_feasible, run
 from .hypergraph import (Hypergraph, HypergraphError, load_hypergraph,
-                         parse_hypergraph, render_hypergraph)
+                         parse_hypergraph, parse_vertex_list, render_hypergraph)
 from .oracles import (all_rows, bell_numbers, brute_transversals,
                       inclusion_exclusion_count, row_census, row_census_brute,
                       subset_reduced, superset_reduced)
@@ -15,8 +15,8 @@ from .rows import Row, bubble_segment_counts, row_from_tokens, vertex_mask
 __version__ = "0.1.0"
 
 __all__ = [
-    "Hypergraph", "HypergraphError", "parse_hypergraph", "render_hypergraph",
-    "load_hypergraph", "subset_reduced", "superset_reduced",
+    "Hypergraph", "HypergraphError", "parse_hypergraph", "parse_vertex_list",
+    "render_hypergraph", "load_hypergraph", "subset_reduced", "superset_reduced",
     "Row", "row_from_tokens", "bubble_segment_counts", "vertex_mask",
     "RunStats", "RowFamily", "impose", "is_feasible", "final_rows", "run",
     "Infeasible", "Spectrum", "Tally", "count_total", "spectrum",

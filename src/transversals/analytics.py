@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .engine import RowFamily, RunStats, final_rows
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, brief_repr
 from .rows import Row, size_counts, vertex_mask
 
 
@@ -147,12 +147,15 @@ def check_conditions(w: int, require: Iterable[int],
     no vertex both required and forbidden, each vertex a non-bool int in
     1..w.  Returns the two vertex masks."""
     require, forbid = frozenset(require), frozenset(forbid)
-    if require & forbid:
-        raise ValueError(
-            f"require and forbid overlap on {sorted(require & forbid)}")
+    # a message names at most three vertices, each briefly, so it stays one
+    # short line however many or however long the vertices are
+    if shared := sorted(require & forbid):
+        listed = ", ".join(map(brief_repr, shared[:3]))
+        raise ValueError(f"require and forbid overlap on "
+                         f"[{listed}{', ...' if len(shared) > 3 else ''}]")
     for v in sorted(require | forbid):
         if type(v) is not int or not 1 <= v <= w:
-            raise ValueError(f"vertex {v} not in ground set 1..{w}")
+            raise ValueError(f"vertex {brief_repr(v)} not in ground set 1..{w}")
     return vertex_mask(require), vertex_mask(forbid)
 
 

@@ -1,7 +1,11 @@
 """Command-line front end: count, spectrum, enumerate, rows and query
 subcommands over a hypergraph file.
 
-Exit codes: 0 ok, 2 input error, 3 verification mismatch.
+All input (the file, and query's vertex lists via
+:func:`~transversals.hypergraph.parse_vertex_list`) is read under Python's
+int/str digit limit.  ``count --verify`` hands each oracle to
+:func:`_verify` as it is; the oracle keeps its own budget and says why it
+skips.  Exit codes: 0 ok, 2 input error, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from collections import deque
 from .analytics import (Spectrum, Tally, check_conditions, count_exactly,
                         filter_rows)
 from .engine import final_rows
-from .hypergraph import Hypergraph, HypergraphError, load_hypergraph
-from .oracles import (BRUTE_VERTEX_LIMIT, IE_EDGE_LIMIT, brute_transversals,
-                      inclusion_exclusion_count)
+from .hypergraph import (Hypergraph, HypergraphError, load_hypergraph,
+                         parse_vertex_list)
+from .oracles import brute_count, inclusion_exclusion_count
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -73,32 +77,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Hypergraph:
+    """The hypergraph of ``args.file``; for ``query`` also the condition
+    masks, checked before any row exists, in place of the two lists."""
     hg = load_hypergraph(args.file)
+    if args.command == "query":
+        args.require, args.forbid = check_conditions(
+            hg.w, parse_vertex_list(args.require), parse_vertex_list(args.forbid))
     if args.order == "size-asc":
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
     return hg
 
 
-def _parse_vertex_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise HypergraphError(f"bad vertex list {text!r}") from exc
-
-
-def _verify(args, answer: int, checks) -> int:
-    """Compare ``answer`` with each (name, size name, size, limit, unit, oracle);
-    under ``--json`` the verify lines go to stderr, so stdout is one object."""
+def _verify(args, answer: int, oracles) -> int:
+    """Compare ``answer`` with each (name, oracle); an oracle past its budget
+    raises ValueError before any work, and its message is the skip reason.
+    Under ``--json`` the verify lines go to stderr, so stdout is one object."""
     out = sys.stderr if args.json else sys.stdout
-    for name, size_name, size, limit, unit, oracle in checks:
-        if size > limit:
-            print(f"verify {name}: skipped ({size_name} > {limit}: 2^{size} {unit})",
-                  file=out)
+    for name, oracle in oracles:
+        try:
+            got = oracle()
+        except ValueError as exc:
+            print(f"verify {name}: skipped ({exc})", file=out)
             continue
-        got = oracle()
         if got != answer:
             print(f"verification mismatch: {name} says {got}, "
                   f"engine says {answer}", file=sys.stderr)
@@ -108,61 +108,41 @@ def _verify(args, answer: int, checks) -> int:
 
 
 def _cmd_count(args, hg: Hypergraph) -> int:
-    if args.exactly is not None:
-        return _count_exactly(args, hg)
-    start = time.perf_counter()
-    # one pass over the engine's final rows; none is stored
-    tally = Tally()
-    rows = tally.tap(final_rows(hg))
-    at_least = None
-    if args.at_least is None:
-        deque(rows, maxlen=0)
-    else:
-        at_least = Spectrum.of(rows, hg.w).at_least(args.at_least)
-    elapsed = time.perf_counter() - start
-
-    if args.json:
-        report = {
-            "n_total": tally.n_total, "r_final": tally.r_final,
-            "k_min": tally.k_min, "tau_min": tally.tau_min,
-            "impositions": tally.stats.impositions,
-            "s_max_observed": tally.stats.s_max, "elapsed": elapsed}
-        if at_least is not None:
-            report["at_least_k"] = args.at_least
-            report["at_least_count"] = at_least
-        print(json.dumps(report))
-    else:
-        print(f"N = {tally.n_total}, R = {tally.r_final}, "
-              f"k_min = {tally.k_min}, tau_min = {tally.tau_min}")
-        if at_least is not None:
-            print(f"N(|X| >= {args.at_least}) = {at_least}")
-
-    if not args.verify:
-        return EXIT_OK
-    return _verify(args, tally.n_total, (
-        ("brute force", "w", hg.w, BRUTE_VERTEX_LIMIT, "masks",
-         lambda: len(brute_transversals(hg))),
-        ("inclusion-exclusion", "h", hg.h, IE_EDGE_LIMIT, "subsets",
-         lambda: inclusion_exclusion_count(hg))))
-
-
-def _count_exactly(args, hg: Hypergraph) -> int:
-    if args.at_least is not None:
+    k, at_least = args.exactly, args.at_least
+    if k is not None and at_least is not None:
         raise ValueError("--exactly cannot be combined with --at-least")
-    k = args.exactly
     start = time.perf_counter()
-    count = count_exactly(hg, k)
-    elapsed = time.perf_counter() - start
-    if args.json:
-        print(json.dumps({"exactly_k": k, "exactly_count": count,
-                          "elapsed": elapsed}))
+    if k is not None:
+        answer = count_exactly(hg, k)
     else:
-        print(f"N(|X| = {k}) = {count}")
-    if not args.verify:
-        return EXIT_OK
-    return _verify(args, count, (
-        ("inclusion-exclusion", "h", hg.h, IE_EDGE_LIMIT, "subsets",
-         lambda: inclusion_exclusion_count(hg, k)),))
+        # one pass over the engine's final rows; none is stored
+        tally = Tally()
+        rows = tally.tap(final_rows(hg))
+        if at_least is None:
+            deque(rows, maxlen=0)
+        else:
+            at_least_count = Spectrum.of(rows, hg.w).at_least(at_least)
+        answer = tally.n_total
+    elapsed = time.perf_counter() - start
+
+    if k is not None:
+        report = {"exactly_k": k, "exactly_count": answer, "elapsed": elapsed}
+        lines = [f"N(|X| = {k}) = {answer}"]
+        oracles = [("inclusion-exclusion", lambda: inclusion_exclusion_count(hg, k))]
+    else:
+        report = {"n_total": answer, "r_final": tally.r_final,
+                  "k_min": tally.k_min, "tau_min": tally.tau_min,
+                  "impositions": tally.stats.impositions,
+                  "s_max_observed": tally.stats.s_max, "elapsed": elapsed}
+        lines = [f"N = {answer}, R = {tally.r_final}, "
+                 f"k_min = {tally.k_min}, tau_min = {tally.tau_min}"]
+        oracles = [("brute force", lambda: brute_count(hg)),
+                   ("inclusion-exclusion", lambda: inclusion_exclusion_count(hg))]
+        if at_least is not None:
+            report.update(at_least_k=at_least, at_least_count=at_least_count)
+            lines.append(f"N(|X| >= {at_least}) = {at_least_count}")
+    print(json.dumps(report) if args.json else "\n".join(lines))
+    return _verify(args, answer, oracles) if args.verify else EXIT_OK
 
 
 def _cmd_spectrum(args, hg: Hypergraph) -> int:
@@ -195,11 +175,9 @@ def _cmd_rows(args, hg: Hypergraph) -> int:
 
 
 def _cmd_query(args, hg: Hypergraph) -> int:
-    require, forbid = check_conditions(hg.w, _parse_vertex_list(args.require),
-                                       _parse_vertex_list(args.forbid))
     # each row is cut and printed as the engine yields it; none is stored
     tally = Tally()
-    for row in tally.tap(filter_rows(final_rows(hg), require, forbid)):
+    for row in tally.tap(filter_rows(final_rows(hg), args.require, args.forbid)):
         print(row.render())
     print(f"R = {tally.r_final}, N = {tally.n_total}")
     return EXIT_OK
@@ -219,8 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     digit_limit = _get_digit_limit()
     try:
         hg = _load(args)
-        # the hypergraph file is parsed under Python's int/str digit limit;
-        # exact answers may be longer, so they are printed without one
+        # the input (the file, and query's vertex lists) is parsed under
+        # Python's int/str digit limit; exact answers may be longer, so
+        # they are printed without one
         _set_digit_limit(0)
         code = _HANDLERS[args.command](args, hg)
         sys.stdout.flush()

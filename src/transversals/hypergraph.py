@@ -13,7 +13,18 @@ MAX_W = 1 << 22
 
 class HypergraphError(ValueError):
     """Malformed hypergraph input (bad header, empty edge, non-integer or
-    out-of-range vertex)."""
+    out-of-range vertex) or a malformed vertex list."""
+
+
+def brief_repr(value: object) -> str:
+    """ascii(value) for an error message, or a placeholder when that is over
+    40 characters; a huge int is never converted, which alone takes time
+    quadratic in its digits (and fails past Python's digit limit)."""
+    if not (isinstance(value, int) and value.bit_length() > 128):
+        text = ascii(value)
+        if len(text) <= 40:
+            return text
+    return f"<{type(value).__name__} too long to show>"
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,18 @@ def parse_hypergraph(text: str) -> Hypergraph:
         except ValueError as exc:
             raise HypergraphError(f"edge line {i} has a non-integer vertex") from exc
     return Hypergraph(w, tuple(edges))
+
+
+def parse_vertex_list(text: str) -> tuple[int, ...]:
+    """The vertices of a comma-separated list such as ``8,9``: a blank list
+    is empty, an empty or non-integer token is an error."""
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise HypergraphError(f"bad vertex list {brief_repr(text)}") from exc
 
 
 def render_hypergraph(hg: Hypergraph) -> str:

@@ -5,6 +5,10 @@ subset/superset reductions that check query filtering.
 These are deliberately written against different machinery than the engine
 (bitmasks and alternating sums instead of row splitting) so that agreement
 between the two sides is meaningful.
+
+Each exponential oracle keeps its own budget: past it, the oracle raises
+ValueError before any work, with a message naming the work it refused
+(``w > 24: 2^25 masks``) that a caller can print as its skip reason.
 """
 
 from __future__ import annotations
@@ -21,17 +25,25 @@ IE_EDGE_LIMIT = 20
 CENSUS_BRUTE_LIMIT = 5
 
 
+def _transversal_masks(hg: Hypergraph) -> Iterator[int]:
+    """The vertex mask (bit v - 1 for vertex v) of every transversal, from one
+    lazy sweep of the 2^w bitmasks; w > 24 raises ValueError at once."""
+    if hg.w > BRUTE_VERTEX_LIMIT:
+        raise ValueError(f"w > {BRUTE_VERTEX_LIMIT}: 2^{hg.w} masks")
+    masks = [sum(1 << (v - 1) for v in edge) for edge in hg.edges]
+    return (m for m in range(1 << hg.w) if all(m & em for em in masks))
+
+
 def brute_transversals(hg: Hypergraph) -> list[tuple[int, ...]]:
     """All transversals by sweeping the 2^w bitmasks; lexicographic order."""
-    if hg.w > BRUTE_VERTEX_LIMIT:
-        raise ValueError(f"w={hg.w} exceeds brute-force limit {BRUTE_VERTEX_LIMIT}")
-    masks = [sum(1 << (v - 1) for v in edge) for edge in hg.edges]
-    found = []
-    for m in range(1 << hg.w):
-        if all(m & em for em in masks):
-            found.append(tuple(v for v in range(1, hg.w + 1) if m >> (v - 1) & 1))
-    found.sort()
-    return found
+    return sorted(tuple(v for v in range(1, hg.w + 1) if m >> (v - 1) & 1)
+                  for m in _transversal_masks(hg))
+
+
+def brute_count(hg: Hypergraph) -> int:
+    """The number of transversals from the same sweep, in constant memory:
+    no transversal is kept.  Same budget as :func:`brute_transversals`."""
+    return sum(1 for _ in _transversal_masks(hg))
 
 
 def inclusion_exclusion_count(hg: Hypergraph, k: int | None = None) -> int:
@@ -40,10 +52,11 @@ def inclusion_exclusion_count(hg: Hypergraph, k: int | None = None) -> int:
 
     Subsets are walked in Gray-code order so each step toggles one edge in
     per-vertex coverage counters, keeping the running union size cheap.
+    h > 20 raises ValueError before any work, k outside 0..w or not.
     """
     h = hg.h
     if h > IE_EDGE_LIMIT:
-        raise ValueError(f"h={h} exceeds inclusion-exclusion limit {IE_EDGE_LIMIT}")
+        raise ValueError(f"h > {IE_EDGE_LIMIT}: 2^{h} subsets")
     if k is not None and (k < 0 or k > hg.w):
         return 0
 

@@ -163,6 +163,20 @@ class TestFilterFamily:
         with pytest.raises(ValueError, match="vertex True not in ground set"):
             filter_family(RowFamily(w=3, rows=()), forbid={True})
 
+    @pytest.mark.parametrize("require, forbid, message", [
+        ({10 ** 5000}, (), "vertex <int too long to show> not in ground set 1..3"),
+        (("x" * 1000,), (), "vertex <str too long to show> not in ground set 1..3"),
+        ({2.5}, (), "vertex 2.5 not in ground set 1..3"),
+        (range(1, 10_001), range(1, 10_001),
+         "require and forbid overlap on [1, 2, 3, ...]"),
+        ({3, 4, 10 ** 5000}, {3, 4, 10 ** 5000},
+         "require and forbid overlap on [3, 4, <int too long to show>]"),
+    ], ids=["huge-int", "long-str", "float", "many-shared", "huge-shared"])
+    def test_condition_message_stays_short(self, require, forbid, message):
+        with pytest.raises(ValueError) as info:
+            filter_family(RowFamily(w=3, rows=()), require=require, forbid=forbid)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("require, forbid", [
         ({8, 9}, {7}), (set(), {9}), ({1, 2, 3}, {4, 5, 13}), (set(), set())],
         ids=["demo-query", "one-forbid", "many-each", "none"])

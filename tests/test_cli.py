@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -580,3 +581,49 @@ def test_golden_enumerate_full_order(capsys):
 def test_golden_overlap_error(capsys):
     assert run_cli(capsys, "query", SAMPLE, "--require", "8", "--forbid", "8") == \
         (2, "", "error: require and forbid overlap on [8]\n")
+
+
+def test_golden_count_at_least_json(capsys):
+    code, out, err = run_cli(capsys, "count", SAMPLE, "--at-least", "5", "--json")
+    masked = re.sub(r'"elapsed": [^,}]+', '"elapsed": E', out)
+    assert (code, masked, err) == (
+        0,
+        '{"n_total": 8784, "r_final": 7, "k_min": 4, "tau_min": 66, '
+        '"impositions": 10, "s_max_observed": 5, "elapsed": E, '
+        '"at_least_k": 5, "at_least_count": 8718}\n',
+        "")
+
+
+def test_golden_bad_vertex_list(capsys):
+    assert run_cli(capsys, "query", SAMPLE, "--require", "x") == \
+        (2, "", "error: bad vertex list 'x'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--require", "9" * 20_000],
+    ["--forbid", "x" * 100_000],
+    ["--require", ",".join(map(str, range(1, 10_001))),
+     "--forbid", ",".join(map(str, range(1, 10_001)))],
+], ids=["huge-vertex", "long-non-integer-list", "long-overlap"])
+def test_long_condition_gives_short_error(capsys, argv):
+    # the lists are parsed under the int/str digit limit, and no message
+    # quotes a long list, a huge vertex or every shared vertex
+    code, out, err = run_cli(capsys, "query", SAMPLE, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+def test_verify_brute_force_counts_in_constant_memory(capsys, tmp_path):
+    # 2^16 - 1 transversals; a list of their tuples peaks at several MB
+    path = tmp_path / "one-edge.hg"
+    path.write_text("16 1\n" + " ".join(map(str, range(1, 17))) + "\n")
+    tracemalloc.start()
+    try:
+        code = main(["count", str(path), "--verify"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out.splitlines()[1]) == \
+        (0, "verify brute force: 65535 ok")
+    assert peak < 2 << 20

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from transversals import (Hypergraph, HypergraphError, load_hypergraph,
-                          parse_hypergraph, render_hypergraph, subset_reduced,
-                          superset_reduced)
+                          parse_hypergraph, parse_vertex_list,
+                          render_hypergraph, subset_reduced, superset_reduced)
 from transversals.hypergraph import MAX_W
 from conftest import DEMO_TEXT
 
@@ -147,3 +147,24 @@ class TestSupersetReduced:
     def test_out_of_range(self, demo_hg):
         with pytest.raises(ValueError):
             superset_reduced(demo_hg, {0})
+
+
+@pytest.mark.parametrize("text, vertices", [
+    ("", ()), (" ", ()), ("8", (8,)), ("8,9", (8, 9)), (" 8 , 9 ", (8, 9)),
+    ("0,-3", (0, -3))])
+def test_parse_vertex_list(text, vertices):
+    # the range is checked against a ground set later, not here
+    assert parse_vertex_list(text) == vertices
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x", "bad vertex list 'x'"),
+    ("8,,9", "bad vertex list '8,,9'"),
+    ("8,", "bad vertex list '8,'"),
+    ("1," * 50_000 + "x", "bad vertex list <str too long to show>"),
+    ("\u00e9", "bad vertex list '\\xe9'"),
+])
+def test_bad_vertex_list(text, message):
+    with pytest.raises(HypergraphError) as info:
+        parse_vertex_list(text)
+    assert str(info.value) == message

@@ -3,6 +3,7 @@ import pytest
 from transversals import (Hypergraph, all_rows, bell_numbers,
                           brute_transversals, inclusion_exclusion_count,
                           parse_hypergraph, row_census, row_census_brute)
+from transversals.oracles import brute_count
 from conftest import DEMO_TOTAL
 
 
@@ -25,6 +26,15 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_transversals(Hypergraph(25, ()))
 
+    def test_count_matches_list(self, demo_hg):
+        assert brute_count(demo_hg) == DEMO_TOTAL
+        assert brute_count(parse_hypergraph("3 0\n")) == 8
+
+    @pytest.mark.parametrize("oracle", [brute_transversals, brute_count])
+    def test_budget_message_is_skip_reason(self, oracle):
+        with pytest.raises(ValueError, match=r"^w > 24: 2\^30 masks$"):
+            oracle(Hypergraph(30, ()))
+
 
 class TestInclusionExclusion:
     def test_demo_total(self, demo_hg):
@@ -46,6 +56,12 @@ class TestInclusionExclusion:
         hg = Hypergraph(2, tuple((1,) for _ in range(21)))
         with pytest.raises(ValueError):
             inclusion_exclusion_count(hg)
+
+    @pytest.mark.parametrize("k", [None, 1, -1])
+    def test_budget_message_is_skip_reason(self, k):
+        hg = Hypergraph(2, tuple((1,) for _ in range(21)))
+        with pytest.raises(ValueError, match=r"^h > 20: 2\^21 subsets$"):
+            inclusion_exclusion_count(hg, k)
 
 
 class TestRowCensus:
