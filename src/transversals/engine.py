@@ -39,11 +39,18 @@ def impose(row: Row, edge: int) -> list[Row]:
     If a forced position or a whole bubble lies inside the edge, every
     member already hits it and the row passes through unchanged.  Otherwise
     son s hits the edge inside the s-th cut bubble (the hit part becomes a
-    fresh bubble, or a forced 1 when it is a single position, and the rest
-    of that bubble goes free), while the earlier cut parts are zeroed out
-    with their remainders shrinking in place.  A last son catches members
-    hitting the edge only among the free positions; it exists only when the
-    edge meets them.  Sons are returned in that order.
+    fresh bubble and the rest of that bubble goes free), while the earlier
+    cut parts are zeroed out with their rests staying bubbles.  A last son
+    catches members hitting the edge only among the free positions, its
+    free hit becoming a bubble; it exists only when the edge meets them.
+    Sons are returned in that order.
+
+    Sons come out normal: a one-position part, rest or free hit goes to the
+    1s here, so no son has a one-position bubble for the constructor to
+    promote.  A son's bubbles keep the row's stored order, which drives
+    :meth:`~transversals.rows.Row.members_of_size`: first the earlier rests
+    and untouched bubbles in place, then the part (or the free hit), then
+    the later bubbles.
     """
     if edge & row.one_mask:
         return [row]
@@ -52,19 +59,32 @@ def impose(row: Row, edge: int) -> list[Row]:
         if bubble & edge == bubble:
             return [row]
     w, zeros, ones, twos = row.w, row.zero_mask, row.one_mask, row.two_mask
-    cut = list(bubbles)
+    # the earlier rests that stay bubbles and the untouched bubbles, in place
+    kept = []
     sons = []
     for i, bubble in enumerate(bubbles):
         part = bubble & edge
-        if part:
-            cut[i] = part
-            sons.append(Row(w, zeros, ones, twos | bubble ^ part, tuple(cut)))
-            zeros |= part
-            cut[i] = bubble ^ part
+        if not part:
+            kept.append(bubble)
+            continue
+        rest = bubble ^ part
+        if part & part - 1:
+            son = Row(w, zeros, ones, twos | rest, (*kept, part, *bubbles[i + 1:]))
+        else:
+            son = Row(w, zeros, ones | part, twos | rest, (*kept, *bubbles[i + 1:]))
+        sons.append(son)
+        zeros |= part
+        # not empty, or the bubble would lie inside the edge
+        if rest & rest - 1:
+            kept.append(rest)
+        else:
+            ones |= rest
     free_hit = twos & edge
     if free_hit:
-        cut.append(free_hit)
-        sons.append(Row(w, zeros, ones, twos ^ free_hit, tuple(cut)))
+        if free_hit & free_hit - 1:
+            sons.append(Row(w, zeros, ones, twos ^ free_hit, (*kept, free_hit)))
+        else:
+            sons.append(Row(w, zeros, ones | free_hit, twos ^ free_hit, kept))
     return sons
 
 
@@ -99,14 +119,15 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
     :func:`impose` keeps the ones, gives every cut bubble a non-empty part
     in its own son and leaves the earlier cut bubbles a non-empty rest (an
     empty rest would mean the bubble lies inside the edge, and the row
-    passes through); a one-position part or rest becomes a forced 1, and
-    the free son adds one bubble or 1.  So ``c_min`` = |ones| + |bubbles|
-    cannot fall, and ``c_max`` = w - |zeros| cannot rise since zeros only
-    grow.  A pruned row therefore has no final descendant with k in
-    ``c_min..c_max``, and every final row of the full run that has it there
-    has only unpruned ancestors.  Member sizes of a row are contiguous from
-    ``c_min`` to ``c_max`` (add free positions or bubble positions one at a
-    time), so these are exactly the rows holding a size-k transversal.
+    passes through); a one-position part or rest becomes a forced 1 in
+    :func:`impose` itself, and the free son adds one bubble or 1.  So
+    ``c_min`` = |ones| + |bubbles| cannot fall, and ``c_max`` = w - |zeros|
+    cannot rise since zeros only grow.  A pruned row therefore has no final
+    descendant with k in ``c_min..c_max``, and every final row of the full
+    run that has it there has only unpruned ancestors.  Member sizes of a
+    row are contiguous from ``c_min`` to ``c_max`` (add free positions or
+    bubble positions one at a time), so these are exactly the rows holding
+    a size-k transversal.
 
     Three checks are skipped because their answer is known.  A row is on
     the stack only if it was admissible (feasible for its pending edges,
@@ -137,7 +158,8 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
     if k is None or k <= hg.w:
         stack.append((Row.powerset(hg.w), 1))
     while stack:
-        max_stack = max(max_stack, len(stack))
+        if len(stack) > max_stack:
+            max_stack = len(stack)
         row, pc = stack.pop()
         # fast-forward: while impose hands the row back, impose the next edge
         while pc <= h:
@@ -149,7 +171,8 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
         else:
             yield row
             continue
-        s_max = max(s_max, len(sons))
+        if len(sons) > s_max:
+            s_max = len(sons)
         # the sons' pending edges: sliced once per split rather than stored
         # for every pc, which would hold h(h + 1)/2 references
         rest = edges[pc - 1:]

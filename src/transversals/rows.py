@@ -69,7 +69,11 @@ class Row:
     the same blocks compare equal regardless of bubble order.
 
     Bubbles of size one are promoted to forced positions on construction;
-    an empty bubble is rejected since no set can hit it.
+    an empty bubble is rejected since no set can hit it.  The promotion
+    serves :func:`row_from_tokens`, :meth:`restrict` and
+    :func:`bubble_segment_counts`; the engine's sons never reach it, since
+    :func:`~transversals.engine.impose` builds them with no one-position
+    bubble.
     """
 
     __slots__ = ("w", "zero_mask", "one_mask", "two_mask", "bubble_masks")

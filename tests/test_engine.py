@@ -196,6 +196,17 @@ class TestRun:
     def test_demo_final_rows(self, demo_family):
         assert [r.render() for r in demo_family.rows] == DEMO_FINAL_ROWS
 
+    def test_demo_stored_bubble_order(self, demo_hg, demo_family):
+        # render, equality and sorted digests ignore bubble order, but
+        # members_of_size walks it, so the stored order is frozen here
+        assert [row.bubble_masks for row in demo_family.rows] == [
+            (24, 1056, 6336, 24832), (6336, 24832), (192, 8448), (192,),
+            (6144,), (24576, 6), (6,)]
+        size_asc = Hypergraph(demo_hg.w, tuple(sorted(demo_hg.edges, key=len)))
+        assert [row.bubble_masks for row in run(size_asc).rows] == [
+            (536, 24832, 6336), (24, 24832, 6336), (6336,), (192,), (6144, 6),
+            (198,)]
+
     def test_demo_total(self, demo_family):
         assert sum(r.size() for r in demo_family.rows) == DEMO_TOTAL
 

@@ -241,6 +241,45 @@ def test_wide_rows_split_and_filter_by_size(r, data):
                for half in halves if half)
 
 
+def reference_impose(row, edge):
+    """The sons built from one ``cut`` list, part in place of its bubble and
+    rests shrinking in place, leaving one-position bubbles to the
+    constructor's promotion."""
+    if edge & row.one_mask or any(b & edge == b for b in row.bubble_masks):
+        return [row]
+    zeros, twos = row.zero_mask, row.two_mask
+    cut = list(row.bubble_masks)
+    sons = []
+    for i, bubble in enumerate(row.bubble_masks):
+        part = bubble & edge
+        if part:
+            cut[i] = part
+            sons.append(Row(row.w, zeros, row.one_mask, twos | bubble ^ part, cut))
+            zeros |= part
+            cut[i] = bubble ^ part
+    free_hit = twos & edge
+    if free_hit:
+        sons.append(Row(row.w, zeros, row.one_mask, twos ^ free_hit, cut + [free_hit]))
+    return sons
+
+
+def son_parts(rows):
+    return [(r.zero_mask, r.one_mask, r.two_mask, r.bubble_masks) for r in rows]
+
+
+@given(rows_st(min_w=1) | rows_st(min_w=60, max_w=140), st.data())
+def test_impose_builds_the_reference_sons_already_normal(r, data):
+    # any stored bubble order, not only the canonical one rows_st gives
+    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
+            data.draw(st.permutations(r.bubble_masks)))
+    # few positions, so that wide rows split rather than pass through
+    edge = vertex_mask(data.draw(
+        st.frozensets(st.integers(1, r.w), min_size=1, max_size=8)))
+    sons = impose(r, edge)
+    assert son_parts(sons) == son_parts(reference_impose(r, edge))
+    assert all(b & b - 1 for son in sons for b in son.bubble_masks)
+
+
 @settings(max_examples=60)
 @given(hypergraphs_st())
 def test_engine_matches_brute_force(hg):
