@@ -88,14 +88,45 @@ def impose(row: Row, edge: int) -> list[Row]:
     return sons
 
 
-def is_feasible(row: Row, pending: Iterable[int]) -> bool:
+def is_feasible(row: Row, pending: Iterable[int], k: int | None = None) -> bool:
     """True iff no pending edge (a vertex mask) lies entirely inside the
     zeros, i.e. the member taking everything outside the zeros hits every
-    pending edge."""
+    pending edge; with an int ``k``, also iff the packing bound LB is at
+    most k.
+
+    LB = ``c_min`` + the size of a greedy packing: the pending edges, in
+    the order given, whose live part (the edge minus the zeros) lies inside
+    the free positions, each kept if its live part misses those kept
+    before.  Every member hitting the pending edges holds the 1s, a
+    position of each bubble and, for each packed edge, a free position of
+    its own, so none is smaller than LB.  The same single scan checks both,
+    and it stops once the packing has used up the slack k - ``c_min``.
+    """
     zeros = row.zero_mask
+    if k is None:
+        for edge in pending:
+            if edge & zeros == edge:
+                return False
+        return True
+    slack = k - row.c_min
+    if slack < 0:
+        return False
+    twos = row.two_mask
+    # the 1s and the bubbles: an edge meeting them is neither packable nor
+    # inside the zeros
+    fixed = ((1 << row.w + 1) - 2) ^ zeros ^ twos
+    packed = 0
     for edge in pending:
-        if edge & zeros == edge:
+        if edge & fixed:
+            continue
+        live = edge & twos
+        if not live:
             return False
+        if not live & packed:
+            if not slack:
+                return False
+            slack -= 1
+            packed |= live
     return True
 
 
@@ -114,36 +145,52 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
 
     With an int ``k`` the run keeps exactly the final rows of the full run
     that hold a transversal of size k, in the same order: sons with
-    ``c_min > k`` or ``c_max < k`` are pruned.  This is sound because along
-    every path ``c_min`` never falls and ``c_max`` never rises.
-    :func:`impose` keeps the ones, gives every cut bubble a non-empty part
-    in its own son and leaves the earlier cut bubbles a non-empty rest (an
-    empty rest would mean the bubble lies inside the edge, and the row
-    passes through); a one-position part or rest becomes a forced 1 in
-    :func:`impose` itself, and the free son adds one bubble or 1.  So
-    ``c_min`` = |ones| + |bubbles| cannot fall, and ``c_max`` = w - |zeros|
-    cannot rise since zeros only grow.  A pruned row therefore has no final
-    descendant with k in ``c_min..c_max``, and every final row of the full
-    run that has it there has only unpruned ancestors.  Member sizes of a
-    row are contiguous from ``c_min`` to ``c_max`` (add free positions or
-    bubble positions one at a time), so these are exactly the rows holding
-    a size-k transversal.
+    ``c_max < k`` or with a packing bound LB > k (see :func:`is_feasible`;
+    LB >= ``c_min``) are pruned.
+
+    Pruning by ``c_min`` and ``c_max`` is sound because along every path
+    ``c_min`` never falls and ``c_max`` never rises.  :func:`impose` keeps
+    the ones, gives every cut bubble a non-empty part in its own son and
+    leaves the earlier cut bubbles a non-empty rest (an empty rest would
+    mean the bubble lies inside the edge, and the row passes through); a
+    one-position part or rest becomes a forced 1 in :func:`impose` itself,
+    and the free son adds one bubble or 1.  So ``c_min`` = |ones| +
+    |bubbles| cannot fall, and ``c_max`` = w - |zeros| cannot rise since
+    zeros only grow.  A pruned row therefore has no final descendant with k
+    in ``c_min..c_max``, and every final row of the full run that has it
+    there has only unpruned ancestors.  Member sizes of a row are
+    contiguous from ``c_min`` to ``c_max`` (add free positions or bubble
+    positions one at a time), so these are exactly the rows holding a
+    size-k transversal.
+
+    Pruning by LB keeps the same final rows.  Sound: the members of a final
+    descendant of a row are members of that row that hit every edge, the
+    row's pending edges included, so none is smaller than the row's LB; a
+    row with LB > k has no final descendant holding size k.  Exact: a
+    size-k member X of a final row F of the full run is a member of every
+    ancestor of F and hits that ancestor's pending edges, so each ancestor
+    has LB <= |X| = k and is kept; F itself has no pending edge, so its LB
+    is ``c_min``.  Only whole subtrees without such an F are cut from the
+    same traversal, so the kept final rows come in the full run's order.
 
     Three checks are skipped because their answer is known.  A row is on
     the stack only if it was admissible (feasible for its pending edges,
-    and with k in ``c_min..c_max`` if k is set), and a suffix of them is a
+    and with k in LB..``c_max`` if k is set), and a suffix of them is a
     subset.  (1) The root has no zeros and
     :class:`~transversals.hypergraph.Hypergraph` rejects empty edges, so no
-    edge lies inside its zeros; only ``k <= w`` is checked.  (2) When
-    :func:`impose` passes the row through, it keeps its zeros, ``c_min``
-    and ``c_max`` and so stays admissible.  Pushing and popping it at once
-    would change neither ``max_stack`` nor the final order, nor ``s_max``,
-    which the first imposition (a split of the all-free root) has already
-    raised to 1; so the next edge is imposed on it directly.  (3)
-    :func:`impose` builds its first son before zeroing any cut part, so
-    that son keeps the row's zeros and ``c_max`` and is feasible with
-    ``c_max >= k``; only its ``c_min <= k`` is checked.  An admissible row
-    always has a son, since no pending edge lies inside its zeros.
+    edge lies inside its zeros; the full run checks nothing, the run for k
+    checks ``k <= w`` and the root's LB.  (2) When :func:`impose` passes
+    the row through, it keeps its zeros, ones, twos and bubbles, and the
+    edge it drops from the pending ones meets its ones or a bubble, so no
+    packing took it and LB is unchanged: the row stays admissible.
+    Pushing and popping it at once would change neither ``max_stack`` nor
+    the final order, nor ``s_max``, which the first imposition (a split of
+    the all-free root) has already raised to 1; so the next edge is
+    imposed on it directly.  (3) :func:`impose` builds its first son
+    before zeroing any cut part, so that son keeps the row's zeros and
+    ``c_max`` and is feasible with ``c_max >= k``; the full run checks
+    nothing, the run for k checks only its LB.  An admissible row always
+    has a son, since no pending edge lies inside its zeros.
     """
     if k is not None and (type(k) is not int or k < 0):
         raise ValueError(f"k must be None or an int >= 0, not {k!r}")
@@ -155,8 +202,9 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
     # (row, pc): every member of row hits the edges before the 1-based
     # index pc; pc == h + 1 marks a final row
     stack: list[tuple[Row, int]] = []
-    if k is None or k <= hg.w:
-        stack.append((Row.powerset(hg.w), 1))
+    root = Row.powerset(hg.w)
+    if k is None or k <= hg.w and is_feasible(root, edges, k):
+        stack.append((root, 1))
     while stack:
         if len(stack) > max_stack:
             max_stack = len(stack)
@@ -177,12 +225,18 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
         # for every pc, which would hold h(h + 1)/2 references
         rest = edges[pc - 1:]
         # pushed last-son-first, so the first son is processed first; the
-        # first son can lose k only by its c_min
-        for son in sons[:0:-1]:
-            if (k is None or son.c_min <= k <= son.c_max) and is_feasible(son, rest):
-                stack.append((son, pc))
-        if k is None or sons[0].c_min <= k:
+        # first son is feasible with c_max >= k, so it can lose only by LB
+        if k is None:
+            for son in sons[:0:-1]:
+                if is_feasible(son, rest):
+                    stack.append((son, pc))
             stack.append((sons[0], pc))
+        else:
+            for son in sons[:0:-1]:
+                if k <= son.c_max and is_feasible(son, rest, k):
+                    stack.append((son, pc))
+            if is_feasible(sons[0], rest, k):
+                stack.append((sons[0], pc))
     return RunStats(impositions, s_max, max_stack)
 
 

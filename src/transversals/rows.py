@@ -49,9 +49,6 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_set = object.__setattr__
-
-
 class Row:
     """One {0,1,2,e}-valued row over the ground set {1..w}.
 
@@ -80,11 +77,11 @@ class Row:
 
     def __init__(self, w: int, zeros: int, ones: int, twos: int,
                  bubbles: Iterable[int] = ()) -> None:
-        _set(self, "w", w)
-        _set(self, "zero_mask", zeros)
-        _set(self, "one_mask", ones)
-        _set(self, "two_mask", twos)
-        _set(self, "bubble_masks", tuple(bubbles))
+        _set_w(self, w)
+        _set_zeros(self, zeros)
+        _set_ones(self, ones)
+        _set_twos(self, twos)
+        _set_bubbles(self, tuple(bubbles))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -118,9 +115,8 @@ class Row:
             for bubble in bubbles:
                 if not bubble & bubble - 1:
                     ones |= bubble
-            _set(self, "one_mask", ones)
-            _set(self, "bubble_masks",
-                 tuple(bubble for bubble in bubbles if bubble & bubble - 1))
+            _set_ones(self, ones)
+            _set_bubbles(self, tuple(bubble for bubble in bubbles if bubble & bubble - 1))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Row is immutable; cannot set {name!r}")
@@ -299,6 +295,12 @@ class Row:
             for v in _vertices(bubble):
                 token[v] = f"e{i}"
         return " ".join(token[1:])
+
+
+# The slot descriptors' setters, bound once: they store past the immutable
+# __setattr__, which object.__setattr__ would look up on every call.
+_set_w, _set_zeros, _set_ones, _set_twos, _set_bubbles = (
+    getattr(Row, name).__set__ for name in Row.__slots__)
 
 
 def size_counts(rows: Iterable[Row], w: int, limit: int | None = None) -> list[int]:

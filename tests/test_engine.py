@@ -280,6 +280,26 @@ class TestWindowRun:
         assert rows == []
         assert stats.impositions < demo_family.stats.impositions
 
+    def test_packing_bound_prunes_the_root(self, demo_hg):
+        # the demo's first four edges are pairwise disjoint, so no
+        # transversal has fewer than 4 vertices and the run for 3 imposes none
+        rows, stats = drain(final_rows(demo_hg, 3))
+        assert rows == []
+        assert (stats.impositions, stats.s_max, stats.max_stack) == (0, 0, 0)
+
+    def test_packing_bound_pins_the_run_for_k_min(self):
+        # a seeded w32/h24 instance with edges of 2..5 vertices, k = k_min;
+        # pruning by c_min and c_max alone took 962 impositions, max_stack 10
+        rng = random.Random(1)
+        hg = Hypergraph(32, tuple(tuple(sorted(rng.sample(range(1, 33), rng.randint(2, 5))))
+                                  for _ in range(24)))
+        full = run(hg)
+        assert min(row.c_min for row in full.rows) == 8
+        rows, stats = drain(final_rows(hg, 8))
+        assert rows == [row for row in full.rows if row.c_min <= 8 <= row.c_max]
+        assert len(rows) == 14
+        assert (stats.impositions, stats.s_max, stats.max_stack) == (438, 4, 7)
+
     @pytest.mark.parametrize("k", [-1, 2.5, True, "3"],
                              ids=["negative", "float", "bool", "str"])
     def test_bad_k_rejected(self, demo_hg, k):

@@ -226,6 +226,26 @@ def test_impose_splits_hitters_disjointly(r, data):
         x for x in r.members() if set(x) & edge)
 
 
+@given(rows_st(min_w=1, max_w=10), st.data())
+def test_packing_bound_is_sound(r, data):
+    # short edges often lie inside zeros and twos, so some get packed
+    pending = data.draw(st.lists(st.integers(1, r.w).flatmap(
+        lambda n: st.frozensets(st.integers(1, r.w), min_size=1, max_size=n)),
+        max_size=6).map(lambda edges: [vertex_mask(e) for e in edges]))
+    bound = reference_bound(r, pending)
+    feasible = is_feasible(r, pending)
+    # the engine's LB is the least k it accepts; an infeasible row has none
+    accepted = [k for k in range(r.w + 2) if is_feasible(r, pending, k)]
+    assert accepted == (list(range(bound, r.w + 2)) if feasible else [])
+    hitting = [len(x) for x in r.members()
+               if all(edge & vertex_mask(x) for edge in pending)]
+    assert bool(hitting) == feasible
+    if hitting:
+        assert bound <= min(hitting)
+    if all(edge & ~(r.zero_mask | r.two_mask) for edge in pending):
+        assert bound == r.c_min
+
+
 @given(rows_st(min_w=60, max_w=140), st.data())
 def test_wide_rows_split_and_filter_by_size(r, data):
     # past bit 64 the members cannot be listed, so check sizes: the sons
@@ -313,15 +333,29 @@ def test_size_window_members_match_brute_force(hg, k):
     assert len(got) == len(set(got))
     assert sorted(got) == [x for x in brute_transversals(hg) if len(x) == k]
 
+
+def reference_bound(row, pending):
+    """The packing bound spelled out: c_min plus a greedy packing, in the
+    given order, of the pending edges lying inside zeros and twos, whose
+    live parts (the edge minus the zeros) are pairwise disjoint."""
+    packed = []
+    for edge in map(mask_vertices, pending):
+        live = edge - mask_vertices(row.zero_mask)
+        if edge <= mask_vertices(row.zero_mask | row.two_mask) and all(
+                live.isdisjoint(other) for other in packed):
+            packed.append(live)
+    return row.c_min + len(packed)
+
+
 def reference_run(hg, k):
     """The engine loop with no skipped check: push the root and every son
-    that takes in size k (if k is set) and is feasible, pop a row and
-    impose its next edge."""
+    that is feasible and, if k is set, has k in reference_bound..c_max;
+    pop a row and impose its next edge."""
     edges = [vertex_mask(e) for e in hg.edges]
 
     def admissible(row, done):
-        return ((k is None or row.c_min <= k <= row.c_max)
-                and is_feasible(row, edges[done:]))
+        return (is_feasible(row, edges[done:])
+                and (k is None or reference_bound(row, edges[done:]) <= k <= row.c_max))
 
     impositions = s_max = max_stack = 0
     final, stack = [], []
