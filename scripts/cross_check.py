@@ -3,9 +3,11 @@ engine's exact counts against the brute-force sweep and the
 inclusion-exclusion oracle, the size-k transversals of every stream
 ``final_rows(hg, k)`` for a fixed k against the brute-force sets of size k,
 the output of ``transversals count FILE --exactly k`` for every k in
--1..w+1 against inclusion-exclusion, and the stream cut by one random
-require/forbid pair (``filter_rows``) against the brute-force transversals
-that meet it; report compression statistics (final rows R versus
+-1..w+1 against inclusion-exclusion, the output of ``transversals count
+FILE --at-least K`` for one random K in -1..w+1 (N less the counts of the
+sizes below K) against the brute-force tail, and the stream cut by one
+random require/forbid pair (``filter_rows``) against the brute-force
+transversals that meet it; report compression statistics (final rows R versus
 represented transversals N).
 
 Usage:
@@ -42,11 +44,11 @@ def random_hypergraph(rng: random.Random, max_w: int, max_h: int) -> Hypergraph:
     return Hypergraph(w, edges)
 
 
-def cli_count_exactly(path: pathlib.Path, k: int) -> str:
-    """stdout of ``transversals count PATH --exactly k``."""
+def cli_count(path: pathlib.Path, option: str, k: int) -> str:
+    """stdout of ``transversals count PATH OPTION k``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli_main(["count", str(path), "--exactly", str(k)])
+        cli_main(["count", str(path), option, str(k)])
     return out.getvalue()
 
 
@@ -82,7 +84,7 @@ def main() -> int:
             == [x for x in brute if len(x) == k]
             for k in range(hg.w + 1))
         exactly_ok = all(
-            cli_count_exactly(path, k)
+            cli_count(path, "--exactly", k)
             == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
             for k in range(-1, hg.w + 2))
         # each vertex is required with odds 1/5, forbidden with 1/5, else free
@@ -93,14 +95,18 @@ def main() -> int:
             r.members() for r in filter_rows(final_rows(hg), vertex_mask(require),
                                              vertex_mask(forbid)))) == [
             x for x in brute if require <= set(x) and forbid.isdisjoint(x)]
+        at_least = rng.randint(-1, hg.w + 1)
+        at_least_ok = cli_count(path, "--at-least", at_least).endswith(
+            f"\nN(|X| >= {at_least}) = "
+            f"{sum(len(x) >= at_least for x in brute)}\n")
         ok = (n_engine == n_brute == n_ie and per_k_ok and size_k_ok
-              and exactly_ok and filter_ok)
+              and exactly_ok and filter_ok and at_least_ok)
         if not ok:
             mismatches += 1
             print(f"[{i}] MISMATCH on w={hg.w} h={hg.h}: engine={n_engine}, "
                   f"brute={n_brute}, ie={n_ie}, per_k_ok={per_k_ok}, "
                   f"size_k_ok={size_k_ok}, exactly_ok={exactly_ok}, "
-                  f"filter_ok={filter_ok}")
+                  f"filter_ok={filter_ok}, at_least_ok={at_least_ok}")
         if n_engine:
             ratio_sum += len(family.rows) / n_engine
         s_max_seen = max(s_max_seen, family.stats.s_max)

@@ -10,7 +10,9 @@ tau_min) and :meth:`Spectrum.of` (per-size counts) fold them, and
 :meth:`Row.restrict`, so a stored family and an engine stream get the same
 formulas and no row of a stream is stored.
 :func:`count_total` sums :meth:`Row.size` as Tally does, without Tally's
-work for k_min.
+work for k_min; :func:`count_at_least` takes N less the counts of the
+sizes below k (:func:`~transversals.rows.size_counts` with a limit), as
+``count --at-least`` does.
 """
 
 from __future__ import annotations
@@ -108,8 +110,10 @@ def spectrum(family: RowFamily) -> Spectrum:
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
-    """Number of transversals of cardinality >= k."""
-    return Spectrum.of(family.rows, family.w).at_least(k)
+    """Number of transversals of cardinality >= k: N less the counts of the
+    sizes below k, the only ones computed (all of them for k past w)."""
+    below = size_counts(family.rows, family.w, min(k, family.w + 1) - 1)
+    return count_total(family) - sum(below)
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:

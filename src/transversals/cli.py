@@ -21,9 +21,10 @@ from collections import deque
 from .analytics import (Spectrum, Tally, check_conditions, count_exactly,
                         filter_rows)
 from .engine import final_rows
-from .hypergraph import (Hypergraph, HypergraphError, load_hypergraph,
-                         parse_vertex_list)
+from .hypergraph import (Hypergraph, HypergraphError, brief_repr,
+                         load_hypergraph, parse_vertex_list)
 from .oracles import brute_count, inclusion_exclusion_count
+from .rows import size_counts
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -32,6 +33,17 @@ EXIT_MISMATCH = 3
 # Python 3.10.7+ limits int <-> str conversions (4300 digits by default)
 _get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
+def _int_value(text: str) -> int:
+    """An int option's value.  A bad one is named briefly, so the error is
+    one short line however long the text is (argparse's own message for
+    ``type=int`` quotes all of it)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {brief_repr(text)}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,9 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", parents=[common],
                            help="count all transversals")
-    count.add_argument("--at-least", type=int, metavar="K",
+    count.add_argument("--at-least", type=_int_value, metavar="K",
                        help="also count transversals of cardinality >= K")
-    count.add_argument("--exactly", type=int, metavar="K",
+    count.add_argument("--exactly", type=_int_value, metavar="K",
                        help="count only the transversals of cardinality K")
     count.add_argument("--verify", action="store_true",
                        help="cross-check against both oracles (within limits)")
@@ -60,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", parents=[common],
                           help="print all k-element transversals")
-    enum.add_argument("--k", type=int, required=True)
-    enum.add_argument("--limit", type=int, metavar="M",
+    enum.add_argument("--k", type=_int_value, required=True)
+    enum.add_argument("--limit", type=_int_value, metavar="M",
                       help="stop after M transversals")
 
     sub.add_parser("rows", parents=[common],
@@ -121,7 +133,11 @@ def _cmd_count(args, hg: Hypergraph) -> int:
         if at_least is None:
             deque(rows, maxlen=0)
         else:
-            at_least_count = Spectrum.of(rows, hg.w).at_least(at_least)
+            # N less the counts of sizes 0..K-1, the only digits computed;
+            # size_counts reads every row, so the tally holds N after it
+            # (no size exceeds w, so K past w needs no longer list)
+            below = sum(size_counts(rows, hg.w, min(at_least, hg.w + 1) - 1))
+            at_least_count = tally.n_total - below
         answer = tally.n_total
     elapsed = time.perf_counter() - start
 

@@ -175,16 +175,6 @@ class Row:
 
     # ----- counting by cardinality ---------------------------------------
 
-    def size_poly(self, bits: int) -> int:
-        """The size polynomial X^|ones| (1+X)^|twos| prod((1+X)^|b| - 1), whose
-        X^k coefficient counts the members of cardinality k, evaluated at
-        X = 2^bits."""
-        x = 1 << bits
-        value = (x + 1) ** self.two_mask.bit_count() << bits * self.one_mask.bit_count()
-        for bubble in self.bubble_masks:
-            value *= (x + 1) ** bubble.bit_count() - 1
-        return value
-
     def count_of_size(self, k: int) -> int:
         """Number of represented sets of cardinality exactly k."""
         if k < 0 or k > self.w:
@@ -303,22 +293,95 @@ _set_w, _set_zeros, _set_ones, _set_twos, _set_bubbles = (
     getattr(Row, name).__set__ for name in Row.__slots__)
 
 
-def size_counts(rows: Iterable[Row], w: int, limit: int | None = None) -> list[int]:
-    """Exact member counts per cardinality k = 0..limit (default w), summed
-    over pairwise disjoint rows over {1..w}, or over a single row.  The rows
-    are read once, so they may come from a stream.
+class _Memo(dict):
+    """A dict that computes a missing value with its function, once."""
 
-    Kronecker substitution: the counts are the base-2^bits digits, with
-    bits = w + 1, of the summed size polynomials evaluated at 2^bits.  No
-    digit carries into the next, because no count reaches 2^bits: the
-    members of size k of disjoint rows, or of one row, are distinct k-subsets
-    of {1..w}, so there are at most C(w, k) <= 2^w < 2^(w + 1) of them.
+    __slots__ = ("fn",)
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def size_counts(rows: Iterable[Row], w: int, limit: int | None = None) -> list[int]:
+    """Exact member counts per cardinality j = 0..limit (default w; zero past
+    w, none for a negative limit), summed over pairwise disjoint rows over
+    {1..w}, or over a single row.  The rows are read once, so they may come
+    from a stream; the first row is pulled before ``limit`` is used, since
+    an engine stream checks its k, often this same limit, only then.
+
+    Kronecker substitution: a row's size polynomial X^|ones| (1+X)^|twos|
+    prod((1+X)^|b| - 1) has as X^j coefficient its number of members of
+    size j, and the counts are the base-2^bits digits of the polynomials'
+    sum at X = 2^bits.  Only the digits 0..limit are made.  The factor
+    (1+X)^n of a free block, and (1+X)^n - 1 of a bubble, is computed once
+    per distinct n, on first use, so a row costs one shift and one product
+    per bubble; a row with more than ``limit`` forced positions and
+    bubbles has no member of size <= limit and is skipped.
+
+    Digit width.  With L = w.bit_length(), bits is min(w, limit * L) + 1
+    rounded up to whole bytes.  No count of size j <= limit reaches 2^bits:
+    the members of size j of disjoint rows, or of one row, are distinct
+    j-subsets of {1..w}, so there are at most C(w, j) <= 2^w of them, and
+    C(w, j) is 1 for j = 0 and at most w^j < 2^(j * L) for j >= 1.  The
+    same bound holds for every partial product of one row's factors, which
+    counts the members of a smaller row.  So no digit 0..limit carries.
+
+    Truncation.  For limit < w every product is reduced with ``& keep``,
+    keep = 2^(bits * (limit + 1)) - 1.  A sum of products has the same
+    value mod 2^(bits * (limit + 1)) whether its parts are reduced or not,
+    carries only move upward, and the digits 0..limit, each below 2^bits,
+    are that value's.  For limit >= w nothing is reduced: the polynomials
+    have degree <= w, and a mask would only copy the products.
+
+    Factors.  (1+X)^n is written digit by digit from the binomials C(n, j),
+    j <= limit, through bytes, which is what the whole-byte digits are for.
+    Digit 0 is 1, so a bubble factor's - 1 borrows nothing.  No power is
+    raised: squaring up to (1+X)^7998 at w = 8000 takes over half a
+    minute, where its digits take a tenth of a second, and three-argument
+    ``pow`` would reduce by long division, quadratic in the modulus.
     """
-    bits = w + 1
-    value = sum(row.size_poly(bits) for row in rows)
-    mask = (1 << bits) - 1
-    return [(value >> k * bits) & mask
-            for k in range(w + 1 if limit is None else limit + 1)]
+    rows = iter(rows)
+    head = list(itertools.islice(rows, 1))
+    top = w if limit is None else limit
+    width = (min(w, max(top, 0) * w.bit_length()) + 8) // 8
+    bits = 8 * width
+    keep = (1 << bits * (top + 1)) - 1 if 0 <= top < w else None
+
+    def power(n: int) -> int:
+        """(1 + X)^n, its digits 0..limit."""
+        digits, c = [], 1
+        for j in range(min(n, top) + 1):
+            digits.append(c.to_bytes(width, "little"))
+            c = c * (n - j) // (j + 1)
+        return int.from_bytes(b"".join(digits), "little")
+
+    free = _Memo(power)
+    bubble = _Memo(lambda n: free[n] - 1)
+    total = 0
+    for row in itertools.chain(head, rows):
+        ones = row.one_mask.bit_count()
+        bubbles = row.bubble_masks
+        if ones + len(bubbles) > top:
+            continue
+        term = free[row.two_mask.bit_count()] << bits * ones
+        if keep is None:
+            for b in bubbles:
+                term *= bubble[b.bit_count()]
+        else:
+            term &= keep
+            for b in bubbles:
+                term = term * bubble[b.bit_count()] & keep
+        total += term
+    if keep is not None:
+        total &= keep
+    data = total.to_bytes(width * max(top + 1, 0), "little")
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
 
 
 def bubble_segment_counts(sizes: Iterable[int], limit: int) -> list[list[int]]:

@@ -10,7 +10,8 @@ import tracemalloc
 
 import pytest
 
-from transversals import analytics, cli, engine
+from transversals import (Spectrum, analytics, cli, engine, final_rows,
+                          load_hypergraph)
 from transversals.cli import main
 from transversals.hypergraph import MAX_W
 from conftest import DEMO_FINAL_ROWS, DEMO_TEXT
@@ -190,6 +191,41 @@ class TestCountExactly:
                                  "--json", "--verify")
         assert (code, json.loads(out)["exactly_count"]) == (0, 66)
         assert err == "verify inclusion-exclusion: 66 ok\n"
+
+
+class TestWideCounting:
+    """The one edge {1, 2} over w = 8000, where N(|X| = k) = C(w, k) -
+    C(w - 2, k): answers of a few digits cost a few digits of arithmetic."""
+
+    W = 8000
+
+    @pytest.fixture(scope="class")
+    def wide_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wide") / "wide.hg"
+        path.write_text(f"{self.W} 1\n1 2\n")
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def spectrum(self, wide_file):
+        hg = load_hypergraph(wide_file)
+        return Spectrum.of(final_rows(hg), hg.w)
+
+    def test_exactly_two(self, capsys, wide_file):
+        assert run_cli(capsys, "count", wide_file, "--exactly", "2") == \
+            (0, f"N(|X| = 2) = {2 * self.W - 3}\n", "")
+
+    def test_at_least_three_json(self, capsys, wide_file):
+        code, out, err = run_cli(capsys, "count", wide_file, "--at-least", "3",
+                                 "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["at_least_count"] == \
+            3 * 2 ** 7998 - 15_999 == 3 * 2 ** (self.W - 2) - 2 * self.W + 1
+
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2, W, W + 1])
+    def test_at_least_is_spectrum_tail(self, capsys, wide_file, spectrum, k):
+        code, out, err = run_cli(capsys, "count", wide_file, "--at-least", str(k))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"N(|X| >= {k}) = {spectrum.at_least(k)}"
 
 
 class TestFold:
@@ -469,6 +505,24 @@ class TestErrors:
         path.write_text('{"w": 3, "edges": [[1,2],[]]}')
         code, out, err = run_cli(capsys, "count", str(path))
         assert (code, out, err) == (2, "", "error: edge 2 is empty\n")
+
+    @pytest.mark.parametrize("command, options", [
+        ("count", ["--exactly"]),
+        ("count", ["--at-least"]),
+        ("enumerate", ["--k"]),
+        ("enumerate", ["--k", "4", "--limit"]),
+    ], ids=["exactly", "at-least", "k", "limit"])
+    def test_oversized_int_option_is_not_quoted(self, capsys, demo_file,
+                                                command, options):
+        # 5 000 digits is past int()'s digit limit; argparse's own message
+        # for type=int would quote all of them
+        with pytest.raises(SystemExit) as exc:
+            main([command, demo_file, *options, "9" * 5000])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        error = err.splitlines()[-1]
+        assert "error: argument " in error
+        assert len(error.encode()) < 200
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

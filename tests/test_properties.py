@@ -69,6 +69,25 @@ def test_row_parts_partition_ground_set(r):
     assert frozenset().union(*parts) == frozenset(range(1, r.w + 1))
 
 
+def reference_size_counts(rows, w):
+    """The full digits the plain way: each row's size polynomial evaluated
+    at X = 2^(w + 1) with whole powers, summed and cut into w + 1 digits."""
+    bits = w + 1
+    x = 1 << bits
+    value = 0
+    for r in rows:
+        term = (x + 1) ** r.two_mask.bit_count() << bits * r.one_mask.bit_count()
+        for bubble in r.bubble_masks:
+            term *= (x + 1) ** bubble.bit_count() - 1
+        value += term
+    return [(value >> j * bits) & (x - 1) for j in range(w + 1)]
+
+
+def digits_up_to(counts, limit):
+    """counts[0..limit], zero past the end; empty for a negative limit."""
+    return (counts + [0] * max(limit + 1 - len(counts), 0))[:max(limit + 1, 0)]
+
+
 @given(rows_st())
 def test_counts_sum_to_size(r):
     assert sum(size_counts((r,), r.w, r.w)) == r.size()
@@ -76,10 +95,33 @@ def test_counts_sum_to_size(r):
 
 @given(rows_st())
 def test_counts_match_brute_force(r):
+    # for every limit, the bounded digits are the full ones, zero-padded
     by_size = [0] * (r.w + 1)
     for x in brute_members(r):
         by_size[len(x)] += 1
-    assert size_counts((r,), r.w, r.w) == by_size
+    assert reference_size_counts((r,), r.w) == by_size
+    for limit in range(-1, r.w + 3):
+        assert size_counts((r,), r.w, limit) == digits_up_to(by_size, limit)
+
+
+@settings(max_examples=60)
+@given(hypergraphs_st())
+def test_bounded_counts_of_a_stream_are_the_full_digits(hg):
+    by_size = [0] * (hg.w + 1)
+    for x in brute_transversals(hg):
+        by_size[len(x)] += 1
+    assert reference_size_counts(final_rows(hg), hg.w) == by_size
+    for limit in range(-1, hg.w + 3):
+        assert size_counts(final_rows(hg), hg.w, limit) == digits_up_to(by_size, limit)
+
+
+@given(rows_st(min_w=60, max_w=140), st.integers(-1, 3))
+def test_bounded_counts_of_wide_rows(r, limit):
+    # a limit <= 3 reads digits of about limit * log2(w) bits, not w + 1;
+    # the all-free row has the most members of each size, C(w, j)
+    for row in r, Row.powerset(r.w):
+        full = reference_size_counts((row,), r.w)
+        assert size_counts((row,), r.w, limit) == digits_up_to(full, limit)
 
 
 @given(rows_st())
