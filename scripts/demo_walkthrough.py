@@ -17,9 +17,9 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from transversals import (HypergraphError, count_at_least, count_total,
-                          filter_family, load_hypergraph, parse_vertex_list,
-                          run, spectrum, transversal_number)
+from transversals import (count_at_least, count_total, filter_family,
+                          load_hypergraph, parse_vertex_list, run, spectrum,
+                          transversal_number)
 
 DEFAULT_FILE = pathlib.Path(__file__).resolve().parent.parent / "data" / "sample14.hg"
 
@@ -40,7 +40,7 @@ def main() -> int:
         elapsed = time.perf_counter() - start
         filtered = (filter_family(family, require=require, forbid=forbid)
                     if require or forbid else None)
-    except (HypergraphError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,9 +111,10 @@ def spectrum(family: RowFamily) -> Spectrum:
 
 def count_at_least(family: RowFamily, k: int) -> int:
     """Number of transversals of cardinality >= k: N less the counts of the
-    sizes below k, the only ones computed (all of them for k past w)."""
-    below = size_counts(family.rows, family.w, min(k, family.w + 1) - 1)
-    return count_total(family) - sum(below)
+    sizes below k, the only ones computed; a k past w gives 0 with none."""
+    if k > family.w:
+        return 0
+    return count_total(family) - sum(size_counts(family.rows, family.w, k - 1))
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:

@@ -5,7 +5,8 @@ All input (the file, and query's vertex lists via
 :func:`~transversals.hypergraph.parse_vertex_list`) is read under Python's
 int/str digit limit.  ``count --verify`` hands each oracle to
 :func:`_verify` as it is; the oracle keeps its own budget and says why it
-skips.  Exit codes: 0 ok, 2 input error, 3 verification mismatch.
+skips.  Exit codes: 0 ok, 2 input error or out of memory, 3 verification
+mismatch.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from collections import deque
 from .analytics import (Spectrum, Tally, check_conditions, count_exactly,
                         filter_rows)
 from .engine import final_rows
-from .hypergraph import (Hypergraph, HypergraphError, brief_repr,
-                         load_hypergraph, parse_vertex_list)
+from .hypergraph import (Hypergraph, brief_repr, load_hypergraph,
+                         parse_vertex_list)
 from .oracles import brute_count, inclusion_exclusion_count
 from .rows import size_counts
 
@@ -130,13 +131,13 @@ def _cmd_count(args, hg: Hypergraph) -> int:
         # one pass over the engine's final rows; none is stored
         tally = Tally()
         rows = tally.tap(final_rows(hg))
-        if at_least is None:
+        at_least_count = 0          # no size exceeds w: K past w counts none
+        if at_least is None or at_least > hg.w:
             deque(rows, maxlen=0)
         else:
             # N less the counts of sizes 0..K-1, the only digits computed;
             # size_counts reads every row, so the tally holds N after it
-            # (no size exceeds w, so K past w needs no longer list)
-            below = sum(size_counts(rows, hg.w, min(at_least, hg.w + 1) - 1))
+            below = sum(size_counts(rows, hg.w, at_least - 1))
             at_least_count = tally.n_total - below
         answer = tally.n_total
     elapsed = time.perf_counter() - start
@@ -225,8 +226,11 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stdout is sys.__stdout__:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (HypergraphError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return EXIT_INPUT
     finally:
         _set_digit_limit(digit_limit)

@@ -173,24 +173,23 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
     is ``c_min``.  Only whole subtrees without such an F are cut from the
     same traversal, so the kept final rows come in the full run's order.
 
-    Three checks are skipped because their answer is known.  A row is on
-    the stack only if it was admissible (feasible for its pending edges,
-    and with k in LB..``c_max`` if k is set), and a suffix of them is a
-    subset.  (1) The root has no zeros and
+    One loop serves every k, and it skips three checks whose answer is
+    known.  A row is on the stack only if it was admissible (feasible for
+    its pending edges, and with k in LB..``c_max`` if k is set), and a
+    suffix of them is a subset.  (1) The root has no zeros and
     :class:`~transversals.hypergraph.Hypergraph` rejects empty edges, so no
-    edge lies inside its zeros; the full run checks nothing, the run for k
-    checks ``k <= w`` and the root's LB.  (2) When :func:`impose` passes
-    the row through, it keeps its zeros, ones, twos and bubbles, and the
-    edge it drops from the pending ones meets its ones or a bubble, so no
-    packing took it and LB is unchanged: the row stays admissible.
-    Pushing and popping it at once would change neither ``max_stack`` nor
-    the final order, nor ``s_max``, which the first imposition (a split of
-    the all-free root) has already raised to 1; so the next edge is
-    imposed on it directly.  (3) :func:`impose` builds its first son
-    before zeroing any cut part, so that son keeps the row's zeros and
-    ``c_max`` and is feasible with ``c_max >= k``; the full run checks
-    nothing, the run for k checks only its LB.  An admissible row always
-    has a son, since no pending edge lies inside its zeros.
+    edge lies inside its zeros; only a set k checks it, for ``k <= w`` and
+    LB.  (2) When :func:`impose` passes the row through, it keeps its
+    zeros, ones, twos and bubbles, and the edge it drops from the pending
+    ones meets its ones or a bubble, so no packing took it and LB is
+    unchanged: the row stays admissible.  Pushing and popping it at once
+    would change neither ``max_stack`` nor the final order, nor ``s_max``,
+    which the first imposition (a split of the all-free root) has already
+    raised to 1; so the next edge is imposed on it directly.  (3)
+    :func:`impose` builds its first son before zeroing any cut part, so
+    that son keeps the row's zeros and ``c_max`` and is feasible with
+    ``c_max >= k``; only a set k checks it, for LB.  An admissible row
+    always has a son, since no pending edge lies inside its zeros.
     """
     if k is not None and (type(k) is not int or k < 0):
         raise ValueError(f"k must be None or an int >= 0, not {k!r}")
@@ -199,21 +198,21 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
     impositions = 0
     s_max = 0
     max_stack = 0
-    # (row, pc): every member of row hits the edges before the 1-based
-    # index pc; pc == h + 1 marks a final row
+    # (row, done): every member of row hits the first done edges, so the
+    # next edge is edges[done] and done == h marks a final row
     stack: list[tuple[Row, int]] = []
     root = Row.powerset(hg.w)
     if k is None or k <= hg.w and is_feasible(root, edges, k):
-        stack.append((root, 1))
+        stack.append((root, 0))
     while stack:
         if len(stack) > max_stack:
             max_stack = len(stack)
-        row, pc = stack.pop()
+        row, done = stack.pop()
         # fast-forward: while impose hands the row back, impose the next edge
-        while pc <= h:
-            sons = impose(row, edges[pc - 1])
+        while done < h:
+            sons = impose(row, edges[done])
             impositions += 1
-            pc += 1
+            done += 1
             if sons[0] is not row:
                 break
         else:
@@ -222,21 +221,15 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
         if len(sons) > s_max:
             s_max = len(sons)
         # the sons' pending edges: sliced once per split rather than stored
-        # for every pc, which would hold h(h + 1)/2 references
-        rest = edges[pc - 1:]
+        # for every done, which would hold h(h + 1)/2 references
+        rest = edges[done:]
         # pushed last-son-first, so the first son is processed first; the
         # first son is feasible with c_max >= k, so it can lose only by LB
-        if k is None:
-            for son in sons[:0:-1]:
-                if is_feasible(son, rest):
-                    stack.append((son, pc))
-            stack.append((sons[0], pc))
-        else:
-            for son in sons[:0:-1]:
-                if k <= son.c_max and is_feasible(son, rest, k):
-                    stack.append((son, pc))
-            if is_feasible(sons[0], rest, k):
-                stack.append((sons[0], pc))
+        for son in sons[:0:-1]:
+            if (k is None or k <= son.c_max) and is_feasible(son, rest, k):
+                stack.append((son, done))
+        if k is None or is_feasible(sons[0], rest, k):
+            stack.append((sons[0], done))
     return RunStats(impositions, s_max, max_stack)
 
 

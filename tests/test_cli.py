@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from transversals import (Spectrum, analytics, cli, engine, final_rows,
-                          load_hypergraph)
+                          load_hypergraph, run)
 from transversals.cli import main
 from transversals.hypergraph import MAX_W
 from conftest import DEMO_FINAL_ROWS, DEMO_TEXT
@@ -226,6 +226,19 @@ class TestWideCounting:
         code, out, err = run_cli(capsys, "count", wide_file, "--at-least", str(k))
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == f"N(|X| >= {k}) = {spectrum.at_least(k)}"
+
+    @pytest.mark.parametrize("k", [W + 1, 10**6])
+    def test_at_least_past_w_counts_no_size(self, capsys, monkeypatch, wide_file, k):
+        # no member is larger than w, so the answer is 0 without a digit
+        def no_counts(*args):
+            raise AssertionError("size_counts was called")
+
+        monkeypatch.setattr(cli, "size_counts", no_counts)
+        monkeypatch.setattr(analytics, "size_counts", no_counts)
+        code, out, err = run_cli(capsys, "count", wide_file, "--at-least", str(k))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"N(|X| >= {k}) = 0"
+        assert analytics.count_at_least(run(load_hypergraph(wide_file)), k) == 0
 
 
 class TestFold:
@@ -531,6 +544,14 @@ class TestErrors:
         code, out, err = run_cli(capsys, "count", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid JSON in ") and err.count("\n") == 1
+
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, demo_file):
+        def no_memory(hg, k):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "count_exactly", no_memory)
+        code, out, err = run_cli(capsys, "count", demo_file, "--exactly", "4")
+        assert (code, out, err) == (2, "", "error: count ran out of memory\n")
 
 
 def test_byte_for_byte_determinism(capsys, demo_file):

@@ -146,12 +146,16 @@ class TestBenchmarkHooks:
         assert tally.r_final == 7
         assert len(calls) == tally.stats.impositions == run(demo_hg).stats.impositions
 
-    def test_known_admissible_rows_are_not_rechecked(self, monkeypatch):
+    @pytest.mark.parametrize("k_above_min", [None, 0, 1])
+    def test_known_admissible_rows_are_not_rechecked(self, monkeypatch, k_above_min):
         # once impose hands a row back, or makes it a split's first son, the
-        # row is known to be feasible, so run never passes it to is_feasible
+        # row is known to be feasible with c_max >= k: the full run never
+        # passes it to is_feasible, and the run for k passes each first son
+        # once, for its packing bound, and no other such row
         rng = random.Random(7)
         hg = Hypergraph(12, tuple(tuple(rng.sample(range(1, 13), rng.randint(2, 5)))
                                   for _ in range(10)))
+        k = None if k_above_min is None else Tally.of(final_rows(hg)).k_min + k_above_min
         passed, first_sons, rechecked = [], [], []
         known = {}                       # id -> row, which keeps the id unique
         real_impose, real_feasible = engine.impose, engine.is_feasible
@@ -162,17 +166,20 @@ class TestBenchmarkHooks:
             known[id(sons[0])] = sons[0]
             return sons
 
-        def spy_feasible(row, pending):
+        def spy_feasible(row, pending, k=None):
             if id(row) in known:
                 rechecked.append(row)
-            return real_feasible(row, pending)
+            return real_feasible(row, pending, k)
 
         monkeypatch.setattr(engine, "impose", spy_impose)
         monkeypatch.setattr(engine, "is_feasible", spy_feasible)
-        family = run(hg)
+        _, stats = drain(final_rows(hg, k))
         assert passed and first_sons
-        assert len(passed) + len(first_sons) == family.stats.impositions
-        assert rechecked == []
+        assert len(passed) + len(first_sons) == stats.impositions
+        if k is None:
+            assert rechecked == []
+        else:
+            assert list(map(id, rechecked)) == list(map(id, first_sons))
 
     def test_passthrough_returns_the_same_row(self):
         row = row_from_tokens("2 1 2")
