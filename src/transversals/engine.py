@@ -12,6 +12,9 @@ from typing import Generator, Iterable
 from .hypergraph import Hypergraph
 from .rows import Row, vertex_mask
 
+# a row's parts (zeros, ones, twos, bubbles), as the engine passes them on
+Parts = tuple[int, int, int, tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class RunStats:
@@ -32,33 +35,35 @@ class RowFamily:
     stats: RunStats | None = None
 
 
-def impose(row: Row, edge: int) -> list[Row]:
-    """Split ``row`` into disjoint rows whose union is the members hitting
-    the edge with vertex mask ``edge`` (see :func:`~transversals.rows.vertex_mask`).
+def impose(row: Parts, edge: int) -> list[Parts]:
+    """Split the row with parts ``row`` (a ``(zeros, ones, twos, bubbles)``
+    tuple, or a :class:`~transversals.rows.Row`, which unpacks into one) into
+    disjoint rows whose union is the members hitting the edge with vertex
+    mask ``edge`` (see :func:`~transversals.rows.vertex_mask`); the sons are
+    returned as such tuples.
 
     If a forced position or a whole bubble lies inside the edge, every
-    member already hits it and the row passes through unchanged.  Otherwise
-    son s hits the edge inside the s-th cut bubble (the hit part becomes a
-    fresh bubble and the rest of that bubble goes free), while the earlier
-    cut parts are zeroed out with their rests staying bubbles.  A last son
-    catches members hitting the edge only among the free positions, its
-    free hit becoming a bubble; it exists only when the edge meets them.
+    member already hits it and ``[row]`` comes back, the same object.
+    Otherwise son s hits the edge inside the s-th cut bubble (the hit part
+    becomes a fresh bubble and the rest of that bubble goes free), while the
+    earlier cut parts are zeroed out with their rests staying bubbles.  A
+    last son catches members hitting the edge only among the free positions,
+    its free hit becoming a bubble; it exists only when the edge meets them.
     Sons are returned in that order.
 
     Sons come out normal: a one-position part, rest or free hit goes to the
-    1s here, so no son has a one-position bubble for the constructor to
-    promote.  A son's bubbles keep the row's stored order, which drives
+    1s here, so ``Row(w, *son)`` neither promotes nor reorders a bubble.  A
+    son's bubbles keep the row's stored order, which drives
     :meth:`~transversals.rows.Row.members_of_size`: first the earlier rests
     and untouched bubbles in place, then the part (or the free hit), then
     the later bubbles.
     """
-    if edge & row.one_mask:
+    zeros, ones, twos, bubbles = row
+    if edge & ones:
         return [row]
-    bubbles = row.bubble_masks
     for bubble in bubbles:
         if bubble & edge == bubble:
             return [row]
-    w, zeros, ones, twos = row.w, row.zero_mask, row.one_mask, row.two_mask
     # the earlier rests that stay bubbles and the untouched bubbles, in place
     kept = []
     sons = []
@@ -69,10 +74,9 @@ def impose(row: Row, edge: int) -> list[Row]:
             continue
         rest = bubble ^ part
         if part & part - 1:
-            son = Row(w, zeros, ones, twos | rest, (*kept, part, *bubbles[i + 1:]))
+            sons.append((zeros, ones, twos | rest, (*kept, part, *bubbles[i + 1:])))
         else:
-            son = Row(w, zeros, ones | part, twos | rest, (*kept, *bubbles[i + 1:]))
-        sons.append(son)
+            sons.append((zeros, ones | part, twos | rest, (*kept, *bubbles[i + 1:])))
         zeros |= part
         # not empty, or the bubble would lie inside the edge
         if rest & rest - 1:
@@ -82,40 +86,38 @@ def impose(row: Row, edge: int) -> list[Row]:
     free_hit = twos & edge
     if free_hit:
         if free_hit & free_hit - 1:
-            sons.append(Row(w, zeros, ones, twos ^ free_hit, (*kept, free_hit)))
+            sons.append((zeros, ones, twos ^ free_hit, (*kept, free_hit)))
         else:
-            sons.append(Row(w, zeros, ones | free_hit, twos ^ free_hit, kept))
+            sons.append((zeros, ones | free_hit, twos ^ free_hit, tuple(kept)))
     return sons
 
 
-def is_feasible(row: Row, pending: Iterable[int], k: int | None = None) -> bool:
+def is_feasible(row: Parts, pending: Iterable[int], k: int | None = None) -> bool:
     """True iff no pending edge (a vertex mask) lies entirely inside the
-    zeros, i.e. the member taking everything outside the zeros hits every
-    pending edge; with an int ``k``, also iff the packing bound LB is at
-    most k.
+    zeros of the row with parts ``row`` (as for :func:`impose`), i.e. the
+    member taking everything outside the zeros hits every pending edge;
+    with an int ``k``, also iff the packing bound LB is at most k.
 
     LB = ``c_min`` + the size of a greedy packing: the pending edges, in
     the order given, whose live part (the edge minus the zeros) lies inside
     the free positions, each kept if its live part misses those kept
     before.  Every member hitting the pending edges holds the 1s, a
     position of each bubble and, for each packed edge, a free position of
-    its own, so none is smaller than LB.  The same single scan checks both,
-    and it stops once the packing has used up the slack k - ``c_min``.
+    its own, so none is smaller than LB.  One scan checks both for every
+    k, and it stops once the packing has used up the slack k - ``c_min``.
+    Without k, ``packed`` is -1: every live part meets it, so nothing is
+    packed and only the feasibility test can fail.
     """
-    zeros = row.zero_mask
+    zeros, ones, twos, bubbles = row
     if k is None:
-        for edge in pending:
-            if edge & zeros == edge:
-                return False
-        return True
-    slack = k - row.c_min
-    if slack < 0:
-        return False
-    twos = row.two_mask
+        slack, packed = 0, -1
+    else:
+        slack, packed = k - ones.bit_count() - len(bubbles), 0
+        if slack < 0:
+            return False
     # the 1s and the bubbles: an edge meeting them is neither packable nor
     # inside the zeros
-    fixed = ((1 << row.w + 1) - 2) ^ zeros ^ twos
-    packed = 0
+    fixed = ~(zeros | twos)
     for edge in pending:
         if edge & fixed:
             continue
@@ -142,6 +144,14 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
     split is processed first; together with the fixed son order of
     :func:`impose` this makes the traversal, the final row order and all
     statistics deterministic.
+
+    A stack item is a row's parts ``(zeros, ones, twos, bubbles)``, as
+    :func:`impose` and :func:`is_feasible` take and return them, with the
+    number of edges already imposed.  A :class:`~transversals.rows.Row` is
+    built only for a final row, as it is yielded, so each row a caller gets
+    goes through the one validating constructor once and no intermediate
+    son does; the suite checks that the constructor would accept every son
+    unchanged.
 
     With an int ``k`` the run keeps exactly the final rows of the full run
     that hold a transversal of size k, in the same order: sons with
@@ -193,30 +203,32 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
     """
     if k is not None and (type(k) is not int or k < 0):
         raise ValueError(f"k must be None or an int >= 0, not {k!r}")
+    w = hg.w
     edges = [vertex_mask(e) for e in hg.edges]
     h = len(edges)
     impositions = 0
     s_max = 0
     max_stack = 0
-    # (row, done): every member of row hits the first done edges, so the
-    # next edge is edges[done] and done == h marks a final row
-    stack: list[tuple[Row, int]] = []
-    root = Row.powerset(hg.w)
-    if k is None or k <= hg.w and is_feasible(root, edges, k):
+    # (parts, done): every member of the row with these parts hits the first
+    # done edges, so the next edge is edges[done] and done == h marks a
+    # final row
+    stack: list[tuple[Parts, int]] = []
+    root = tuple(Row.powerset(w))
+    if k is None or k <= w and is_feasible(root, edges, k):
         stack.append((root, 0))
     while stack:
         if len(stack) > max_stack:
             max_stack = len(stack)
-        row, done = stack.pop()
-        # fast-forward: while impose hands the row back, impose the next edge
+        parts, done = stack.pop()
+        # fast-forward: while impose hands the parts back, impose the next edge
         while done < h:
-            sons = impose(row, edges[done])
+            sons = impose(parts, edges[done])
             impositions += 1
             done += 1
-            if sons[0] is not row:
+            if sons[0] is not parts:
                 break
         else:
-            yield row
+            yield Row(w, *parts)
             continue
         if len(sons) > s_max:
             s_max = len(sons)
@@ -224,9 +236,10 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
         # for every done, which would hold h(h + 1)/2 references
         rest = edges[done:]
         # pushed last-son-first, so the first son is processed first; the
-        # first son is feasible with c_max >= k, so it can lose only by LB
+        # first son is feasible with c_max >= k, so it can lose only by LB;
+        # c_max = w - |zeros|
         for son in sons[:0:-1]:
-            if (k is None or k <= son.c_max) and is_feasible(son, rest, k):
+            if (k is None or k + son[0].bit_count() <= w) and is_feasible(son, rest, k):
                 stack.append((son, done))
         if k is None or is_feasible(sons[0], rest, k):
             stack.append((sons[0], done))

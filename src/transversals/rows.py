@@ -68,9 +68,13 @@ class Row:
     Bubbles of size one are promoted to forced positions on construction;
     an empty bubble is rejected since no set can hit it.  The promotion
     serves :func:`row_from_tokens`, :meth:`restrict` and
-    :func:`bubble_segment_counts`; the engine's sons never reach it, since
-    :func:`~transversals.engine.impose` builds them with no one-position
-    bubble.
+    :func:`bubble_segment_counts`.  The engine builds a row only for a final
+    row, from parts that :func:`~transversals.engine.impose` made with no
+    one-position bubble, so the promotion never fires there.
+
+    A row unpacks into its parts: ``zeros, ones, twos, bubbles = row``, and
+    ``Row(row.w, *row)`` rebuilds it with the same bubble order.  This is
+    the form the engine steps take and return.
     """
 
     __slots__ = ("w", "zero_mask", "one_mask", "two_mask", "bubble_masks")
@@ -124,10 +128,12 @@ class Row:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"Row is immutable; cannot delete {name!r}")
 
+    def __iter__(self) -> Iterator:
+        return iter((self.zero_mask, self.one_mask, self.two_mask, self.bubble_masks))
+
     def __reduce__(self):
         # pickle and copy rebuild through the validating constructor
-        return Row, (self.w, self.zero_mask, self.one_mask, self.two_mask,
-                     self.bubble_masks)
+        return Row, (self.w, *self)
 
     @classmethod
     def powerset(cls, w: int) -> "Row":

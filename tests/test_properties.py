@@ -262,7 +262,7 @@ def test_restrict_matches_single_vertex_surgery(r, data):
 def test_impose_splits_hitters_disjointly(r, data):
     edge = data.draw(st.frozensets(st.integers(1, r.w), min_size=1))
     sons = impose(r, vertex_mask(edge))
-    expanded = [x for son in sons for x in son.members()]
+    expanded = [x for son in sons for x in Row(r.w, *son).members()]
     assert len(expanded) == len(set(expanded))
     assert sorted(expanded) == sorted(
         x for x in r.members() if set(x) & edge)
@@ -294,8 +294,13 @@ def test_wide_rows_split_and_filter_by_size(r, data):
     # hold the members hitting the edge, the surgery halves partition r
     edge = data.draw(st.frozensets(st.integers(1, r.w), min_size=1, max_size=8))
     missed = r.restrict(0, vertex_mask(edge))
-    assert sum(son.size() for son in impose(r, vertex_mask(edge))) == \
+    assert sum(Row(r.w, *son).size() for son in impose(r, vertex_mask(edge))) == \
         r.size() - (missed.size() if missed else 0)
+    # the one scan with its negative mask ~(zeros | twos): an edge is
+    # feasible iff it leaves the zeros, and with no pending edge LB = c_min
+    assert is_feasible(r, [vertex_mask(edge)]) == bool(vertex_mask(edge) & ~r.zero_mask)
+    k = data.draw(st.integers(0, r.w + 1))
+    assert is_feasible(r, [], k) == (k >= r.c_min)
     v = data.draw(st.integers(1, r.w))
     halves = [r.restrict(vertex_mask({v}), 0), r.restrict(0, vertex_mask({v}))]
     assert sum(half.size() for half in halves if half) == r.size()
@@ -325,10 +330,6 @@ def reference_impose(row, edge):
     return sons
 
 
-def son_parts(rows):
-    return [(r.zero_mask, r.one_mask, r.two_mask, r.bubble_masks) for r in rows]
-
-
 @given(rows_st(min_w=1) | rows_st(min_w=60, max_w=140), st.data())
 def test_impose_builds_the_reference_sons_already_normal(r, data):
     # any stored bubble order, not only the canonical one rows_st gives
@@ -337,9 +338,11 @@ def test_impose_builds_the_reference_sons_already_normal(r, data):
     # few positions, so that wide rows split rather than pass through
     edge = vertex_mask(data.draw(
         st.frozensets(st.integers(1, r.w), min_size=1, max_size=8)))
-    sons = impose(r, edge)
-    assert son_parts(sons) == son_parts(reference_impose(r, edge))
-    assert all(b & b - 1 for son in sons for b in son.bubble_masks)
+    sons = list(map(tuple, impose(r, edge)))
+    assert sons == list(map(tuple, reference_impose(r, edge)))
+    # the constructor takes every son as it is: a valid partition, no
+    # one-position bubble to promote, the stored bubble order kept
+    assert all(tuple(Row(r.w, *son)) == son for son in sons)
 
 
 @settings(max_examples=60)
@@ -410,7 +413,7 @@ def reference_run(hg, k):
         if done == len(edges):
             final.append(row)
             continue
-        sons = impose(row, edges[done])
+        sons = [Row(hg.w, *son) for son in impose(row, edges[done])]
         impositions += 1
         s_max = max(s_max, len(sons))
         stack.extend((son, done + 1) for son in reversed(sons)

@@ -119,7 +119,8 @@ class TestConstruction:
 
     def test_pickle_and_copy_round_trip(self):
         r = row_from_tokens("2 e2 e1 2 1 e2 e1 0 e2")
-        for again in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        for again in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r),
+                      Row(r.w, *r)):
             assert again == r and again.bubble_masks == r.bubble_masks
 
     def test_empty_ground_set(self):
