@@ -44,10 +44,6 @@ class Spectrum:
         counts = size_counts(rows, w)
         return cls(tuple(counts), sum(counts))
 
-    def at_least(self, k: int) -> int:
-        """Number of transversals of cardinality >= k: the spectrum's tail."""
-        return sum(self.counts[max(k, 0):])
-
 
 class Tally:
     """The row count R, the total N, the smallest member size k_min and the

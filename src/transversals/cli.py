@@ -25,7 +25,7 @@ from .engine import final_rows
 from .hypergraph import (Hypergraph, brief_repr, load_hypergraph,
                          parse_vertex_list)
 from .oracles import brute_count, inclusion_exclusion_count
-from .rows import size_counts
+from .rows import _Memo, size_counts
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -159,7 +159,21 @@ def _cmd_count(args, hg: Hypergraph) -> int:
             report.update(at_least_k=at_least, at_least_count=at_least_count)
             lines.append(f"N(|X| >= {at_least}) = {at_least_count}")
     print(json.dumps(report) if args.json else "\n".join(lines))
-    return _verify(args, answer, oracles) if args.verify else EXIT_OK
+    if not args.verify:
+        return EXIT_OK
+    code = _verify(args, answer, oracles)
+    if code == EXIT_OK and at_least is not None:
+        # brute force sweeps again for the at-least line; agreement, or a
+        # skip already reported for N, adds no line
+        try:
+            got = brute_count(hg, at_least=at_least)
+        except ValueError:
+            return code
+        if got != at_least_count:
+            print(f"verification mismatch: brute force says N(|X| >= {at_least}) "
+                  f"= {got}, engine says {at_least_count}", file=sys.stderr)
+            return EXIT_MISMATCH
+    return code
 
 
 def _cmd_spectrum(args, hg: Hypergraph) -> int:
@@ -178,8 +192,9 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
         row.members_of_size(args.k) for row in final_rows(hg, args.k))
     if args.limit is not None:
         found = itertools.islice(found, args.limit)
-    # one label per vertex; writelines pulls the lines one at a time
-    label = [str(v) for v in range(hg.w + 1)]
+    # a vertex is labelled when first printed; writelines pulls the lines
+    # one at a time
+    label = _Memo(str)
     sys.stdout.writelines(" ".join(map(label.__getitem__, xs)) + "\n" for xs in found)
     return EXIT_OK
 

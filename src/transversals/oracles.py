@@ -40,10 +40,11 @@ def brute_transversals(hg: Hypergraph) -> list[tuple[int, ...]]:
                   for m in _transversal_masks(hg))
 
 
-def brute_count(hg: Hypergraph) -> int:
-    """The number of transversals from the same sweep, in constant memory:
-    no transversal is kept.  Same budget as :func:`brute_transversals`."""
-    return sum(1 for _ in _transversal_masks(hg))
+def brute_count(hg: Hypergraph, *, at_least: int = 0) -> int:
+    """The number of transversals of at least ``at_least`` vertices from the
+    same sweep, in constant memory: no transversal is kept.  Same budget as
+    :func:`brute_transversals`."""
+    return sum(1 for m in _transversal_masks(hg) if m.bit_count() >= at_least)
 
 
 def inclusion_exclusion_count(hg: Hypergraph, k: int | None = None) -> int:

@@ -78,6 +78,35 @@ class TestCount:
             "verification mismatch: inclusion-exclusion says 8783, "
             "engine says 8784\n")
 
+    def test_verify_at_least_mismatch(self, capsys, demo_file, monkeypatch):
+        # counts one more member below K: the engine's at-least line is 8717
+        real = cli.size_counts
+        monkeypatch.setattr(cli, "size_counts", lambda *args: real(*args) + [1])
+        code, out, err = run_cli(capsys, "count", demo_file, "--at-least", "5",
+                                 "--verify")
+        assert (code, out.splitlines()[1:], err) == (
+            3, ["N(|X| >= 5) = 8717", "verify brute force: 8784 ok",
+                "verify inclusion-exclusion: 8784 ok"],
+            "verification mismatch: brute force says N(|X| >= 5) = 8718, "
+            "engine says 8717\n")
+
+    @pytest.mark.parametrize("k", [-1, 0, 2, 3, 4])
+    def test_verify_at_least_checks_the_tail(self, capsys, tmp_path, monkeypatch, k):
+        # on "3 1 / 1 2" N = 6 and N(|X| >= 2) = 4; the sweep counts the tail
+        calls = []
+        real = cli.brute_count
+        monkeypatch.setattr(cli, "brute_count",
+                            lambda hg, **kw: calls.append(kw) or real(hg, **kw))
+        path = tmp_path / "three.hg"
+        path.write_text("3 1\n1 2\n")
+        code, out, err = run_cli(capsys, "count", str(path), "--at-least", str(k),
+                                 "--verify")
+        tail = {-1: 6, 0: 6, 2: 4, 3: 1, 4: 0}[k]
+        assert (code, out, err) == (
+            0, f"N = 6, R = 1, k_min = 1, tau_min = 2\nN(|X| >= {k}) = {tail}\n"
+               "verify brute force: 6 ok\nverify inclusion-exclusion: 6 ok\n", "")
+        assert calls == [{}, {"at_least": k}]
+
     def test_json_report(self, capsys, demo_file):
         code, out, _ = run_cli(capsys, "count", demo_file, "--json")
         assert code == 0
@@ -225,7 +254,7 @@ class TestWideCounting:
     def test_at_least_is_spectrum_tail(self, capsys, wide_file, spectrum, k):
         code, out, err = run_cli(capsys, "count", wide_file, "--at-least", str(k))
         assert (code, err) == (0, "")
-        assert out.splitlines()[1] == f"N(|X| >= {k}) = {spectrum.at_least(k)}"
+        assert out.splitlines()[1] == f"N(|X| >= {k}) = {sum(spectrum.counts[max(k, 0):])}"
 
     @pytest.mark.parametrize("k", [W + 1, 10**6])
     def test_at_least_past_w_counts_no_size(self, capsys, monkeypatch, wide_file, k):
@@ -239,6 +268,43 @@ class TestWideCounting:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == f"N(|X| >= {k}) = 0"
         assert analytics.count_at_least(run(load_hypergraph(wide_file)), k) == 0
+
+
+class TestWideRows:
+    """The one edge {1, 2} over w = 200 000: one final row, printed, cut
+    and expanded through masks of 200 001 bits."""
+
+    W = 200_000
+
+    @pytest.fixture(scope="class")
+    def wide_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wide") / "wide.hg"
+        path.write_text(f"{self.W} 1\n1 2\n")
+        return str(path)
+
+    def test_rows(self, capsys, wide_file):
+        assert run_cli(capsys, "rows", wide_file) == \
+            (0, "e1 e1" + " 2" * (self.W - 2) + "\n", "")
+
+    @pytest.mark.parametrize("k, limit, expected", [
+        (2, 1, [f"1 {W}"]),
+        (3, 3, [f"1 {W - 1} {W}", f"2 {W - 1} {W}", f"1 {W - 2} {W}"]),
+    ], ids=["k2", "k3"])
+    def test_enumerate_first_members(self, capsys, wide_file, k, limit, expected):
+        code, out, err = run_cli(capsys, "enumerate", wide_file, "--k", str(k),
+                                 "--limit", str(limit))
+        assert (code, out.splitlines(), err) == (0, expected, "")
+
+    def test_query_require(self, capsys, wide_file):
+        got = run_cli(capsys, "query", wide_file, "--require", "3")
+        # N has 60 206 digits, past the default int <-> str limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            n = str(3 * 2 ** (self.W - 3))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == (0, "e1 e1 1" + " 2" * (self.W - 3) + f"\nR = 1, N = {n}\n", "")
 
 
 class TestFold:

@@ -30,6 +30,11 @@ class TestBruteForce:
         assert brute_count(demo_hg) == DEMO_TOTAL
         assert brute_count(parse_hypergraph("3 0\n")) == 8
 
+    @pytest.mark.parametrize("k", [-1, 0, 4, 5, 14, 15])
+    def test_count_at_least_is_the_lists_tail(self, demo_hg, k):
+        assert brute_count(demo_hg, at_least=k) == \
+            sum(len(xs) >= k for xs in brute_transversals(demo_hg))
+
     @pytest.mark.parametrize("oracle", [brute_transversals, brute_count])
     def test_budget_message_is_skip_reason(self, oracle):
         with pytest.raises(ValueError, match=r"^w > 24: 2\^30 masks$"):
