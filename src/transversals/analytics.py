@@ -1,5 +1,6 @@
 """Counting, generation and query filtering over the engine's final rows,
-stored in a RowFamily or streamed by :func:`~transversals.engine.final_rows`.
+stored in a RowFamily or streamed by :func:`~transversals.engine.final_rows`
+(rows) or :func:`~transversals.engine.final_parts` (their parts, named).
 A stored family always holds every transversal, so its answers need no
 size check; a fixed cardinality k exists only on the stream, as in
 :func:`count_exactly`.
@@ -8,10 +9,14 @@ Every answer is one pass over the rows: :class:`Tally` (R, N, k_min and
 tau_min) and :meth:`Spectrum.of` (per-size counts) fold them, and
 :func:`filter_rows` cuts each row with one multi-vertex
 :meth:`Row.restrict`, so a stored family and an engine stream get the same
-formulas and no row of a stream is stored.
-:func:`count_total` sums :meth:`Row.size` as Tally does, without Tally's
-work for k_min; :func:`count_at_least` takes N less the counts of the
-sizes below k (:func:`~transversals.rows.size_counts` with a limit), as
+formulas and no row of a stream is stored.  The two folds read only the
+fields ``one_mask``, ``two_mask`` and ``bubble_masks``, so they take a
+stored :class:`~transversals.rows.Row` or an engine
+:class:`~transversals.engine.Parts` alike, and counting a stream builds no
+row.  :func:`count_total` sums :meth:`Row.size` over a stored family, the
+product Tally forms from those fields, without Tally's work for k_min;
+:func:`count_at_least` takes N less the counts of the sizes below k
+(:func:`~transversals.rows.size_counts` with a limit), as
 ``count --at-least`` does.
 """
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .engine import RowFamily, RunStats, final_rows
+from .engine import Parts, RowFamily, RunStats, final_parts
 from .hypergraph import Hypergraph, brief_repr
 from .rows import Row, size_counts, vertex_mask
 
@@ -39,8 +44,9 @@ class Spectrum:
     total: int
 
     @classmethod
-    def of(cls, rows: Iterable[Row], w: int) -> "Spectrum":
-        """The spectrum of disjoint rows over {1..w}, read once."""
+    def of(cls, rows: Iterable[Row | Parts], w: int) -> "Spectrum":
+        """The spectrum of disjoint rows over {1..w}, read once: stored rows
+        or an engine stream of rows or of :class:`Parts`."""
         counts = size_counts(rows, w)
         return cls(tuple(counts), sum(counts))
 
@@ -49,9 +55,13 @@ class Tally:
     """The row count R, the total N, the smallest member size k_min and the
     number tau_min of members of that size, added up one row at a time.
 
-    tau_min sums, over the rows whose ``c_min`` attains k_min, the product
-    of their bubble sizes: a minimum member takes the forced positions plus
-    exactly one position per bubble.
+    A row is read through its fields ``one_mask``, ``two_mask`` and
+    ``bubble_masks``, so a stored :class:`Row` and an engine
+    :class:`Parts` are added up alike: its size is 2^|twos| times the
+    product of 2^|b| - 1 over its bubbles b, as :meth:`Row.size`, and its
+    ``c_min`` is |ones| + |bubbles|.  tau_min sums, over the rows whose
+    ``c_min`` attains k_min, the product of their bubble sizes: a minimum
+    member takes the forced positions plus exactly one position per bubble.
     """
 
     def __init__(self) -> None:
@@ -62,13 +72,13 @@ class Tally:
         self.stats: RunStats | None = None
 
     @classmethod
-    def of(cls, rows: Iterable[Row]) -> "Tally":
+    def of(cls, rows: Iterable[Row | Parts]) -> "Tally":
         """Add up ``rows`` without keeping them."""
         tally = cls()
         deque(tally.tap(iter(rows)), maxlen=0)
         return tally
 
-    def tap(self, rows: Iterator[Row]) -> Iterator[Row]:
+    def tap(self, rows: Iterator[Row | Parts]) -> Iterator[Row | Parts]:
         """Yield ``rows`` unchanged, adding each one up, so another fold can
         read the same stream.  The answers and the return value of ``rows``
         (an engine stream's RunStats) are stored when the rows run out."""
@@ -83,13 +93,17 @@ class Tally:
                 self.stats = stop.value
                 return
             r_final += 1
-            n_total += row.size()
-            c_min = row.c_min
+            bubbles = row.bubble_masks
+            size = 1 << row.two_mask.bit_count()
+            for bubble in bubbles:
+                size *= (1 << bubble.bit_count()) - 1
+            n_total += size
+            c_min = row.one_mask.bit_count() + len(bubbles)
             if k_min is None or c_min < k_min:
                 k_min, tau_min = c_min, 0
             if c_min == k_min:
                 count = 1
-                for bubble in row.bubble_masks:
+                for bubble in bubbles:
                     count *= bubble.bit_count()
                 tau_min += count
             yield row
@@ -126,14 +140,15 @@ def count_exactly(hg: Hypergraph, k: int) -> int:
     task, with no transversal generated and no row stored.
 
     The engine run for k keeps only the final rows holding a size-k
-    transversal (see :func:`~transversals.engine.final_rows`), and the
-    answer is digit k of the rows' summed size polynomials.  An int k
+    transversal (see :func:`~transversals.engine.final_parts`), and the
+    answer is digit k of the rows' summed size polynomials, read from
+    their parts, so no row is built.  An int k
     outside 0..w gives 0 without a run; the engine refuses any other k
     (``True``, ``2.5`` or ``"3"``) with ValueError.
     """
     if type(k) is int and not 0 <= k <= hg.w:
         return 0
-    return size_counts(final_rows(hg, k), hg.w, k)[k]
+    return size_counts(final_parts(hg, k), hg.w, k)[k]
 
 
 def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]:

@@ -12,6 +12,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -21,7 +22,7 @@ from collections import deque
 
 from .analytics import (Spectrum, Tally, check_conditions, count_exactly,
                         filter_rows)
-from .engine import final_rows
+from .engine import final_parts, final_rows
 from .hypergraph import (Hypergraph, brief_repr, load_hypergraph,
                          parse_vertex_list)
 from .oracles import brute_count, inclusion_exclusion_count
@@ -47,7 +48,10 @@ def _int_value(text: str) -> int:
             f"invalid int value: {brief_repr(text)}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: building it costs
+    far more than a parse, and a parse leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="transversals",
         description="Exact counting and enumeration of hypergraph transversals.")
@@ -128,9 +132,10 @@ def _cmd_count(args, hg: Hypergraph) -> int:
     if k is not None:
         answer = count_exactly(hg, k)
     else:
-        # one pass over the engine's final rows; none is stored
+        # one pass over the engine's final rows, read as their parts; no
+        # row is built or stored
         tally = Tally()
-        rows = tally.tap(final_rows(hg))
+        rows = tally.tap(final_parts(hg))
         at_least_count = 0          # no size exceeds w: K past w counts none
         if at_least is None or at_least > hg.w:
             deque(rows, maxlen=0)
@@ -177,7 +182,7 @@ def _cmd_count(args, hg: Hypergraph) -> int:
 
 
 def _cmd_spectrum(args, hg: Hypergraph) -> int:
-    for k, count in enumerate(Spectrum.of(final_rows(hg), hg.w).counts):
+    for k, count in enumerate(Spectrum.of(final_parts(hg), hg.w).counts):
         print(f"{k} {count}")
     return EXIT_OK
 

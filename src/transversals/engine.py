@@ -2,18 +2,33 @@
 of rows, splitting each row into disjoint sons that still hit the edge and
 pruning sons that cannot survive the remaining edges.  The surviving final
 rows form a disjoint family whose union is the set of all transversals.
+
+The loop works on a row's four plain masks.  :func:`final_parts` yields
+each final row's parts as a :class:`Parts`, which the counting folds read
+as they read a :class:`~transversals.rows.Row`; :func:`final_rows` builds
+and validates one ``Row`` per final row, for the callers that get rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable
+from typing import Generator, Iterable, NamedTuple
 
 from .hypergraph import Hypergraph
 from .rows import Row, vertex_mask
 
-# a row's parts (zeros, ones, twos, bubbles), as the engine passes them on
-Parts = tuple[int, int, int, tuple[int, ...]]
+
+class Parts(NamedTuple):
+    """A row's parts ``(zeros, ones, twos, bubbles)``, as the engine passes
+    them on, named as the :class:`~transversals.rows.Row` attributes that
+    hold them, so a fold that reads these four fields takes a stored row
+    or a final row of :func:`final_parts` alike.  ``Row(w, *parts)``
+    validates them into a row."""
+
+    zero_mask: int
+    one_mask: int
+    two_mask: int
+    bubble_masks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -132,13 +147,15 @@ def is_feasible(row: Parts, pending: Iterable[int], k: int | None = None) -> boo
     return True
 
 
-def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, RunStats]:
-    """Impose all edges in input order and yield the final rows one by one;
-    the generator returns the run's :class:`RunStats` (the value of its
-    ``StopIteration``).  Only the work stack is held, so a caller that folds
-    the rows as they come needs no memory for them; :func:`run` stores them.
-    A ``k`` other than None or an int >= 0 raises ValueError when the first
-    row is asked for.
+def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[Parts, None, RunStats]:
+    """Impose all edges in input order and yield the final rows' parts one
+    by one, each as a :class:`Parts`; the generator returns the run's
+    :class:`RunStats` (the value of its ``StopIteration``).  Only the work
+    stack is held, so a caller that folds the rows as they come needs no
+    memory for them, and no :class:`~transversals.rows.Row` is built: the
+    counting folds read the named parts, and :func:`final_rows` makes rows
+    of them.  A ``k`` other than None or an int >= 0 raises ValueError when
+    the first row is asked for.
 
     The work stack is LIFO and sons are pushed so that the first son of a
     split is processed first; together with the fixed son order of
@@ -147,11 +164,9 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
 
     A stack item is a row's parts ``(zeros, ones, twos, bubbles)``, as
     :func:`impose` and :func:`is_feasible` take and return them, with the
-    number of edges already imposed.  A :class:`~transversals.rows.Row` is
-    built only for a final row, as it is yielded, so each row a caller gets
-    goes through the one validating constructor once and no intermediate
-    son does; the suite checks that the constructor would accept every son
-    unchanged.
+    number of edges already imposed.  A final row's parts are yielded as
+    they are, named; the suite checks that the one validating constructor
+    would accept every son and every yielded :class:`Parts` unchanged.
 
     With an int ``k`` the run keeps exactly the final rows of the full run
     that hold a transversal of size k, in the same order: sons with
@@ -228,7 +243,8 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
             if sons[0] is not parts:
                 break
         else:
-            yield Row(w, *parts)
+            # named without a field-by-field call: Parts(*parts) costs more
+            yield tuple.__new__(Parts, parts)
             continue
         if len(sons) > s_max:
             s_max = len(sons)
@@ -244,6 +260,21 @@ def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, Run
         if k is None or is_feasible(sons[0], rest, k):
             stack.append((sons[0], done))
     return RunStats(impositions, s_max, max_stack)
+
+
+def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, RunStats]:
+    """The final rows of :func:`final_parts`, in its order, each built and
+    validated as a :class:`~transversals.rows.Row` as it is yielded, so each
+    row a caller gets goes through the one constructor once; the generator
+    returns the same :class:`RunStats` and refuses the same ``k``."""
+    w = hg.w
+    stream = final_parts(hg, k)
+    while True:
+        try:
+            parts = next(stream)
+        except StopIteration as stop:
+            return stop.value
+        yield Row(w, *parts)
 
 
 def run(hg: Hypergraph) -> RowFamily:

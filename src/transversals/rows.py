@@ -19,14 +19,22 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     """The bitmask of a vertex set: bit v is set for every vertex v.
 
     The one vertex-to-mask converter.  Vertices are ints >= 1, so bit 0
-    stays clear; anything else raises ValueError.
+    stays clear; anything else raises ValueError, naming the first bad
+    vertex in order.  The bits are set in a byte array and read as one int,
+    so the cost is linear in the largest vertex; setting them in an int
+    would copy the growing mask for every vertex.
     """
-    mask = 0
+    vertices = tuple(vertices)
+    top = 0
     for v in vertices:
         if type(v) is not int or v < 1:
             raise ValueError(f"vertex {v!r} is not an int >= 1")
-        mask |= 1 << v
-    return mask
+        if v > top:
+            top = v
+    data = bytearray((top >> 3) + 1)
+    for v in vertices:
+        data[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(data, "little")
 
 
 def _picks(block: list[int], d: int) -> Iterator[Collection[int]]:
@@ -73,8 +81,9 @@ class Row:
     an empty bubble is rejected since no set can hit it.  The promotion
     serves :func:`row_from_tokens`, :meth:`restrict` and
     :func:`bubble_segment_counts`.  The engine builds a row only for a final
-    row, from parts that :func:`~transversals.engine.impose` made with no
-    one-position bubble, so the promotion never fires there.
+    row that :func:`~transversals.engine.final_rows` yields, from parts that
+    :func:`~transversals.engine.impose` made with no one-position bubble,
+    so the promotion never fires there.
 
     A row unpacks into its parts: ``zeros, ones, twos, bubbles = row``, and
     ``Row(row.w, *row)`` rebuilds it with the same bubble order.  This is
@@ -317,12 +326,16 @@ class _Memo(dict):
         return value
 
 
-def size_counts(rows: Iterable[Row], w: int, limit: int | None = None) -> list[int]:
+def size_counts(rows: Iterable, w: int, limit: int | None = None) -> list[int]:
     """Exact member counts per cardinality j = 0..limit (default w; zero past
     w, none for a negative limit), summed over pairwise disjoint rows over
-    {1..w}, or over a single row.  The rows are read once, so they may come
-    from a stream; the first row is pulled before ``limit`` is used, since
-    an engine stream checks its k, often this same limit, only then.
+    {1..w}, or over a single row.  A row is read through its fields
+    ``one_mask``, ``two_mask`` and ``bubble_masks`` only, so stored
+    :class:`Row` objects and the engine's
+    :class:`~transversals.engine.Parts` are counted alike.  The rows are
+    read once, so they may come from a stream; the first row is pulled
+    before ``limit`` is used, since an engine stream checks its k, often
+    this same limit, only then.
 
     Kronecker substitution: a row's size polynomial X^|ones| (1+X)^|twos|
     prod((1+X)^|b| - 1) has as X^j coefficient its number of members of

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from transversals import (Spectrum, analytics, cli, engine, final_rows,
+from transversals import (Row, Spectrum, analytics, cli, engine, final_rows,
                           load_hypergraph, run)
 from transversals.cli import main
 from transversals.hypergraph import MAX_W
@@ -167,13 +167,13 @@ class TestCountExactly:
 
     def test_runs_engine_in_size_window(self, capsys, demo_file, monkeypatch):
         sizes = []
-        real = analytics.final_rows
+        real = analytics.final_parts
 
         def spy(hg, k=None):
             sizes.append(k)
             return real(hg, k)
 
-        monkeypatch.setattr(analytics, "final_rows", spy)
+        monkeypatch.setattr(analytics, "final_parts", spy)
         assert run_cli(capsys, "count", demo_file, "--exactly", "5")[:2] == \
             (0, "N(|X| = 5) = 419\n")
         assert sizes == [5]
@@ -181,7 +181,7 @@ class TestCountExactly:
     @pytest.mark.parametrize("k", ["-1", "15"])
     def test_k_outside_ground_set_skips_engine(self, capsys, demo_file,
                                                monkeypatch, k):
-        monkeypatch.setattr(analytics, "final_rows", None)
+        monkeypatch.setattr(analytics, "final_parts", None)
         assert run_cli(capsys, "count", demo_file, "--exactly", k) == \
             (0, f"N(|X| = {k}) = 0\n", "")
 
@@ -320,21 +320,46 @@ class TestFold:
             raise AssertionError("a RowFamily was built")
 
         calls = []
-        real = cli.final_rows
 
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
+        def spy(real):
+            def call(*args):
+                calls.append(args)
+                return real(*args)
+            return call
 
         monkeypatch.setattr(engine, "RowFamily", no_family)
         monkeypatch.setattr(analytics, "RowFamily", no_family)
-        monkeypatch.setattr(cli, "final_rows", spy)
+        monkeypatch.setattr(cli, "final_rows", spy(cli.final_rows))
+        monkeypatch.setattr(cli, "final_parts", spy(cli.final_parts))
         code, out, err = run_cli(capsys, argv[0], demo_file, *argv[1:])
         assert (code, err, len(calls)) == (0, "", 1)
         assert out.startswith({"count": "N = 8784, R = 7, ", "spectrum": "0 0\n",
                                "rows": "\n".join(DEMO_FINAL_ROWS) + "\n",
                                "enumerate": "4 8 10 12\n",
                                "query": GOLDEN_QUERY}[argv[0]])
+
+
+    @pytest.mark.parametrize("argv", [
+        ["count"], ["count", "--at-least", "5"], ["count", "--exactly", "5"],
+        ["spectrum"], ["rows"]])
+    def test_counting_builds_no_row_but_the_root(self, capsys, demo_file,
+                                                 monkeypatch, argv):
+        # count and spectrum fold the engine's parts, so the one Row they
+        # build is the all-free root; rows, which prints the final rows,
+        # builds each of the 7 as well
+        root = Row.powerset(14)
+        built = []
+        validate = Row.__post_init__
+
+        def spy(row):
+            built.append(row)
+            validate(row)
+
+        monkeypatch.setattr(Row, "__post_init__", spy)
+        code, out, err = run_cli(capsys, argv[0], demo_file, *argv[1:])
+        assert (code, err) == (0, "")
+        assert built[:1] == [root]
+        assert len(built) == (8 if argv == ["rows"] else 1)
 
 
 class TestSpectrum:
@@ -768,3 +793,37 @@ def test_verify_brute_force_counts_in_constant_memory(capsys, tmp_path):
     assert (code, capsys.readouterr().out.splitlines()[1]) == \
         (0, "verify brute force: 65535 ok")
     assert peak < 2 << 20
+
+
+# ----- one parser per process -------------------------------------------------
+
+class TestParser:
+    """The argparse parser is built once per process and reused, so every
+    call must leave it as a fresh one would be."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_leaves_the_parser_as_new(self, capsys):
+        argv = ["count", SAMPLE, "--at-least", "5"]
+        cli._build_parser.cache_clear()
+        fresh = run_cli(capsys, *argv)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["count"])
+            errors.append((info.value.code, *capsys.readouterr()))
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == (2, "")
+        assert errors[0][2].endswith("the following arguments are required: file\n")
+        assert run_cli(capsys, *argv) == fresh == \
+            (0, "N = 8784, R = 7, k_min = 4, tau_min = 66\nN(|X| >= 5) = 8718\n", "")
+
+    def test_commands_in_one_process(self, capsys):
+        assert run_cli(capsys, "count", SAMPLE) == \
+            (0, "N = 8784, R = 7, k_min = 4, tau_min = 66\n", "")
+        code, out, err = run_cli(capsys, "enumerate", SAMPLE, "--k", "5")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "b62c174cb0684467d34303a2448f6da54d54bae606391119c2226be60e3c6dbf"
+        assert run_cli(capsys, "spectrum", SAMPLE) == (0, GOLDEN_SPECTRUM, "")

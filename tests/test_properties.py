@@ -11,9 +11,10 @@ import tempfile
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from transversals import (Hypergraph, HypergraphError, Row, Spectrum, Tally,
-                          brute_transversals, count_at_least, count_exactly,
-                          count_total, filter_family, final_rows, impose,
+from transversals import (Hypergraph, HypergraphError, Parts, Row, Spectrum,
+                          Tally, brute_transversals, count_at_least,
+                          count_exactly, count_total, filter_family,
+                          final_parts, final_rows, impose,
                           inclusion_exclusion_count, is_feasible,
                           load_hypergraph, parse_hypergraph, render_hypergraph,
                           row_from_tokens, run, spectrum, subset_reduced,
@@ -33,6 +34,25 @@ from conftest import drain, mask_vertices
 @example((1 << 3001) - 1)
 def test_vertices_decodes_every_set_bit(mask):
     assert _vertices(mask) == sorted(mask_vertices(mask))
+
+
+def mask_by_shifts(vertices):
+    """The bitmask of a vertex set, one bit set at a time."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+@given(st.lists(st.one_of(st.integers(1, 70), st.integers(1, 1 << 16))),
+       st.booleans())
+@example([], False)
+@example([], True)
+@example([3, 3, 1, 3], False)
+@example([1 << 16, 1, 1 << 16], True)
+def test_vertex_mask_matches_shifts(vertices, as_generator):
+    source = (v for v in vertices) if as_generator else vertices
+    assert vertex_mask(source) == mask_by_shifts(vertices)
 
 
 @st.composite
@@ -500,6 +520,44 @@ def test_transversal_number_matches_spectrum(hg):
 
 
 # ----- streamed folds -------------------------------------------------------
+
+@settings(max_examples=80)
+@given(hypergraphs_st(), st.booleans(), st.none() | st.integers(0, 10))
+def test_final_parts_are_the_final_rows_unbuilt(hg, size_asc, k):
+    # the stream that counting reads yields each final row's parts, named,
+    # in order and with the same stats; the constructor takes each one
+    # unchanged, and the folds read them as they read the rows
+    if size_asc:
+        hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
+    parts, stats = drain(final_parts(hg, k))
+    rows, row_stats = drain(final_rows(hg, k))
+    assert parts == [tuple(row) for row in rows]
+    assert stats == row_stats
+    for p in parts:
+        assert type(p) is Parts
+        assert tuple(Row(hg.w, *p)) == p
+
+    by_parts, by_rows = Tally.of(parts), Tally.of(rows)
+    assert (by_parts.r_final, by_parts.n_total, by_parts.k_min, by_parts.tau_min) == \
+        (by_rows.r_final, by_rows.n_total, by_rows.k_min, by_rows.tau_min)
+    sp = Spectrum.of(parts, hg.w)
+    assert sp == Spectrum.of(rows, hg.w)
+    limit = hg.w if k is None else k
+    assert size_counts(parts, hg.w, limit) == size_counts(rows, hg.w, limit)
+
+    by_size = [0] * (hg.w + 1)
+    for x in brute_transversals(hg):
+        by_size[len(x)] += 1
+    if k is None:
+        assert list(sp.counts) == by_size
+        sizes = [j for j, n in enumerate(by_size) if n]
+        assert (by_parts.n_total, by_parts.k_min, by_parts.tau_min) == \
+            (sum(by_size), min(sizes, default=None),
+             by_size[min(sizes)] if sizes else 0)
+    else:
+        # the size-k digit; past w, neither side has one
+        assert sp.counts[k:k + 1] == tuple(by_size[k:k + 1])
+
 
 @settings(max_examples=80)
 @given(hypergraphs_st(), st.booleans(), st.none() | st.integers(0, 10),

@@ -76,6 +76,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"is not an int >= 1$"):
             vertex_mask({2, vertex})
 
+    @pytest.mark.parametrize("vertices, bad", [
+        ([3, 0, "x", -1], 0), ((v for v in (5, 9, -2, 1.5)), -2),
+        ([1, 2.0, 0], 2.0)], ids=["list", "generator", "float-first"])
+    def test_vertex_mask_names_first_bad_vertex(self, vertices, bad):
+        with pytest.raises(ValueError, match=rf"^vertex {bad!r} is not an int >= 1$"):
+            vertex_mask(vertices)
+
+    def test_vertex_mask_is_linear_in_the_largest_vertex(self):
+        # a million vertices, one bit each: about 0.2 s, where setting the
+        # bits in an int one at a time copies the growing mask every time
+        assert vertex_mask(range(1, 1_000_001)) == (1 << 1_000_001) - 2
+
     @pytest.mark.parametrize("parts", [
         ({1}, 0, 0b110),                                   # a vertex set
         (frozenset(), frozenset({1}), frozenset({2})),     # only vertex sets
