@@ -1,14 +1,17 @@
 """Randomized cross-check experiment: on random hypergraphs, compare the
 engine's exact counts against the brute-force sweep and the
-inclusion-exclusion oracle, the size-k transversals of every stream
-``final_rows(hg, k)`` for a fixed k against the brute-force sets of size k,
-the output of ``transversals count FILE --exactly k`` for every k in
--1..w+1 against inclusion-exclusion, the output of ``transversals count
-FILE --at-least K`` for one random K in -1..w+1 (N less the counts of the
-sizes below K) against the brute-force tail, and the stream cut by one
-random require/forbid pair (``filter_rows``) against the brute-force
-transversals that meet it; report compression statistics (final rows R versus
-represented transversals N).
+inclusion-exclusion oracle.  Then, in both edge orders (the file's, and
+``--order size-asc``, whose engine checks run on the size-sorted
+hypergraph), compare the spectrum against inclusion-exclusion by size, the
+size-k transversals of every stream ``final_rows(hg, k)`` for a fixed k
+against the brute-force sets of size k, the output of ``transversals count
+FILE --exactly k`` for every k in -1..w+1 against inclusion-exclusion, the
+output of ``transversals count FILE --at-least K`` for one random K in
+-1..w+1 (N less the counts of the sizes below K) against the brute-force
+tail, and the stream cut by one random require/forbid pair
+(``filter_rows``) against the brute-force transversals that meet it.
+Report compression statistics (final rows R versus represented
+transversals N).
 
 Usage:
     python scripts/cross_check.py [--instances 200] [--max-w 12] [--max-h 8] [--seed 1]
@@ -44,12 +47,40 @@ def random_hypergraph(rng: random.Random, max_w: int, max_h: int) -> Hypergraph:
     return Hypergraph(w, edges)
 
 
-def cli_count(path: pathlib.Path, option: str, k: int) -> str:
-    """stdout of ``transversals count PATH OPTION k``."""
+def cli_count(path: pathlib.Path, order: str, option: str, k: int) -> str:
+    """stdout of ``transversals count PATH --order ORDER OPTION k``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli_main(["count", str(path), option, str(k)])
+        cli_main(["count", str(path), "--order", order, option, str(k)])
     return out.getvalue()
+
+
+def order_checks(hg: Hypergraph, path: pathlib.Path, order: str, brute: list,
+                 require: set, forbid: set, at_least: int) -> dict[str, bool]:
+    """The checks that depend on the edge order: the engine's streams on
+    ``hg`` (the file's edges in ``order``) and the CLI's counts on the file
+    with ``--order order``, each against the oracles."""
+    sp = spectrum(run(hg))
+    return {
+        "spectrum": all(sp.counts[k] == inclusion_exclusion_count(hg, k)
+                        for k in range(hg.w + 1)),
+        "size_k": all(
+            sorted(chain.from_iterable(
+                r.members_of_size(k) for r in final_rows(hg, k)))
+            == [x for x in brute if len(x) == k]
+            for k in range(hg.w + 1)),
+        "exactly": all(
+            cli_count(path, order, "--exactly", k)
+            == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
+            for k in range(-1, hg.w + 2)),
+        "filter": sorted(chain.from_iterable(
+            r.members() for r in filter_rows(final_rows(hg), vertex_mask(require),
+                                             vertex_mask(forbid)))) == [
+            x for x in brute if require <= set(x) and forbid.isdisjoint(x)],
+        "at_least": cli_count(path, order, "--at-least", at_least).endswith(
+            f"\nN(|X| >= {at_least}) = "
+            f"{sum(len(x) >= at_least for x in brute)}\n"),
+    }
 
 
 def main() -> int:
@@ -75,38 +106,21 @@ def main() -> int:
         brute = brute_transversals(hg)
         n_brute = len(brute)
         n_ie = inclusion_exclusion_count(hg)
-        sp = spectrum(family)
-        per_k_ok = all(sp.counts[k] == inclusion_exclusion_count(hg, k)
-                       for k in range(hg.w + 1))
-        size_k_ok = all(
-            sorted(chain.from_iterable(
-                r.members_of_size(k) for r in final_rows(hg, k)))
-            == [x for x in brute if len(x) == k]
-            for k in range(hg.w + 1))
-        exactly_ok = all(
-            cli_count(path, "--exactly", k)
-            == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
-            for k in range(-1, hg.w + 2))
         # each vertex is required with odds 1/5, forbidden with 1/5, else free
         fate = {v: rng.randrange(5) for v in range(1, hg.w + 1)}
         require = {v for v, f in fate.items() if f == 0}
         forbid = {v for v, f in fate.items() if f == 1}
-        filter_ok = sorted(chain.from_iterable(
-            r.members() for r in filter_rows(final_rows(hg), vertex_mask(require),
-                                             vertex_mask(forbid)))) == [
-            x for x in brute if require <= set(x) and forbid.isdisjoint(x)]
         at_least = rng.randint(-1, hg.w + 1)
-        at_least_ok = cli_count(path, "--at-least", at_least).endswith(
-            f"\nN(|X| >= {at_least}) = "
-            f"{sum(len(x) >= at_least for x in brute)}\n")
-        ok = (n_engine == n_brute == n_ie and per_k_ok and size_k_ok
-              and exactly_ok and filter_ok and at_least_ok)
-        if not ok:
+        by_size = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
+        failed = [f"{order}:{name}"
+                  for order, ordered in (("input", hg), ("size-asc", by_size))
+                  for name, ok in order_checks(ordered, path, order, brute, require,
+                                               forbid, at_least).items()
+                  if not ok]
+        if not n_engine == n_brute == n_ie or failed:
             mismatches += 1
             print(f"[{i}] MISMATCH on w={hg.w} h={hg.h}: engine={n_engine}, "
-                  f"brute={n_brute}, ie={n_ie}, per_k_ok={per_k_ok}, "
-                  f"size_k_ok={size_k_ok}, exactly_ok={exactly_ok}, "
-                  f"filter_ok={filter_ok}, at_least_ok={at_least_ok}")
+                  f"brute={n_brute}, ie={n_ie}, failed={failed}")
         if n_engine:
             ratio_sum += len(family.rows) / n_engine
         s_max_seen = max(s_max_seen, family.stats.s_max)

@@ -71,18 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cross-check against both oracles (within limits)")
     count.add_argument("--json", action="store_true",
                        help="emit the run report as a JSON object")
+    count.set_defaults(handler=_cmd_count)
 
-    sub.add_parser("spectrum", parents=[common],
-                   help="print 'k count' for every cardinality 0..w")
+    spectrum = sub.add_parser("spectrum", parents=[common],
+                              help="print 'k count' for every cardinality 0..w")
+    spectrum.set_defaults(handler=_cmd_spectrum)
 
     enum = sub.add_parser("enumerate", parents=[common],
                           help="print all k-element transversals")
     enum.add_argument("--k", type=_int_value, required=True)
     enum.add_argument("--limit", type=_int_value, metavar="M",
                       help="stop after M transversals")
+    enum.set_defaults(handler=_cmd_enumerate)
 
-    sub.add_parser("rows", parents=[common],
-                   help="print the final rows in canonical token form")
+    rows = sub.add_parser("rows", parents=[common],
+                          help="print the final rows in canonical token form")
+    rows.set_defaults(handler=_cmd_rows)
 
     query = sub.add_parser("query", parents=[common],
                            help="filter the family by required/forbidden vertices")
@@ -90,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated vertices every transversal must contain")
     query.add_argument("--forbid", default="", metavar="LIST",
                        help="comma-separated vertices no transversal may contain")
+    query.set_defaults(handler=_cmd_query)
     return parser
 
 
@@ -101,7 +106,8 @@ def _load(args) -> Hypergraph:
         args.require, args.forbid = check_conditions(
             hg.w, parse_vertex_list(args.require), parse_vertex_list(args.forbid))
     if args.order == "size-asc":
-        hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
+        # sorting checked edges keeps them checked: no second Hypergraph
+        object.__setattr__(hg, "edges", tuple(sorted(hg.edges, key=len)))
     return hg
 
 
@@ -220,15 +226,6 @@ def _cmd_query(args, hg: Hypergraph) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "spectrum": _cmd_spectrum,
-    "enumerate": _cmd_enumerate,
-    "rows": _cmd_rows,
-    "query": _cmd_query,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     digit_limit = _get_digit_limit()
@@ -238,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         # Python's int/str digit limit; exact answers may be longer, so
         # they are printed without one
         _set_digit_limit(0)
-        code = _HANDLERS[args.command](args, hg)
+        code = args.handler(args, hg)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

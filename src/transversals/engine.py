@@ -3,16 +3,23 @@ of rows, splitting each row into disjoint sons that still hit the edge and
 pruning sons that cannot survive the remaining edges.  The surviving final
 rows form a disjoint family whose union is the set of all transversals.
 
-The loop works on a row's four plain masks.  :func:`final_parts` yields
-each final row's parts as a :class:`Parts`, which the counting folds read
-as they read a :class:`~transversals.rows.Row`; :func:`final_rows` builds
-and validates one ``Row`` per final row, for the callers that get rows.
+One run loop works on a row's four plain masks and has two views with one
+contract.  :func:`final_parts` yields each final row's parts as a
+:class:`Parts`, which the counting folds read as they read a
+:class:`~transversals.rows.Row`; :func:`final_rows` yields one validated
+``Row`` per final row.  Each holds only the work stack, yields the final
+rows in one deterministic order (for an int ``k``, the full run's rows
+holding a size-k transversal, in that order), returns the run's
+:class:`RunStats` (the value of its ``StopIteration``) and raises
+ValueError for a ``k`` other than None or an int >= 0 when the first row
+is asked for.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Generator, Iterable, NamedTuple
+from typing import Callable, Generator, Iterable, NamedTuple
 
 from .hypergraph import Hypergraph
 from .rows import Row, vertex_mask
@@ -147,15 +154,10 @@ def is_feasible(row: Parts, pending: Iterable[int], k: int | None = None) -> boo
     return True
 
 
-def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[Parts, None, RunStats]:
-    """Impose all edges in input order and yield the final rows' parts one
-    by one, each as a :class:`Parts`; the generator returns the run's
-    :class:`RunStats` (the value of its ``StopIteration``).  Only the work
-    stack is held, so a caller that folds the rows as they come needs no
-    memory for them, and no :class:`~transversals.rows.Row` is built: the
-    counting folds read the named parts, and :func:`final_rows` makes rows
-    of them.  A ``k`` other than None or an int >= 0 raises ValueError when
-    the first row is asked for.
+def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> Generator:
+    """The run loop behind both views (see the module docstring): impose
+    all edges in input order and yield ``finish(parts)`` for each final
+    row's parts.
 
     The work stack is LIFO and sons are pushed so that the first son of a
     split is processed first; together with the fixed son order of
@@ -164,9 +166,9 @@ def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[Parts, None, 
 
     A stack item is a row's parts ``(zeros, ones, twos, bubbles)``, as
     :func:`impose` and :func:`is_feasible` take and return them, with the
-    number of edges already imposed.  A final row's parts are yielded as
-    they are, named; the suite checks that the one validating constructor
-    would accept every son and every yielded :class:`Parts` unchanged.
+    number of edges already imposed.  A final row's parts go to ``finish``
+    as they are; the suite checks that the one validating constructor would
+    accept every son and every final row's parts unchanged.
 
     With an int ``k`` the run keeps exactly the final rows of the full run
     that hold a transversal of size k, in the same order: sons with
@@ -243,8 +245,7 @@ def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[Parts, None, 
             if sons[0] is not parts:
                 break
         else:
-            # named without a field-by-field call: Parts(*parts) costs more
-            yield tuple.__new__(Parts, parts)
+            yield finish(parts)
             continue
         if len(sons) > s_max:
             s_max = len(sons)
@@ -262,19 +263,19 @@ def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[Parts, None, 
     return RunStats(impositions, s_max, max_stack)
 
 
+def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[Parts, None, RunStats]:
+    """The run's final rows, each as its :class:`Parts`; no
+    :class:`~transversals.rows.Row` is built."""
+    # named without a field-by-field call: Parts(*parts) costs more
+    return _final(hg, k, functools.partial(tuple.__new__, Parts))
+
+
 def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, RunStats]:
-    """The final rows of :func:`final_parts`, in its order, each built and
-    validated as a :class:`~transversals.rows.Row` as it is yielded, so each
-    row a caller gets goes through the one constructor once; the generator
-    returns the same :class:`RunStats` and refuses the same ``k``."""
+    """The run's final rows, each built and validated as a
+    :class:`~transversals.rows.Row` as it is yielded, so each row a caller
+    gets goes through the one constructor once."""
     w = hg.w
-    stream = final_parts(hg, k)
-    while True:
-        try:
-            parts = next(stream)
-        except StopIteration as stop:
-            return stop.value
-        yield Row(w, *parts)
+    return _final(hg, k, lambda parts: Row(w, *parts))
 
 
 def run(hg: Hypergraph) -> RowFamily:

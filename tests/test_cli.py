@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from transversals import (Row, Spectrum, analytics, cli, engine, final_rows,
+from transversals import (Hypergraph, Row, Spectrum, analytics, cli, engine, final_rows,
                           load_hypergraph, run)
 from transversals.cli import main
 from transversals.hypergraph import MAX_W
@@ -107,6 +107,16 @@ class TestCount:
                "verify brute force: 6 ok\nverify inclusion-exclusion: 6 ok\n", "")
         assert calls == [{}, {"at_least": k}]
 
+    def test_verify_at_least_over_budget_reports_one_skip(self, capsys, tmp_path):
+        # the skip of brute force for N covers the tail: no second line
+        path = tmp_path / "big.hg"
+        path.write_text("25 1\n1 2\n")
+        assert run_cli(capsys, "count", str(path), "--at-least", "2", "--verify") == (
+            0, "N = 25165824, R = 1, k_min = 1, tau_min = 2\n"
+               "N(|X| >= 2) = 25165822\n"
+               "verify brute force: skipped (w > 24: 2^25 masks)\n"
+               "verify inclusion-exclusion: 25165824 ok\n", "")
+
     def test_json_report(self, capsys, demo_file):
         code, out, _ = run_cli(capsys, "count", demo_file, "--json")
         assert code == 0
@@ -131,6 +141,22 @@ class TestCount:
                                "--order", "size-asc")
         assert code == 0
         assert out.startswith("N = 8784, ")
+
+    def test_size_ascending_order_checks_each_edge_once(self, capsys, tmp_path,
+                                                        monkeypatch):
+        checks, seen = [], []
+        real_check, real_parts = Hypergraph.__post_init__, cli.final_parts
+        monkeypatch.setattr(Hypergraph, "__post_init__",
+                            lambda hg: checks.append(hg) or real_check(hg))
+        monkeypatch.setattr(cli, "final_parts",
+                            lambda hg: seen.append(hg) or real_parts(hg))
+        path = tmp_path / "mixed.hg"
+        path.write_text("4 4\n1 2 3\n4\n3 2\n1\n")
+        code, out, _ = run_cli(capsys, "count", str(path), "--order", "size-asc")
+        assert (code, out) == (0, "N = 3, R = 1, k_min = 3, tau_min = 2\n")
+        # a stable sort of the one loaded instance
+        assert len(checks) == 1 and seen[0] is checks[0]
+        assert seen[0].edges == ((4,), (1,), (2, 3), (1, 2, 3))
 
     def test_exact_count_past_int_digit_limit(self, capsys, tmp_path):
         # N = 3 * 2^14998 has 4516 digits, past Python's default limit of

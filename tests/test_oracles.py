@@ -79,6 +79,10 @@ class TestRowCensus:
         assert row_census(0) == 1
         assert row_census(4) == 151
 
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="w must be >= 0"):
+            row_census(-1)
+
     @pytest.mark.parametrize("w", range(6))
     def test_census_matches_direct_enumeration(self, w):
         assert row_census(w) == row_census_brute(w)

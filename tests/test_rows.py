@@ -135,6 +135,9 @@ class TestConstruction:
                       Row(r.w, *r)):
             assert again == r and again.bubble_masks == r.bubble_masks
 
+    def test_repr_is_the_token_form(self):
+        assert repr(row_from_tokens("2 e1 e1 1")) == "Row('2 e1 e1 1')"
+
     def test_empty_ground_set(self):
         r = Row(0, 0, 0, 0)
         assert r.size() == 1
