@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import io
 from itertools import chain
+import os
 import pathlib
 import random
 import sys
@@ -137,4 +138,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`); let the flush at exit hit devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

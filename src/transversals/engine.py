@@ -83,28 +83,32 @@ def impose(row: Parts, edge: int) -> list[Parts]:
     zeros, ones, twos, bubbles = row
     if edge & ones:
         return [row]
-    for bubble in bubbles:
-        if bubble & edge == bubble:
-            return [row]
-    # the earlier rests that stay bubbles and the untouched bubbles, in place
-    kept = []
     sons = []
-    for i, bubble in enumerate(bubbles):
-        part = bubble & edge
-        if not part:
-            kept.append(bubble)
-            continue
-        rest = bubble ^ part
-        if part & part - 1:
-            sons.append((zeros, ones, twos | rest, (*kept, part, *bubbles[i + 1:])))
-        else:
-            sons.append((zeros, ones | part, twos | rest, (*kept, *bubbles[i + 1:])))
-        zeros |= part
-        # not empty, or the bubble would lie inside the edge
-        if rest & rest - 1:
-            kept.append(rest)
-        else:
-            ones |= rest
+    if edge & ~(zeros | ones | twos):
+        for bubble in bubbles:
+            if bubble & edge == bubble:
+                return [row]
+        # the earlier rests that stay bubbles and the untouched bubbles, in place
+        kept = []
+        for i, bubble in enumerate(bubbles):
+            part = bubble & edge
+            if not part:
+                kept.append(bubble)
+                continue
+            rest = bubble ^ part
+            if part & part - 1:
+                sons.append((zeros, ones, twos | rest, (*kept, part, *bubbles[i + 1:])))
+            else:
+                sons.append((zeros, ones | part, twos | rest, (*kept, *bubbles[i + 1:])))
+            zeros |= part
+            # not empty, or the bubble would lie inside the edge
+            if rest & rest - 1:
+                kept.append(rest)
+            else:
+                ones |= rest
+    else:
+        # the edge meets no bubble: all are kept, and only the free son is built
+        kept = bubbles
     free_hit = twos & edge
     if free_hit:
         if free_hit & free_hit - 1:
@@ -159,8 +163,9 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
     all edges in input order and yield ``finish(parts)`` for each final
     row's parts.
 
-    The work stack is LIFO and sons are pushed so that the first son of a
-    split is processed first; together with the fixed son order of
+    The work stack is LIFO: a split pushes its later sons last-first and
+    goes on with its first son, so the first son is processed first and the
+    second is popped next; together with the fixed son order of
     :func:`impose` this makes the traversal, the final row order and all
     statistics deterministic.
 
@@ -200,7 +205,7 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
     is ``c_min``.  Only whole subtrees without such an F are cut from the
     same traversal, so the kept final rows come in the full run's order.
 
-    One loop serves every k, and it skips three checks whose answer is
+    One loop serves every k, and it skips five steps whose outcome is
     known.  A row is on the stack only if it was admissible (feasible for
     its pending edges, and with k in LB..``c_max`` if k is set), and a
     suffix of them is a subset.  (1) The root has no zeros and
@@ -212,11 +217,22 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
     unchanged: the row stays admissible.  Pushing and popping it at once
     would change neither ``max_stack`` nor the final order, nor ``s_max``,
     which the first imposition (a split of the all-free root) has already
-    raised to 1; so the next edge is imposed on it directly.  (3)
-    :func:`impose` builds its first son before zeroing any cut part, so
-    that son keeps the row's zeros and ``c_max`` and is feasible with
-    ``c_max >= k``; only a set k checks it, for LB.  An admissible row
-    always has a son, since no pending edge lies inside its zeros.
+    raised to 1; so the next edge is imposed on it directly.  (3) An edge
+    meeting the row's ones is such a pass-through: every member holds the
+    ones, and :func:`impose` would return ``[row]``, the same object, at
+    its first test.  So the loop counts it as an imposition and goes on
+    without calling :func:`impose`; the row, LB and admissibility are those
+    of (2).  (4) :func:`impose` builds its first son before zeroing any cut
+    part, so that son keeps the row's zeros and ``c_max`` and is feasible
+    with ``c_max >= k``; only a set k checks it, for LB.  An admissible row
+    always has a son, since no pending edge lies inside its zeros.  (5) An
+    admissible first son is not pushed: the push-and-pop loop would put it
+    on top of the later sons and pop it at once, so going on with it
+    processes the same rows in the same order.  At that pop the stack
+    would hold it and the ``len(stack)`` items below it, so ``max_stack``
+    counts ``len(stack) + 1``; a first son that fails LB would not be
+    pushed, so it is not counted, and the next pop is the second son, as
+    before.
     """
     if k is not None and (type(k) is not int or k < 0):
         raise ValueError(f"k must be None or an int >= 0, not {k!r}")
@@ -237,29 +253,43 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
         if len(stack) > max_stack:
             max_stack = len(stack)
         parts, done = stack.pop()
-        # fast-forward: while impose hands the parts back, impose the next edge
-        while done < h:
-            sons = impose(parts, edges[done])
-            impositions += 1
-            done += 1
-            if sons[0] is not parts:
+        # descend: each split goes on with its first son, not pushed
+        while True:
+            # fast-forward: impose the next edge while the row passes
+            # through; an edge meeting the 1s is skipped without a call
+            ones = parts[1]
+            start = done
+            while done < h:
+                edge = edges[done]
+                done += 1
+                if not edge & ones:
+                    sons = impose(parts, edge)
+                    if sons[0] is not parts:
+                        break
+            else:
+                impositions += done - start
+                yield finish(parts)
                 break
-        else:
-            yield finish(parts)
-            continue
-        if len(sons) > s_max:
-            s_max = len(sons)
-        # the sons' pending edges: sliced once per split rather than stored
-        # for every done, which would hold h(h + 1)/2 references
-        rest = edges[done:]
-        # pushed last-son-first, so the first son is processed first; the
-        # first son is feasible with c_max >= k, so it can lose only by LB;
-        # c_max = w - |zeros|
-        for son in sons[:0:-1]:
-            if (k is None or k + son[0].bit_count() <= w) and is_feasible(son, rest, k):
-                stack.append((son, done))
-        if k is None or is_feasible(sons[0], rest, k):
-            stack.append((sons[0], done))
+            impositions += done - start
+            if len(sons) > s_max:
+                s_max = len(sons)
+            if len(sons) > 1 or k is not None:
+                # the sons' pending edges: sliced once per split rather than
+                # stored for every done, which would hold h(h + 1)/2 references
+                rest = edges[done:]
+                # pushed last-son-first, so the first son, which goes on
+                # here, is followed by the second; c_max = w - |zeros|
+                for son in sons[:0:-1]:
+                    if (k is None or k + son[0].bit_count() <= w) and is_feasible(son, rest, k):
+                        stack.append((son, done))
+                # the first son is feasible with c_max >= k, so it can lose
+                # only by LB
+                if k is not None and not is_feasible(sons[0], rest, k):
+                    break
+            # the first son counts as the top of the stack
+            if len(stack) >= max_stack:
+                max_stack = len(stack) + 1
+            parts = sons[0]
     return RunStats(impositions, s_max, max_stack)
 
 

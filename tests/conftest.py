@@ -1,10 +1,11 @@
 """Shared fixtures: the 14-vertex, 6-edge demo system whose exact numbers
 (8784 transversals in 7 final rows, smallest size 4 with 66 witnesses) are
-frozen throughout the suite."""
+frozen throughout the suite, and the engine loop with no skipped step that
+the engine's tests compare against."""
 
 import pytest
 
-from transversals import parse_hypergraph, run
+from transversals import Row, impose, is_feasible, parse_hypergraph, run, vertex_mask
 
 
 def mask_vertices(mask):
@@ -20,6 +21,51 @@ def drain(stream):
             rows.append(next(stream))
         except StopIteration as stop:
             return rows, stop.value
+
+
+def reference_bound(row, pending):
+    """The packing bound spelled out: c_min plus a greedy packing, in the
+    given order, of the pending edges lying inside zeros and twos, whose
+    live parts (the edge minus the zeros) are pairwise disjoint."""
+    packed = []
+    for edge in map(mask_vertices, pending):
+        live = edge - mask_vertices(row.zero_mask)
+        if edge <= mask_vertices(row.zero_mask | row.two_mask) and all(
+                live.isdisjoint(other) for other in packed):
+            packed.append(live)
+    return row.c_min + len(packed)
+
+
+def reference_run(hg, k, log=None):
+    """The engine loop with no skipped check: push the root and every son
+    that is feasible and, if k is set, has k in reference_bound..c_max;
+    pop a row and impose its next edge.  With a list ``log``, append each
+    imposition's row parts and edge to it, in order."""
+    edges = [vertex_mask(e) for e in hg.edges]
+
+    def admissible(row, done):
+        return (is_feasible(row, edges[done:])
+                and (k is None or reference_bound(row, edges[done:]) <= k <= row.c_max))
+
+    impositions = s_max = max_stack = 0
+    final, stack = [], []
+    root = Row.powerset(hg.w)
+    if admissible(root, 0):
+        stack.append((root, 0))
+    while stack:
+        max_stack = max(max_stack, len(stack))
+        row, done = stack.pop()
+        if done == len(edges):
+            final.append(row)
+            continue
+        sons = [Row(hg.w, *son) for son in impose(row, edges[done])]
+        if log is not None:
+            log.append((tuple(row), edges[done]))
+        impositions += 1
+        s_max = max(s_max, len(sons))
+        stack.extend((son, done + 1) for son in reversed(sons)
+                     if admissible(son, done + 1))
+    return final, (impositions, s_max, max_stack)
 
 
 DEMO_TEXT = """\

@@ -8,7 +8,7 @@ from transversals import (Hypergraph, Row, Tally, count_exactly, count_total,
                           is_feasible, parse_hypergraph, row_from_tokens, run,
                           spectrum, vertex_mask)
 from transversals import engine
-from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, drain, mask_vertices
+from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, drain, mask_vertices, reference_run
 
 MOD4 = "2 2 e1 e1 e2 e3 e3 e4 e1 e2 e3 e3 e4 e4"
 
@@ -39,6 +39,16 @@ class TestImpose:
             "e1 e1 0 0 0 0 0 0 1 1 2 1 e2 e2",
             "e1 e1 0 0 0 0 0 0 1 1 1 0 1 2",
         ]
+
+    def test_edge_missing_every_bubble_keeps_them(self):
+        # the edge lies in the 0s and 2s, so only the free son is built, and
+        # with a one-position free hit it keeps the row's bubbles as they are
+        r = row_from_tokens("e1 e1 2 0 e2 e2 2")
+        sons = impose(r, vertex_mask({3, 4}))
+        assert [Row(7, *s).render() for s in sons] == ["e1 e1 1 0 e2 e2 2"]
+        assert sons[0][3] is r.bubble_masks
+        assert impose(r, vertex_mask({3, 4, 7}))[0][3] == (*r.bubble_masks, vertex_mask({3, 7}))
+        assert impose(r, vertex_mask({4})) == []
 
     def test_forced_hit_passes_through(self):
         r = row_from_tokens("2 1 2")
@@ -113,9 +123,21 @@ class TestWideMasks:
         assert spectrum(family).total == sum(spectrum(family).counts) == total
 
 
+def reference_calls(hg, k=None):
+    """The impositions of the loop with no skipped step, as (row parts,
+    edge) pairs, split into those whose edge misses the row's 1s, which the
+    engine passes to ``impose``, and the number of those whose edge meets
+    them, which it counts without a call."""
+    log = []
+    reference_run(hg, k, log)
+    calls = [(parts, edge) for parts, edge in log if not edge & parts[1]]
+    return calls, len(log) - len(calls)
+
+
 class TestBenchmarkHooks:
     """The benchmark times and counts the engine by replacing the module
-    globals ``impose`` and ``is_feasible``; ``run`` must look them up there."""
+    globals ``impose`` and ``is_feasible``; ``run`` must look them up there.
+    An edge meeting the row's 1s is an imposition made without a call."""
 
     def test_run_calls_module_globals(self, demo_hg, monkeypatch):
         calls = {"impose": 0, "is_feasible": 0}
@@ -129,7 +151,9 @@ class TestBenchmarkHooks:
         for name in calls:
             monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
         family = run(demo_hg)
-        assert calls["impose"] == family.stats.impositions
+        reference, skips = reference_calls(demo_hg)
+        assert calls["impose"] == len(reference) > 0
+        assert calls["impose"] + skips == family.stats.impositions
         assert calls["is_feasible"] > 0
 
     def test_final_rows_calls_module_impose(self, demo_hg, monkeypatch):
@@ -138,13 +162,16 @@ class TestBenchmarkHooks:
         real_impose = engine.impose
 
         def counting(row, edge):
-            calls.append(edge)
+            calls.append((tuple(row), edge))
             return real_impose(row, edge)
 
         monkeypatch.setattr(engine, "impose", counting)
         tally = Tally.of(final_rows(demo_hg))
         assert tally.r_final == 7
-        assert len(calls) == tally.stats.impositions == run(demo_hg).stats.impositions
+        reference, skips = reference_calls(demo_hg)
+        assert skips > 0
+        assert calls == reference
+        assert len(calls) + skips == tally.stats.impositions == run(demo_hg).stats.impositions
 
     @pytest.mark.parametrize("k_above_min", [None, 0, 1])
     def test_known_admissible_rows_are_not_rechecked(self, monkeypatch, k_above_min):
@@ -156,11 +183,12 @@ class TestBenchmarkHooks:
         hg = Hypergraph(12, tuple(tuple(rng.sample(range(1, 13), rng.randint(2, 5)))
                                   for _ in range(10)))
         k = None if k_above_min is None else Tally.of(final_rows(hg)).k_min + k_above_min
-        passed, first_sons, rechecked = [], [], []
+        passed, first_sons, rechecked, ones_hit = [], [], [], []
         known = {}                       # id -> row, which keeps the id unique
         real_impose, real_feasible = engine.impose, engine.is_feasible
 
         def spy_impose(row, edge):
+            ones_hit.append(edge & row[1])
             sons = real_impose(row, edge)
             (passed if sons[0] is row else first_sons).append(sons[0])
             known[id(sons[0])] = sons[0]
@@ -174,8 +202,11 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(engine, "impose", spy_impose)
         monkeypatch.setattr(engine, "is_feasible", spy_feasible)
         _, stats = drain(final_rows(hg, k))
-        assert passed and first_sons
-        assert len(passed) + len(first_sons) == stats.impositions
+        reference, skips = reference_calls(hg, k)
+        assert passed and first_sons and skips
+        assert not any(ones_hit)
+        assert len(passed) + len(first_sons) == len(reference)
+        assert len(passed) + len(first_sons) + skips == stats.impositions
         if k is None:
             assert rechecked == []
         else:

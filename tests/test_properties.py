@@ -8,7 +8,7 @@ import json
 import pathlib
 import tempfile
 
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 import hypothesis.strategies as st
 
 from transversals import (Hypergraph, HypergraphError, Parts, Row, Spectrum,
@@ -23,7 +23,7 @@ from transversals import (Hypergraph, HypergraphError, Parts, Row, Spectrum,
 from transversals.analytics import filter_rows
 from transversals.cli import main
 from transversals.rows import _vertices, size_counts
-from conftest import drain, mask_vertices
+from conftest import drain, mask_vertices, reference_bound, reference_run
 
 
 @given(st.one_of(st.integers(0, 1 << 3000),
@@ -375,6 +375,21 @@ def test_impose_builds_the_reference_sons_already_normal(r, data):
     assert all(tuple(Row(r.w, *son)) == son for son in sons)
 
 
+@given(rows_st(min_w=1) | rows_st(min_w=60, max_w=140), st.data())
+def test_impose_on_an_edge_missing_every_bubble(r, data):
+    # an edge of 0s and 2s only: impose skips the bubbles and builds the
+    # free son alone, if the edge meets the 2s, with the bubbles in order
+    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
+            data.draw(st.permutations(r.bubble_masks)))
+    outside = sorted(mask_vertices(r.zero_mask | r.two_mask))
+    assume(r.bubble_masks and outside)
+    edge = vertex_mask(data.draw(
+        st.frozensets(st.sampled_from(outside), min_size=1, max_size=8)))
+    sons = list(map(tuple, impose(r, edge)))
+    event("free son" if sons else "edge inside the 0s")
+    assert sons == list(map(tuple, reference_impose(r, edge)))
+
+
 @settings(max_examples=60)
 @given(hypergraphs_st())
 def test_engine_matches_brute_force(hg):
@@ -407,48 +422,6 @@ def test_size_window_members_match_brute_force(hg, k):
     got = [x for row in rows for x in row.members() if len(x) == k]
     assert len(got) == len(set(got))
     assert sorted(got) == [x for x in brute_transversals(hg) if len(x) == k]
-
-
-def reference_bound(row, pending):
-    """The packing bound spelled out: c_min plus a greedy packing, in the
-    given order, of the pending edges lying inside zeros and twos, whose
-    live parts (the edge minus the zeros) are pairwise disjoint."""
-    packed = []
-    for edge in map(mask_vertices, pending):
-        live = edge - mask_vertices(row.zero_mask)
-        if edge <= mask_vertices(row.zero_mask | row.two_mask) and all(
-                live.isdisjoint(other) for other in packed):
-            packed.append(live)
-    return row.c_min + len(packed)
-
-
-def reference_run(hg, k):
-    """The engine loop with no skipped check: push the root and every son
-    that is feasible and, if k is set, has k in reference_bound..c_max;
-    pop a row and impose its next edge."""
-    edges = [vertex_mask(e) for e in hg.edges]
-
-    def admissible(row, done):
-        return (is_feasible(row, edges[done:])
-                and (k is None or reference_bound(row, edges[done:]) <= k <= row.c_max))
-
-    impositions = s_max = max_stack = 0
-    final, stack = [], []
-    root = Row.powerset(hg.w)
-    if admissible(root, 0):
-        stack.append((root, 0))
-    while stack:
-        max_stack = max(max_stack, len(stack))
-        row, done = stack.pop()
-        if done == len(edges):
-            final.append(row)
-            continue
-        sons = [Row(hg.w, *son) for son in impose(row, edges[done])]
-        impositions += 1
-        s_max = max(s_max, len(sons))
-        stack.extend((son, done + 1) for son in reversed(sons)
-                     if admissible(son, done + 1))
-    return final, (impositions, s_max, max_stack)
 
 
 @settings(max_examples=80)

@@ -1,5 +1,6 @@
 """The demo walkthrough script: its query output, and its input errors as one
-``error:`` line on stderr with exit status 2, as in the CLI."""
+``error:`` line on stderr with exit status 2, as in the CLI; and the
+cross-check script stopping quietly when its reader leaves."""
 
 import pathlib
 import subprocess
@@ -7,7 +8,8 @@ import sys
 
 import pytest
 
-DEMO_SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "demo_walkthrough.py"
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+DEMO_SCRIPT = SCRIPTS / "demo_walkthrough.py"
 
 
 def walkthrough(*args):
@@ -44,3 +46,16 @@ def test_blank_condition_is_empty():
     code, out, err = walkthrough("--require", " ")
     assert (code, err) == (0, "")
     assert "\nquery " not in out
+
+
+def test_cross_check_reader_closes_pipe():
+    # the reader is gone before the first line, as with `| head -0`: the
+    # script ends with exit status 0 and no traceback, as the CLI does
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "cross_check.py"), "--instances", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (code, err) == (0, b"")
