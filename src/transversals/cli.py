@@ -251,7 +251,3 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     finally:
         _set_digit_limit(digit_limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -64,8 +64,9 @@ def impose(row: Parts, edge: int) -> list[Parts]:
     mask ``edge`` (see :func:`~transversals.rows.vertex_mask`); the sons are
     returned as such tuples.
 
-    If a forced position or a whole bubble lies inside the edge, every
-    member already hits it and ``[row]`` comes back, the same object.
+    If the edge meets the 1s or holds a whole bubble, every member already
+    hits it and ``[row]`` comes back, the same object; the split loop finds
+    such a bubble as a cut one with an empty rest, dropping the sons so far.
     Otherwise son s hits the edge inside the s-th cut bubble (the hit part
     becomes a fresh bubble and the rest of that bubble goes free), while the
     earlier cut parts are zeroed out with their rests staying bubbles.  A
@@ -85,9 +86,6 @@ def impose(row: Parts, edge: int) -> list[Parts]:
         return [row]
     sons = []
     if edge & ~(zeros | ones | twos):
-        for bubble in bubbles:
-            if bubble & edge == bubble:
-                return [row]
         # the earlier rests that stay bubbles and the untouched bubbles, in place
         kept = []
         for i, bubble in enumerate(bubbles):
@@ -96,12 +94,14 @@ def impose(row: Parts, edge: int) -> list[Parts]:
                 kept.append(bubble)
                 continue
             rest = bubble ^ part
+            if not rest:
+                # the bubble lies inside the edge
+                return [row]
             if part & part - 1:
                 sons.append((zeros, ones, twos | rest, (*kept, part, *bubbles[i + 1:])))
             else:
                 sons.append((zeros, ones | part, twos | rest, (*kept, *bubbles[i + 1:])))
             zeros |= part
-            # not empty, or the bubble would lie inside the edge
             if rest & rest - 1:
                 kept.append(rest)
             else:
@@ -213,26 +213,29 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
     edge lies inside its zeros; only a set k checks it, for ``k <= w`` and
     LB.  (2) When :func:`impose` passes the row through, it keeps its
     zeros, ones, twos and bubbles, and the edge it drops from the pending
-    ones meets its ones or a bubble, so no packing took it and LB is
+    ones meets its ones or holds a bubble, so no packing took it and LB is
     unchanged: the row stays admissible.  Pushing and popping it at once
-    would change neither ``max_stack`` nor the final order, nor ``s_max``,
-    which the first imposition (a split of the all-free root) has already
-    raised to 1; so the next edge is imposed on it directly.  (3) An edge
-    meeting the row's ones is such a pass-through: every member holds the
-    ones, and :func:`impose` would return ``[row]``, the same object, at
-    its first test.  So the loop counts it as an imposition and goes on
-    without calling :func:`impose`; the row, LB and admissibility are those
-    of (2).  (4) :func:`impose` builds its first son before zeroing any cut
-    part, so that son keeps the row's zeros and ``c_max`` and is feasible
-    with ``c_max >= k``; only a set k checks it, for LB.  An admissible row
-    always has a son, since no pending edge lies inside its zeros.  (5) An
-    admissible first son is not pushed: the push-and-pop loop would put it
-    on top of the later sons and pop it at once, so going on with it
-    processes the same rows in the same order.  At that pop the stack
-    would hold it and the ``len(stack)`` items below it, so ``max_stack``
-    counts ``len(stack) + 1``; a first son that fails LB would not be
-    pushed, so it is not counted, and the next pop is the second son, as
-    before.
+    would change neither the final order nor ``max_stack`` (see (5)), nor
+    ``s_max``, which the first imposition (a split of the all-free root)
+    has already raised to 1; so the next edge is imposed on it directly.
+    (3) An edge meeting the row's ones is such a pass-through: every member
+    holds the ones, and :func:`impose` would return ``[row]``, the same
+    object, at its first test.  So the loop counts it as an imposition and
+    goes on without calling :func:`impose`; the row, LB and admissibility
+    are those of (2).  (4) :func:`impose` builds its first son before
+    zeroing any cut part, so that son keeps the row's zeros and ``c_max``
+    and is feasible with ``c_max >= k``; only a set k checks it, for LB.
+    An admissible row always has a son, since no pending edge lies inside
+    its zeros.  (5) An admissible first son is not pushed: the
+    push-and-pop loop would put it on top of the later sons and pop it at
+    once, so going on with it processes the same rows in the same order.
+    ``max_stack``, the highest that loop's stack gets, is reached just
+    before a pop, so one rule at the top of the descent counts
+    ``len(stack) + 1`` for the row in hand: the height before its pop, or
+    before the pop that a first son skips.  A first son that fails LB would
+    not be pushed; the descent breaks before the rule counts it, and the
+    next pop is the second son, as before.  A pass-through of (2) keeps
+    that height, so counting it again would change nothing.
     """
     if k is not None and (type(k) is not int or k < 0):
         raise ValueError(f"k must be None or an int >= 0, not {k!r}")
@@ -250,11 +253,12 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
     if k is None or k <= w and is_feasible(root, edges, k):
         stack.append((root, 0))
     while stack:
-        if len(stack) > max_stack:
-            max_stack = len(stack)
         parts, done = stack.pop()
         # descend: each split goes on with its first son, not pushed
         while True:
+            # the row in hand counts as the top of the stack
+            if len(stack) >= max_stack:
+                max_stack = len(stack) + 1
             # fast-forward: impose the next edge while the row passes
             # through; an edge meeting the 1s is skipped without a call
             ones = parts[1]
@@ -286,9 +290,6 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
                 # only by LB
                 if k is not None and not is_feasible(sons[0], rest, k):
                     break
-            # the first son counts as the top of the stack
-            if len(stack) >= max_stack:
-                max_stack = len(stack) + 1
             parts = sons[0]
     return RunStats(impositions, s_max, max_stack)
 

@@ -57,6 +57,10 @@ class TestImpose:
     def test_contained_bubble_passes_through(self):
         r = row_from_tokens("e1 e1 2 2")
         assert impose(r, vertex_mask({1, 2})) == [r]
+        # the contained bubble comes after a cut one, whose son is dropped
+        r = row_from_tokens("e1 e1 e2 e2 2")
+        sons = impose(r, vertex_mask({1, 3, 4}))
+        assert len(sons) == 1 and sons[0] is r
 
     def test_unreachable_edge_kills_row(self):
         r = row_from_tokens("0 0 2")
@@ -296,16 +300,14 @@ class TestRun:
         assert stats.max_stack <= demo_hg.h * stats.s_max + 1
 
 
-class TestMinCardRun:
-    def test_impossible_threshold_gives_empty_family(self, demo_hg):
+class TestWindowRun:
+    def test_k_past_every_row_gives_no_rows(self, demo_hg):
         assert drain(final_rows(demo_hg, 15))[0] == []
 
-    def test_negative_threshold_rejected(self, demo_hg):
+    def test_negative_k_rejected(self, demo_hg):
         with pytest.raises(ValueError):
             drain(final_rows(demo_hg, -1))
 
-
-class TestWindowRun:
     def test_keeps_full_run_rows_meeting_window(self, demo_hg, demo_family):
         for k in range(demo_hg.w + 2):
             got, _ = drain(final_rows(demo_hg, k))

@@ -1,7 +1,9 @@
 """The demo walkthrough script: its query output, and its input errors as one
-``error:`` line on stderr with exit status 2, as in the CLI; and the
-cross-check script stopping quietly when its reader leaves."""
+``error:`` line on stderr with exit status 2, as in the CLI; the
+cross-check script stopping quietly when its reader leaves; and the mutant
+sweep's targets."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -59,3 +61,16 @@ def test_cross_check_reader_closes_pipe():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (code, err) == (0, b"")
+
+
+def test_every_mutant_targets_one_place():
+    # the sweep itself runs the suite once per mutant; this only checks that
+    # each old text still occurs exactly once, so no mutant tests nothing
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [name for name, _, _, _ in mutants.MUTANTS]
+    assert len(names) == len(set(names))
+    for name, file, old, new in mutants.MUTANTS:
+        text = (SCRIPTS.parent / file).read_text()
+        assert mutants.mutate(text, old, new) != text, name
