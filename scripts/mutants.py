@@ -57,10 +57,29 @@ MUTANTS = [
      "if edge & ~(zeros | ones | twos):", "if True:"),
     ("pending edge inside the zeros accepted", "src/transversals/engine.py",
      "if not live:", "if False:"),
+    ("pending edge meeting the 1s or a bubble not skipped", "src/transversals/engine.py",
+     "if edge & fixed:", "if False:"),
+    ("root kept for k past w", "src/transversals/engine.py",
+     "if k is None or k <= w and is_feasible(root, edges, k):",
+     "if k is None or is_feasible(root, edges, k):"),
     ("size_counts truncation one digit short", "src/transversals/rows.py",
      "keep = (1 << bits * (top + 1)) - 1", "keep = (1 << bits * top) - 1"),
     ("members_of_size lets a bubble pick nothing", "src/transversals/rows.py",
-     "lo = max(1 if p else 0, need - room[p + 1])", "lo = max(0, need - room[p + 1])"),
+     "lo = max(1, left - room[p + 1])", "lo = max(0, left - room[p + 1])"),
+    ("one-per-bubble tail takes the last bubble reversed", "src/transversals/rows.py",
+     "itertools.product(*[b[::-1] for b in bubbles[:-1]], bubbles[-1])",
+     "itertools.product(*[b[::-1] for b in bubbles[:-1]], bubbles[-1][::-1])"),
+    ("row without bubbles picks in reverse", "src/transversals/rows.py",
+     "ones.__add__, itertools.combinations(free, k - len(ones))",
+     "ones.__add__, itertools.combinations(free[::-1], k - len(ones))"),
+    ("first free pick meets only the listed tails", "src/transversals/rows.py",
+     "itertools.chain(kept, tails)", "kept"),
+    ("a cut-off tail list replayed", "src/transversals/rows.py",
+     "if len(kept) * t > _REPLAY:", "if len(kept) * t > _REPLAY + t:"),
+    ("each batch of free picks skips one", "src/transversals/rows.py",
+     "itertools.islice(picks, size)", "itertools.islice(picks, 1, size + 1)"),
+    ("free picks batched from the start", "src/transversals/rows.py",
+     "        size = 1\n", "        size = 1024\n"),
     ("restrict keeps a bubble's forbidden positions", "src/transversals/rows.py",
      "bubbles.append(bubble & ~forbid)", "bubbles.append(bubble)"),
     ("tau_min ignores bubble sizes", "src/transversals/analytics.py",

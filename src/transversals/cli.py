@@ -26,7 +26,7 @@ from .engine import final_parts, final_rows
 from .hypergraph import (Hypergraph, brief_repr, load_hypergraph,
                          parse_vertex_list)
 from .oracles import brute_count, inclusion_exclusion_count
-from .rows import _Memo, size_counts
+from .rows import size_counts
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -203,10 +203,9 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
         row.members_of_size(args.k) for row in final_rows(hg, args.k))
     if args.limit is not None:
         found = itertools.islice(found, args.limit)
-    # a vertex is labelled when first printed; writelines pulls the lines
-    # one at a time
-    label = _Memo(str)
-    sys.stdout.writelines(" ".join(map(label.__getitem__, xs)) + "\n" for xs in found)
+    # one template formats every line; writelines pulls the lines one at a time
+    line = " ".join(["%d"] * args.k) + "\n"
+    sys.stdout.writelines(map(line.__mod__, found))
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ products instead of enumeration.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Collection, Iterable, Iterator
 
 
@@ -45,6 +46,81 @@ def _picks(block: list[int], d: int) -> Iterator[Collection[int]]:
         return itertools.combinations(block[::-1], d)
     return map(frozenset(block).difference,
                itertools.combinations(block, len(block) - d))
+
+
+# the most positions that Row.members_of_size keeps in a listed tail, or
+# in a batch of more than one free pick
+_REPLAY = 4096
+
+
+def _tails(bubbles: list[list[int]], need: int) -> Iterator[tuple[int, ...]]:
+    """The picks of ``need`` positions from the bubbles, at least one from
+    each, as tuples in :meth:`Row.members_of_size`'s order; a stack holds
+    one pick iterator per open bubble.  With one position from each
+    bubble, every bubble's sizes run from 1 down to 1, its picks are its
+    positions reversed, the last bubble's in order, and the product of
+    these, first factor slowest, nests them as the stack does."""
+    last = len(bubbles) - 1
+    if need == last + 1:
+        return itertools.product(*[b[::-1] for b in bubbles[:-1]], bubbles[-1])
+    # room[p]: the positions in bubbles p..last
+    room = list(itertools.accumulate(map(len, reversed(bubbles)), initial=0))[::-1]
+
+    def walk() -> Iterator[Iterator[tuple[int, ...]]]:
+        # stack[p] holds the picks of bubble p - 1 and the need before them,
+        # chosen[p] the current one; stack[0] holds the empty pick
+        stack = [(iter(((),)), need)]
+        chosen = [()] * last
+        while stack:
+            picks, left = stack[-1]
+            p = len(stack) - 1
+            block = bubbles[p]
+            if p == last:
+                head = tuple(itertools.chain.from_iterable(chosen))
+                for pick in picks:
+                    yield map((*head, *pick).__add__,
+                              itertools.combinations(block, left - len(pick)))
+                stack.pop()
+                continue
+            for pick in picks:
+                chosen[p] = pick
+                left -= len(pick)
+                hi = min(len(block), left - (last - p))
+                lo = max(1, left - room[p + 1])
+                # repeat() binds this bubble now; the loop rebinds ``block``
+                # before the later sizes' picks are read
+                stack.append((itertools.chain.from_iterable(
+                    map(_picks, itertools.repeat(block), range(hi, lo - 1, -1))), left))
+                break
+            else:  # bubble p - 1 has no pick left
+                stack.pop()
+
+    return itertools.chain.from_iterable(walk())
+
+
+def _replay(ones: tuple[int, ...], free: list[int], bubbles: list[list[int]],
+            need: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The members of :meth:`Row.members_of_size`, unsorted, as a run of
+    iterators: for each free pick size d, the 1s and each free pick joined
+    with every tail of ``need - d`` positions."""
+    room = sum(map(len, bubbles))
+    for d in range(min(len(free), need - len(bubbles)), max(0, need - room) - 1, -1):
+        t = need - d
+        picks = map(ones.__add__, map(tuple, _picks(free, d)))
+        tails = _tails(bubbles, t)
+        kept = tuple(itertools.islice(tails, _REPLAY // t + 1))
+        # the first pick finishes this walk of the tail
+        yield map(next(picks).__add__, itertools.chain(kept, tails))
+        if len(kept) * t > _REPLAY:
+            # too long to keep: each later pick walks the tail again
+            for pick in picks:
+                yield map(pick.__add__, _tails(bubbles, t))
+            continue
+        size = 1
+        while batch := tuple(itertools.islice(picks, size)):
+            yield itertools.starmap(operator.add, itertools.product(batch, kept))
+            if 2 * size * (len(ones) + d) <= _REPLAY:
+                size *= 2
 
 
 # a binary digit's character to the byte 0 or 1, a selector for compress
@@ -203,8 +279,8 @@ class Row:
     # ----- generation ------------------------------------------------------
 
     def members_of_size(self, k: int) -> Iterator[tuple[int, ...]]:
-        """Yield every represented set of cardinality k exactly once, as a
-        sorted tuple.
+        """Every represented set of cardinality k exactly once, as a sorted
+        tuple, from an iterator that runs no Python frame per member.
 
         A member is the forced 1s plus one pick from each block: the free
         block (possibly empty), then the bubbles in stored order.  With
@@ -217,49 +293,41 @@ class Row:
         the block reversed.  For d >= 2 it is the forward order of the
         complements: for subsets of equal size, S precedes T iff T's
         complement precedes S's, as the least element of their symmetric
-        difference lies in S iff it lies in T's complement.  A stack holds
-        one pick iterator per open block, so the memory is O(w) however
-        many members the row has.
+        difference lies in S iff it lies in T's complement.
+
+        Replay.  After a free pick of size d, the bubbles' picks (the
+        tail, :func:`_tails`) have the bounds above with the same need - d
+        positions missing, whatever the pick was; so the tail is the same
+        sequence for every pick of size d.  The first pick of size d runs
+        one walk of the tail and lists its first picks on the way; later
+        picks, taken in batches of 1, 2, 4, ..., are joined with the list
+        by ``itertools.product``, whose first factor varies slowest.  So
+        every free pick meets the whole tail in the tail's order before the
+        next pick, in the order of one walk of all the blocks, and the
+        first member comes after one pick.  A row without bubbles is one
+        map over the free block's combinations.
+
+        Memory.  The pick sources and a walk of the tail hold O(w)
+        positions however many members the row has.  A tail list holds at
+        most ``_REPLAY`` positions, a fixed internal bound, plus one tail;
+        a tail that would need more is walked again for each free pick.  A
+        batch holds at most ``_REPLAY`` positions, or one pick.
         """
         if not self.c_min <= k <= self.c_max:
-            return
-        blocks = [_vertices(self.two_mask), *map(_vertices, self.bubble_masks)]
-        last = len(blocks) - 1
-        # room[p]: the positions in blocks p..last
-        room = list(itertools.accumulate(map(len, reversed(blocks)), initial=0))[::-1]
-        # stack[p] holds the picks of block p - 1 and the need before them,
-        # chosen[p] the current one; stack[0] holds the forced 1s as one pick
-        stack = [(iter((_vertices(self.one_mask),)), k)]
-        chosen = [()] * last
-        while stack:
-            picks, need = stack[-1]
-            p = len(stack) - 1
-            block = blocks[p]
-            if p == last:
-                head = tuple(itertools.chain.from_iterable(chosen))
-                for pick in picks:
-                    acc = (*head, *pick)
-                    for rest in itertools.combinations(block, need - len(pick)):
-                        yield tuple(sorted(acc + rest))
-                stack.pop()
-                continue
-            for pick in picks:
-                chosen[p] = pick
-                need -= len(pick)
-                hi = min(len(block), need - (last - p))
-                lo = max(1 if p else 0, need - room[p + 1])
-                # repeat() binds this block now; the loop rebinds ``block``
-                # before the later sizes' picks are read
-                stack.append((itertools.chain.from_iterable(
-                    map(_picks, itertools.repeat(block), range(hi, lo - 1, -1))), need))
-                break
-            else:  # block p - 1 has no pick left
-                stack.pop()
+            return iter(())
+        ones = tuple(_vertices(self.one_mask))
+        free = _vertices(self.two_mask)
+        if not self.bubble_masks:
+            return map(tuple, map(sorted, map(
+                ones.__add__, itertools.combinations(free, k - len(ones)))))
+        bubbles = [*map(_vertices, self.bubble_masks)]
+        return map(tuple, map(sorted, itertools.chain.from_iterable(
+            _replay(ones, free, bubbles, k - len(ones)))))
 
     def members(self) -> Iterator[tuple[int, ...]]:
-        """Yield every represented set once, by increasing cardinality."""
-        for k in range(self.c_min, self.c_max + 1):
-            yield from self.members_of_size(k)
+        """Every represented set once, by increasing cardinality."""
+        return itertools.chain.from_iterable(
+            map(self.members_of_size, range(self.c_min, self.c_max + 1)))
 
     # ----- query surgery ------------------------------------------------------
 

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -317,9 +318,14 @@ class TestWideRows:
         (3, 3, [f"1 {W - 1} {W}", f"2 {W - 1} {W}", f"1 {W - 2} {W}"]),
     ], ids=["k2", "k3"])
     def test_enumerate_first_members(self, capsys, wide_file, k, limit, expected):
+        # a free pick costs O(w) here, so the first members come after few
+        # picks, not after a whole batch of them
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, "enumerate", wide_file, "--k", str(k),
                                  "--limit", str(limit))
+        elapsed = time.perf_counter() - start
         assert (code, out.splitlines(), err) == (0, expected, "")
+        assert elapsed < 1
 
     def test_query_require(self, capsys, wide_file):
         got = run_cli(capsys, "query", wide_file, "--require", "3")

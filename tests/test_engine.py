@@ -304,10 +304,6 @@ class TestWindowRun:
     def test_k_past_every_row_gives_no_rows(self, demo_hg):
         assert drain(final_rows(demo_hg, 15))[0] == []
 
-    def test_negative_k_rejected(self, demo_hg):
-        with pytest.raises(ValueError):
-            drain(final_rows(demo_hg, -1))
-
     def test_keeps_full_run_rows_meeting_window(self, demo_hg, demo_family):
         for k in range(demo_hg.w + 2):
             got, _ = drain(final_rows(demo_hg, k))

@@ -7,9 +7,11 @@ import itertools
 import json
 import pathlib
 import tempfile
+from unittest import mock
 
 from hypothesis import assume, event, example, given, settings
 import hypothesis.strategies as st
+import pytest
 
 from transversals import (Hypergraph, HypergraphError, Parts, Row, Spectrum,
                           Tally, brute_transversals, count_at_least,
@@ -210,6 +212,20 @@ def test_generation_order_matches_reference(r, data):
     # k in -1..w+1, mostly a size the row has members of
     k = data.draw(st.integers(r.c_min, r.c_max) | st.integers(-1, r.w + 1))
     assert list(r.members_of_size(k)) == list(reference_members_of_size(r, k))
+
+
+@pytest.mark.parametrize("cap", [0, 5], ids=["walked", "tiny"])
+@settings(max_examples=200)
+@given(rows_st(max_w=10), st.data())
+def test_generation_order_with_small_replay_cap(cap, r, data):
+    # cap 0 walks every tail again for each free pick; a tiny cap lists
+    # some tails and walks others, and keeps batches of free picks short
+    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
+            data.draw(st.permutations(r.bubble_masks)))
+    k = data.draw(st.integers(r.c_min, r.c_max) | st.integers(-1, r.w + 1))
+    with mock.patch("transversals.rows._REPLAY", cap):
+        got = list(r.members_of_size(k))
+    assert got == list(reference_members_of_size(r, k))
 
 
 @given(rows_st())
