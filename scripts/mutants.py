@@ -81,7 +81,13 @@ MUTANTS = [
     ("free picks batched from the start", "src/transversals/rows.py",
      "        size = 1\n", "        size = 1024\n"),
     ("restrict keeps a bubble's forbidden positions", "src/transversals/rows.py",
-     "bubbles.append(bubble & ~forbid)", "bubbles.append(bubble)"),
+     "kept.append(bubble & ~forbid)", "kept.append(bubble)"),
+    ("one-position bubble dropped, not promoted", "src/transversals/rows.py",
+     "ones |= bubble", "pass"),
+    ("size_counts reads the 2s as the 1s", "src/transversals/rows.py",
+     "for _, ones, twos, bubbles in", "for _, twos, ones, bubbles in"),
+    ("Tally reads the 2s as the 1s", "src/transversals/analytics.py",
+     "_, ones, twos, bubbles = row", "_, twos, ones, bubbles = row"),
     ("tau_min ignores bubble sizes", "src/transversals/analytics.py",
      "tau_min += count", "tau_min += 1"),
     ("N counts a bubble's empty pick", "src/transversals/analytics.py",

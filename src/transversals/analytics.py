@@ -1,6 +1,6 @@
 """Counting, generation and query filtering over the engine's final rows,
 stored in a RowFamily or streamed by :func:`~transversals.engine.final_rows`
-(rows) or :func:`~transversals.engine.final_parts` (their parts, named).
+(rows) or :func:`~transversals.engine.final_parts` (their parts).
 A stored family always holds every transversal, so its answers need no
 size check; a fixed cardinality k exists only on the stream, as in
 :func:`count_exactly`.
@@ -9,12 +9,12 @@ Every answer is one pass over the rows: :class:`Tally` (R, N, k_min and
 tau_min) and :meth:`Spectrum.of` (per-size counts) fold them, and
 :func:`filter_rows` cuts each row with one multi-vertex
 :meth:`Row.restrict`, so a stored family and an engine stream get the same
-formulas and no row of a stream is stored.  The two folds read only the
-fields ``one_mask``, ``two_mask`` and ``bubble_masks``, so they take a
-stored :class:`~transversals.rows.Row` or an engine
-:class:`~transversals.engine.Parts` alike, and counting a stream builds no
-row.  :func:`count_total` sums :meth:`Row.size` over a stored family, the
-product Tally forms from those fields, without Tally's work for k_min;
+formulas and no row of a stream is stored.  The two folds unpack each row
+as its parts ``(zeros, ones, twos, bubbles)``: a tuple of
+:func:`~transversals.engine.final_parts`, so counting a stream builds no
+row, or a stored row's ``Row.parts``.  :func:`count_total` sums
+:meth:`Row.size` over a stored family, the product Tally forms from the
+parts, without Tally's work for k_min;
 :func:`count_at_least` takes N less the counts of the sizes below k
 (:func:`~transversals.rows.size_counts` with a limit), as
 ``count --at-least`` does.
@@ -25,9 +25,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .engine import Parts, RowFamily, RunStats, final_parts
+from .engine import RowFamily, RunStats, final_parts
 from .hypergraph import Hypergraph, brief_repr
 from .rows import Row, size_counts, vertex_mask
 
@@ -44,9 +45,9 @@ class Spectrum:
     total: int
 
     @classmethod
-    def of(cls, rows: Iterable[Row | Parts], w: int) -> "Spectrum":
-        """The spectrum of disjoint rows over {1..w}, read once: stored rows
-        or an engine stream of rows or of :class:`Parts`."""
+    def of(cls, rows: Iterable, w: int) -> "Spectrum":
+        """The spectrum of disjoint rows over {1..w}, read once, each as its
+        parts (see :func:`~transversals.rows.size_counts`)."""
         counts = size_counts(rows, w)
         return cls(tuple(counts), sum(counts))
 
@@ -55,9 +56,9 @@ class Tally:
     """The row count R, the total N, the smallest member size k_min and the
     number tau_min of members of that size, added up one row at a time.
 
-    A row is read through its fields ``one_mask``, ``two_mask`` and
-    ``bubble_masks``, so a stored :class:`Row` and an engine
-    :class:`Parts` are added up alike: its size is 2^|twos| times the
+    A row is unpacked as its parts ``(zeros, ones, twos, bubbles)``, so a
+    tuple of :func:`~transversals.engine.final_parts`, a ``Row.parts`` and
+    a :class:`Row` are added up alike: its size is 2^|twos| times the
     product of 2^|b| - 1 over its bubbles b, as :meth:`Row.size`, and its
     ``c_min`` is |ones| + |bubbles|.  tau_min sums, over the rows whose
     ``c_min`` attains k_min, the product of their bubble sizes: a minimum
@@ -72,13 +73,13 @@ class Tally:
         self.stats: RunStats | None = None
 
     @classmethod
-    def of(cls, rows: Iterable[Row | Parts]) -> "Tally":
+    def of(cls, rows: Iterable) -> "Tally":
         """Add up ``rows`` without keeping them."""
         tally = cls()
         deque(tally.tap(iter(rows)), maxlen=0)
         return tally
 
-    def tap(self, rows: Iterator[Row | Parts]) -> Iterator[Row | Parts]:
+    def tap(self, rows: Iterator) -> Iterator:
         """Yield ``rows`` unchanged, adding each one up, so another fold can
         read the same stream.  The answers and the return value of ``rows``
         (an engine stream's RunStats) are stored when the rows run out."""
@@ -93,12 +94,12 @@ class Tally:
                 self.stats = stop.value
                 return
             r_final += 1
-            bubbles = row.bubble_masks
-            size = 1 << row.two_mask.bit_count()
+            _, ones, twos, bubbles = row
+            size = 1 << twos.bit_count()
             for bubble in bubbles:
                 size *= (1 << bubble.bit_count()) - 1
             n_total += size
-            c_min = row.one_mask.bit_count() + len(bubbles)
+            c_min = ones.bit_count() + len(bubbles)
             if k_min is None or c_min < k_min:
                 k_min, tau_min = c_min, 0
             if c_min == k_min:
@@ -116,7 +117,7 @@ def count_total(family: RowFamily) -> int:
 
 def spectrum(family: RowFamily) -> Spectrum:
     """Exact transversal counts for every cardinality 0..w."""
-    return Spectrum.of(family.rows, family.w)
+    return Spectrum.of(map(attrgetter("parts"), family.rows), family.w)
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
@@ -124,12 +125,13 @@ def count_at_least(family: RowFamily, k: int) -> int:
     sizes below k, the only ones computed; a k past w gives 0 with none."""
     if k > family.w:
         return 0
-    return count_total(family) - sum(size_counts(family.rows, family.w, k - 1))
+    return count_total(family) - sum(
+        size_counts(map(attrgetter("parts"), family.rows), family.w, k - 1))
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:
     """(smallest transversal size, number of transversals of that size)."""
-    tally = Tally.of(family.rows)
+    tally = Tally.of(map(attrgetter("parts"), family.rows))
     if tally.k_min is None:
         raise Infeasible("empty row family has no transversals")
     return tally.k_min, tally.tau_min

@@ -3,39 +3,26 @@ of rows, splitting each row into disjoint sons that still hit the edge and
 pruning sons that cannot survive the remaining edges.  The surviving final
 rows form a disjoint family whose union is the set of all transversals.
 
-One run loop works on a row's four plain masks and has two views with one
-contract.  :func:`final_parts` yields each final row's parts as a
-:class:`Parts`, which the counting folds read as they read a
-:class:`~transversals.rows.Row`; :func:`final_rows` yields one validated
-``Row`` per final row.  Each holds only the work stack, yields the final
-rows in one deterministic order (for an int ``k``, the full run's rows
-holding a size-k transversal, in that order), returns the run's
-:class:`RunStats` (the value of its ``StopIteration``) and raises
-ValueError for a ``k`` other than None or an int >= 0 when the first row
-is asked for.
+One run loop works on a row's parts, the tuple ``(zeros, ones, twos,
+bubbles)`` of int masks with ``bubbles`` a tuple, the shape a
+:class:`~transversals.rows.Row` stores as ``parts``.  It has two views
+with one contract.  :func:`final_parts` yields each final row's parts as
+the loop holds them, which the counting folds read; :func:`final_rows`
+yields one validated ``Row`` per final row.  Each holds only the work
+stack, yields the final rows in one deterministic order (for an int
+``k``, the full run's rows holding a size-k transversal, in that order),
+returns the run's :class:`RunStats` (the value of its ``StopIteration``)
+and raises ValueError for a ``k`` other than None or an int >= 0 when
+the first row is asked for.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, NamedTuple
+from typing import Callable, Generator, Iterable
 
 from .hypergraph import Hypergraph
 from .rows import Row, vertex_mask
-
-
-class Parts(NamedTuple):
-    """A row's parts ``(zeros, ones, twos, bubbles)``, as the engine passes
-    them on, named as the :class:`~transversals.rows.Row` attributes that
-    hold them, so a fold that reads these four fields takes a stored row
-    or a final row of :func:`final_parts` alike.  ``Row(w, *parts)``
-    validates them into a row."""
-
-    zero_mask: int
-    one_mask: int
-    two_mask: int
-    bubble_masks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -57,7 +44,7 @@ class RowFamily:
     stats: RunStats | None = None
 
 
-def impose(row: Parts, edge: int) -> list[Parts]:
+def impose(row: tuple, edge: int) -> list[tuple]:
     """Split the row with parts ``row`` (a ``(zeros, ones, twos, bubbles)``
     tuple, or a :class:`~transversals.rows.Row`, which unpacks into one) into
     disjoint rows whose union is the members hitting the edge with vertex
@@ -118,7 +105,7 @@ def impose(row: Parts, edge: int) -> list[Parts]:
     return sons
 
 
-def is_feasible(row: Parts, pending: Iterable[int], k: int | None = None) -> bool:
+def is_feasible(row: tuple, pending: Iterable[int], k: int | None = None) -> bool:
     """True iff no pending edge (a vertex mask) lies entirely inside the
     zeros of the row with parts ``row`` (as for :func:`impose`), i.e. the
     member taking everything outside the zeros hits every pending edge;
@@ -158,7 +145,7 @@ def is_feasible(row: Parts, pending: Iterable[int], k: int | None = None) -> boo
     return True
 
 
-def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> Generator:
+def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> Generator:
     """The run loop behind both views (see the module docstring): impose
     all edges in input order and yield ``finish(parts)`` for each final
     row's parts.
@@ -248,8 +235,8 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
     # (parts, done): every member of the row with these parts hits the first
     # done edges, so the next edge is edges[done] and done == h marks a
     # final row
-    stack: list[tuple[Parts, int]] = []
-    root = tuple(Row.powerset(w))
+    stack: list[tuple[tuple, int]] = []
+    root = Row.powerset(w).parts
     if k is None or k <= w and is_feasible(root, edges, k):
         stack.append((root, 0))
     while stack:
@@ -294,11 +281,12 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[Parts], object]) -> 
     return RunStats(impositions, s_max, max_stack)
 
 
-def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[Parts, None, RunStats]:
-    """The run's final rows, each as its :class:`Parts`; no
+def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[tuple, None, RunStats]:
+    """The run's final rows, each as the loop's own tuple of its parts,
+    equal to the ``parts`` of the row that :func:`final_rows` builds; no
     :class:`~transversals.rows.Row` is built."""
-    # named without a field-by-field call: Parts(*parts) costs more
-    return _final(hg, k, functools.partial(tuple.__new__, Parts))
+    # tuple() of a tuple is that tuple, with no Python frame per row
+    return _final(hg, k, tuple)
 
 
 def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, RunStats]:

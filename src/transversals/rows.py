@@ -143,10 +143,14 @@ class Row:
     ``Row(w, zeros, ones, twos, bubbles)`` takes the parts as int bitmasks,
     bit v standing for vertex v, and ``bubbles`` as an iterable of masks;
     :func:`vertex_mask` converts a vertex set and :func:`row_from_tokens`
-    parses text.  They are stored as ``zero_mask``, ``one_mask``,
-    ``two_mask`` and the tuple ``bubble_masks``.  Rows are immutable.
+    parses text.  A row stores ``w`` and one tuple ``parts`` = ``(zeros,
+    ones, twos, bubbles)``, ``bubbles`` a tuple: the shape in which the
+    engine passes parts on, so ``Row(w, *parts).parts == parts`` for the
+    parts of :func:`~transversals.engine.final_parts`.  ``zero_mask``,
+    ``one_mask``, ``two_mask`` and ``bubble_masks`` name them for readers.
+    Rows are immutable.
 
-    ``bubble_masks`` keeps the order given at construction; generation walks
+    The bubbles keep the order given at construction; generation walks
     the bubbles in that order, so the order is part of the row's behaviour
     even though it does not change the represented family.  Equality,
     hashing and :meth:`render` use the canonical order (bubbles sorted by
@@ -162,19 +166,15 @@ class Row:
     so the promotion never fires there.
 
     A row unpacks into its parts: ``zeros, ones, twos, bubbles = row``, and
-    ``Row(row.w, *row)`` rebuilds it with the same bubble order.  This is
-    the form the engine steps take and return.
+    ``Row(row.w, *row)`` rebuilds it with the same bubble order.
     """
 
-    __slots__ = ("w", "zero_mask", "one_mask", "two_mask", "bubble_masks")
+    __slots__ = ("w", "parts")
 
     def __init__(self, w: int, zeros: int, ones: int, twos: int,
                  bubbles: Iterable[int] = ()) -> None:
         _set_w(self, w)
-        _set_zeros(self, zeros)
-        _set_ones(self, ones)
-        _set_twos(self, twos)
-        _set_bubbles(self, tuple(bubbles))
+        _set_parts(self, (zeros, ones, twos, tuple(bubbles)))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -183,8 +183,7 @@ class Row:
         and check that the parts are int masks, disjoint (their popcounts
         add up to the popcount of their union) and cover exactly 1..w.  The
         benchmark's tracer times row construction by wrapping this name."""
-        w, zeros, ones, twos = self.w, self.zero_mask, self.one_mask, self.two_mask
-        bubbles = self.bubble_masks
+        w, (zeros, ones, twos, bubbles) = self.w, self.parts
         if type(w) is not int or w < 0:
             raise ValueError(f"row width must be an int >= 0, not {w!r}")
         union = zeros | ones | twos
@@ -208,8 +207,14 @@ class Row:
             for bubble in bubbles:
                 if not bubble & bubble - 1:
                     ones |= bubble
-            _set_ones(self, ones)
-            _set_bubbles(self, tuple(bubble for bubble in bubbles if bubble & bubble - 1))
+            _set_parts(self, (zeros, ones, twos,
+                              tuple(bubble for bubble in bubbles if bubble & bubble - 1)))
+
+    # the parts by name, for readers and tests
+    zero_mask = property(lambda self: self.parts[0])
+    one_mask = property(lambda self: self.parts[1])
+    two_mask = property(lambda self: self.parts[2])
+    bubble_masks = property(lambda self: self.parts[3])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Row is immutable; cannot set {name!r}")
@@ -218,11 +223,11 @@ class Row:
         raise AttributeError(f"Row is immutable; cannot delete {name!r}")
 
     def __iter__(self) -> Iterator:
-        return iter((self.zero_mask, self.one_mask, self.two_mask, self.bubble_masks))
+        return iter(self.parts)
 
     def __reduce__(self):
         # pickle and copy rebuild through the validating constructor
-        return Row, (self.w, *self)
+        return Row, (self.w, *self.parts)
 
     @classmethod
     def powerset(cls, w: int) -> "Row":
@@ -230,8 +235,8 @@ class Row:
         return cls(w, 0, 0, (1 << w + 1) - 2)
 
     def _key(self):
-        return (self.w, self.zero_mask, self.one_mask, self.two_mask,
-                frozenset(self.bubble_masks))
+        zeros, ones, twos, bubbles = self.parts
+        return (self.w, zeros, ones, twos, frozenset(bubbles))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Row) and self._key() == other._key()
@@ -246,27 +251,29 @@ class Row:
 
     def contains(self, xs: Iterable[int]) -> bool:
         """True iff the set avoids every 0, holds every 1, hits every bubble."""
+        zeros, ones, _, bubbles = self.parts
         members = vertex_mask(xs)
-        if members & self.zero_mask or self.one_mask & ~members:
+        if members & zeros or ones & ~members:
             return False
-        return all(bubble & members for bubble in self.bubble_masks)
+        return all(bubble & members for bubble in bubbles)
 
     def size(self) -> int:
         """Number of represented sets: 2^|twos| * prod(2^|bubble| - 1)."""
-        n = 1 << self.two_mask.bit_count()
-        for bubble in self.bubble_masks:
+        _, _, twos, bubbles = self.parts
+        n = 1 << twos.bit_count()
+        for bubble in bubbles:
             n *= (1 << bubble.bit_count()) - 1
         return n
 
     @property
     def c_min(self) -> int:
         """Smallest member cardinality: one per bubble plus the forced 1s."""
-        return self.one_mask.bit_count() + len(self.bubble_masks)
+        return self.parts[1].bit_count() + len(self.parts[3])
 
     @property
     def c_max(self) -> int:
         """Largest member cardinality: everything but the 0s."""
-        return self.w - self.zero_mask.bit_count()
+        return self.w - self.parts[0].bit_count()
 
     # ----- counting by cardinality ---------------------------------------
 
@@ -274,7 +281,7 @@ class Row:
         """Number of represented sets of cardinality exactly k."""
         if k < 0 or k > self.w:
             return 0
-        return size_counts((self,), self.w, k)[k]
+        return size_counts((self.parts,), self.w, k)[k]
 
     # ----- generation ------------------------------------------------------
 
@@ -315,12 +322,13 @@ class Row:
         """
         if not self.c_min <= k <= self.c_max:
             return iter(())
-        ones = tuple(_vertices(self.one_mask))
-        free = _vertices(self.two_mask)
-        if not self.bubble_masks:
+        _, ones, twos, bubbles = self.parts
+        ones = tuple(_vertices(ones))
+        free = _vertices(twos)
+        if not bubbles:
             return map(tuple, map(sorted, map(
                 ones.__add__, itertools.combinations(free, k - len(ones)))))
-        bubbles = [*map(_vertices, self.bubble_masks)]
+        bubbles = [*map(_vertices, bubbles)]
         return map(tuple, map(sorted, itertools.chain.from_iterable(
             _replay(ones, free, bubbles, k - len(ones)))))
 
@@ -340,34 +348,34 @@ class Row:
         place in the bubble order, and the constructor promotes a
         one-position remainder.  A bit outside 1..w, or in both masks,
         fails the constructor's partition check."""
-        zeros, ones = self.zero_mask, self.one_mask
+        zeros, ones, twos, bubbles = self.parts
         if require & zeros or forbid & ones:
             return None
         cut = require | forbid
         if not cut & ~(zeros | ones):
             return self
-        freed, bubbles = 0, []
-        for bubble in self.bubble_masks:
+        freed, kept = 0, []
+        for bubble in bubbles:
             if bubble & require:
                 freed |= bubble
             elif bubble & ~forbid:
-                bubbles.append(bubble & ~forbid)
+                kept.append(bubble & ~forbid)
             else:  # every position of the bubble is forbidden
                 return None
-        return Row(self.w, zeros | forbid, ones | require,
-                   (self.two_mask | freed) & ~cut, bubbles)
+        return Row(self.w, zeros | forbid, ones | require, (twos | freed) & ~cut, kept)
 
     # ----- canonical text form ----------------------------------------------
 
     def render(self) -> str:
         """Space-separated position tokens, bubbles numbered by least element."""
+        _, ones, twos, bubbles = self.parts
         token = ["0"] * (self.w + 1)
-        for v in _vertices(self.one_mask):
+        for v in _vertices(ones):
             token[v] = "1"
-        for v in _vertices(self.two_mask):
+        for v in _vertices(twos):
             token[v] = "2"
         # the lowest set bit orders bubbles by their least element
-        for i, bubble in enumerate(sorted(self.bubble_masks, key=lambda b: b & -b),
+        for i, bubble in enumerate(sorted(bubbles, key=lambda b: b & -b),
                                    start=1):
             for v in _vertices(bubble):
                 token[v] = f"e{i}"
@@ -376,8 +384,7 @@ class Row:
 
 # The slot descriptors' setters, bound once: they store past the immutable
 # __setattr__, which object.__setattr__ would look up on every call.
-_set_w, _set_zeros, _set_ones, _set_twos, _set_bubbles = (
-    getattr(Row, name).__set__ for name in Row.__slots__)
+_set_w, _set_parts = (getattr(Row, name).__set__ for name in Row.__slots__)
 
 
 class _Memo(dict):
@@ -397,10 +404,10 @@ class _Memo(dict):
 def size_counts(rows: Iterable, w: int, limit: int | None = None) -> list[int]:
     """Exact member counts per cardinality j = 0..limit (default w; zero past
     w, none for a negative limit), summed over pairwise disjoint rows over
-    {1..w}, or over a single row.  A row is read through its fields
-    ``one_mask``, ``two_mask`` and ``bubble_masks`` only, so stored
-    :class:`Row` objects and the engine's
-    :class:`~transversals.engine.Parts` are counted alike.  The rows are
+    {1..w}, or over a single row.  A row is read as its parts ``(zeros,
+    ones, twos, bubbles)``: a ``Row.parts`` tuple, a tuple that
+    :func:`~transversals.engine.final_parts` yields, or a :class:`Row`,
+    which unpacks into its parts at the cost of a call.  The rows are
     read once, so they may come from a stream; the first row is pulled
     before ``limit`` is used, since an engine stream checks its k, often
     this same limit, only then.
@@ -454,12 +461,11 @@ def size_counts(rows: Iterable, w: int, limit: int | None = None) -> list[int]:
     free = _Memo(power)
     bubble = _Memo(lambda n: free[n] - 1)
     total = 0
-    for row in itertools.chain(head, rows):
-        ones = row.one_mask.bit_count()
-        bubbles = row.bubble_masks
+    for _, ones, twos, bubbles in itertools.chain(head, rows):
+        ones = ones.bit_count()
         if ones + len(bubbles) > top:
             continue
-        term = free[row.two_mask.bit_count()] << bits * ones
+        term = free[twos.bit_count()] << bits * ones
         if keep is None:
             for b in bubbles:
                 term *= bubble[b.bit_count()]
@@ -484,8 +490,9 @@ def bubble_segment_counts(sizes: Iterable[int], limit: int) -> list[list[int]]:
     for n in sizes:
         # size-1 bubbles are promoted to forced positions, so carry the ones
         bubble = (1 << row.w + n + 1) - (1 << row.w + 1)
-        row = Row(row.w + n, 0, row.one_mask, 0, row.bubble_masks + (bubble,))
-        segments.append(size_counts((row,), row.w, limit))
+        _, ones, _, bubbles = row.parts
+        row = Row(row.w + n, 0, ones, 0, bubbles + (bubble,))
+        segments.append(size_counts((row.parts,), row.w, limit))
     return segments
 
 

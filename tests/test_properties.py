@@ -13,7 +13,7 @@ from hypothesis import assume, event, example, given, settings
 import hypothesis.strategies as st
 import pytest
 
-from transversals import (Hypergraph, HypergraphError, Parts, Row, Spectrum,
+from transversals import (Hypergraph, HypergraphError, Row, Spectrum,
                           Tally, brute_transversals, count_at_least,
                           count_exactly, count_total, filter_family,
                           final_parts, final_rows, impose,
@@ -516,26 +516,31 @@ def test_transversal_number_matches_spectrum(hg):
 @settings(max_examples=80)
 @given(hypergraphs_st(), st.booleans(), st.none() | st.integers(0, 10))
 def test_final_parts_are_the_final_rows_unbuilt(hg, size_asc, k):
-    # the stream that counting reads yields each final row's parts, named,
-    # in order and with the same stats; the constructor takes each one
-    # unchanged, and the folds read them as they read the rows
+    # the stream that counting reads yields each final row's parts, as the
+    # plain tuple a Row stores, in order and with the same stats; the
+    # constructor takes each one unchanged, and the folds read them as they
+    # read the rows or the rows' parts
     if size_asc:
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
     parts, stats = drain(final_parts(hg, k))
     rows, row_stats = drain(final_rows(hg, k))
-    assert parts == [tuple(row) for row in rows]
+    row_parts = [row.parts for row in rows]
+    assert parts == [tuple(row) for row in rows] == row_parts
     assert stats == row_stats
     for p in parts:
-        assert type(p) is Parts
-        assert tuple(Row(hg.w, *p)) == p
+        assert type(p) is tuple
+        assert Row(hg.w, *p).parts == p
 
-    by_parts, by_rows = Tally.of(parts), Tally.of(rows)
+    by_parts, by_rows, by_row_parts = Tally.of(parts), Tally.of(rows), Tally.of(row_parts)
     assert (by_parts.r_final, by_parts.n_total, by_parts.k_min, by_parts.tau_min) == \
-        (by_rows.r_final, by_rows.n_total, by_rows.k_min, by_rows.tau_min)
+        (by_rows.r_final, by_rows.n_total, by_rows.k_min, by_rows.tau_min) == \
+        (by_row_parts.r_final, by_row_parts.n_total, by_row_parts.k_min,
+         by_row_parts.tau_min)
     sp = Spectrum.of(parts, hg.w)
-    assert sp == Spectrum.of(rows, hg.w)
+    assert sp == Spectrum.of(rows, hg.w) == Spectrum.of(row_parts, hg.w)
     limit = hg.w if k is None else k
-    assert size_counts(parts, hg.w, limit) == size_counts(rows, hg.w, limit)
+    assert size_counts(parts, hg.w, limit) == size_counts(rows, hg.w, limit) == \
+        size_counts(row_parts, hg.w, limit)
 
     by_size = [0] * (hg.w + 1)
     for x in brute_transversals(hg):
@@ -585,12 +590,16 @@ def test_streamed_fold_matches_stored_analytics(hg, size_asc, k, at_least):
 @given(st.integers(0, 7).flatmap(
     lambda w: st.lists(rows_st(min_w=w, max_w=w), max_size=6)))
 def test_tally_of_any_rows(rows):
-    # rows in any order, c_min rising or falling
-    tally = Tally.of(rows)
+    # rows in any order, c_min rising or falling; the rows and their parts
+    # tuples are folded alike
     k_min = min((row.c_min for row in rows), default=None)
-    assert (tally.r_final, tally.n_total, tally.k_min, tally.stats) == \
-        (len(rows), sum(row.size() for row in rows), k_min, None)
-    assert tally.tau_min == sum(row.count_of_size(k_min) for row in rows)
+    for view in (rows, [row.parts for row in rows]):
+        tally = Tally.of(view)
+        assert (tally.r_final, tally.n_total, tally.k_min, tally.stats) == \
+            (len(rows), sum(row.size() for row in rows), k_min, None)
+        assert tally.tau_min == sum(row.count_of_size(k_min) for row in rows)
+    for row in rows:
+        assert size_counts((row,), row.w) == size_counts((row.parts,), row.w)
 
 
 @settings(max_examples=60)

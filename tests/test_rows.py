@@ -122,7 +122,7 @@ class TestConstruction:
 
     def test_immutable(self):
         r = Row.powerset(2)
-        for name in ("w", "zeros", "zero_mask", "bubble_masks", "other"):
+        for name in ("w", "parts", "zeros", "zero_mask", "bubble_masks", "other"):
             with pytest.raises(AttributeError):
                 setattr(r, name, 1)
         with pytest.raises(AttributeError):
@@ -134,6 +134,7 @@ class TestConstruction:
         for again in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r),
                       Row(r.w, *r)):
             assert again == r and again.bubble_masks == r.bubble_masks
+            assert again.parts == r.parts
 
     def test_repr_is_the_token_form(self):
         assert repr(row_from_tokens("2 e1 e1 1")) == "Row('2 e1 e1 1')"
