@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .engine import RowFamily, RunStats, final_parts
@@ -117,7 +116,7 @@ def count_total(family: RowFamily) -> int:
 
 def spectrum(family: RowFamily) -> Spectrum:
     """Exact transversal counts for every cardinality 0..w."""
-    return Spectrum.of(map(attrgetter("parts"), family.rows), family.w)
+    return Spectrum.of([row.parts for row in family.rows], family.w)
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
@@ -126,12 +125,12 @@ def count_at_least(family: RowFamily, k: int) -> int:
     if k > family.w:
         return 0
     return count_total(family) - sum(
-        size_counts(map(attrgetter("parts"), family.rows), family.w, k - 1))
+        size_counts([row.parts for row in family.rows], family.w, k - 1))
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:
     """(smallest transversal size, number of transversals of that size)."""
-    tally = Tally.of(map(attrgetter("parts"), family.rows))
+    tally = Tally.of([row.parts for row in family.rows])
     if tally.k_min is None:
         raise Infeasible("empty row family has no transversals")
     return tally.k_min, tally.tau_min

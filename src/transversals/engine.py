@@ -192,7 +192,7 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> 
     is ``c_min``.  Only whole subtrees without such an F are cut from the
     same traversal, so the kept final rows come in the full run's order.
 
-    One loop serves every k, and it skips five steps whose outcome is
+    One loop serves every k, and it skips six steps whose outcome is
     known.  A row is on the stack only if it was admissible (feasible for
     its pending edges, and with k in LB..``c_max`` if k is set), and a
     suffix of them is a subset.  (1) The root has no zeros and
@@ -222,7 +222,17 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> 
     before the pop that a first son skips.  A first son that fails LB would
     not be pushed; the descent breaks before the rule counts it, and the
     next pop is the second son, as before.  A pass-through of (2) keeps
-    that height, so counting it again would change nothing.
+    that height, so counting it again would change nothing.  (6) Without
+    k, a later son is checked only against the pending edges that meet the
+    split edge E = ``edges[done - 1]``.  The row P being split is
+    admissible, so no edge of ``edges[done:]`` lies inside P's zeros.
+    :func:`impose` zeroes only parts of cut bubbles, which lie in E, so a
+    later son's zeros lie in zeros(P) | E, and a pending edge inside them
+    must meet E.  Without k, :func:`is_feasible` asks exactly whether some
+    pending edge lies inside the zeros (``packed = -1`` packs nothing), so
+    it gives the same verdict on those edges alone.  Runs for k keep
+    ``edges[done:]``, since the packing bound reads every pending edge in
+    order.
     """
     if k is not None and (type(k) is not int or k < 0):
         raise ValueError(f"k must be None or an int >= 0, not {k!r}")
@@ -236,6 +246,8 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> 
     # done edges, so the next edge is edges[done] and done == h marks a
     # final row
     stack: list[tuple[tuple, int]] = []
+    # meets[done]: the edges after edges[done - 1] that meet it, in order
+    meets: list[list[int] | None] = [None] * (h + 1)
     root = Row.powerset(w).parts
     if k is None or k <= w and is_feasible(root, edges, k):
         stack.append((root, 0))
@@ -265,9 +277,18 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> 
             if len(sons) > s_max:
                 s_max = len(sons)
             if len(sons) > 1 or k is not None:
-                # the sons' pending edges: sliced once per split rather than
-                # stored for every done, which would hold h(h + 1)/2 references
-                rest = edges[done:]
+                if k is not None:
+                    # the packing bound reads every pending edge in order
+                    rest = edges[done:]
+                else:
+                    # (6) only the pending edges meeting the split edge can
+                    # lie inside a later son's zeros; built at the first split
+                    # at this index with later sons, and reused, so the run
+                    # holds one list per such index, of at most h - done
+                    # references each
+                    rest = meets[done]
+                    if rest is None:
+                        meets[done] = rest = [e for e in edges[done:] if e & edge]
                 # pushed last-son-first, so the first son, which goes on
                 # here, is followed by the second; c_max = w - |zeros|
                 for son in sons[:0:-1]:

@@ -58,9 +58,10 @@ def test_vertex_mask_matches_shifts(vertices, as_generator):
 
 
 @st.composite
-def rows_st(draw, min_w=0, max_w=8):
+def rows_st(draw, min_w=0, max_w=8, max_label=6):
+    # labels 0, 1, 2 for the 0s, 1s and 2s, and 3..max_label for bubbles
     w = draw(st.integers(min_w, max_w))
-    labels = draw(st.lists(st.integers(0, 6), min_size=w, max_size=w))
+    labels = draw(st.lists(st.integers(0, max_label), min_size=w, max_size=w))
     zeros, ones, twos = set(), set(), set()
     groups: dict[int, set] = {}
     for v, label in zip(range(1, w + 1), labels):
@@ -409,6 +410,30 @@ def test_impose_on_an_edge_missing_every_bubble(r, data):
     assert sons == list(map(tuple, reference_impose(r, edge)))
 
 
+@given(rows_st(min_w=4, max_w=14, max_label=5), st.data())
+def test_later_sons_fail_only_on_edges_meeting_the_split_edge(r, data):
+    # step (6) of the run loop: the row r is admissible (no pending edge
+    # inside its zeros) and the edge leaves its zeros; a son's new zeros lie
+    # in the edge, so the pending edges missing it cannot fail the son
+    # an edge missing the 1s, so that it mostly splits the row
+    off = sorted(mask_vertices(~r.one_mask & (1 << r.w + 1) - 2))
+    assume(off)
+    edge = vertex_mask(data.draw(st.frozensets(st.sampled_from(off), min_size=1, max_size=4)))
+    assume(edge & ~r.zero_mask)
+    sons = list(map(tuple, impose(r, edge)))
+    # parts of the sons' zeros fail some sons; any other edges are drawn too
+    zeros = [sorted(mask_vertices(son[0])) for son in sons if son[0] != r.zero_mask]
+    vertices = st.frozensets(st.integers(1, r.w), min_size=1, max_size=3)
+    drawn = data.draw(st.lists(st.one_of(vertices, *(
+        st.frozensets(st.sampled_from(z), min_size=1, max_size=3) for z in zeros)), max_size=8))
+    pending = [e for e in map(vertex_mask, drawn) if e & ~r.zero_mask]
+    meeting = [e for e in pending if e & edge]
+    for son in sons:
+        feasible = is_feasible(son, pending)
+        event("a son fails" if not feasible else "a son passes")
+        assert is_feasible(son, meeting) == feasible
+
+
 @settings(max_examples=60)
 @given(hypergraphs_st())
 def test_engine_matches_brute_force(hg):
@@ -446,6 +471,10 @@ def test_size_window_members_match_brute_force(hg, k):
 @settings(max_examples=80)
 @given(hypergraphs_st(max_w=9, max_h=7), st.booleans(),
        st.none() | st.integers(0, 10))
+# two splits in a row with later sons: the split at {2, 3, 4, 5} zeroes 4
+# and 5 in its second son, which {4} then lies inside; the edges listed for
+# the split before, at {2, 3, 6}, would not prune it
+@example(Hypergraph(7, ((3, 4, 5, 7), (2, 3, 6), (2, 3, 4, 5), (4,), (7,))), False, None)
 def test_run_matches_reference_loop(hg, size_asc, k):
     if size_asc:
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
