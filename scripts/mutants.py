@@ -72,8 +72,12 @@ MUTANTS = [
      "itertools.product(*[b[::-1] for b in bubbles[:-1]], bubbles[-1])",
      "itertools.product(*[b[::-1] for b in bubbles[:-1]], bubbles[-1][::-1])"),
     ("row without bubbles picks in reverse", "src/transversals/rows.py",
-     "ones.__add__, itertools.combinations(free, k - len(ones))",
-     "ones.__add__, itertools.combinations(free[::-1], k - len(ones))"),
+     "_labelled(itertools.combinations(free, need), label)",
+     "_labelled(itertools.combinations(free[::-1], need), label)"),
+    ("free pick left unlabelled", "src/transversals/rows.py",
+     "picks = map(map, itertools.repeat(label), picks)", "pass"),
+    ("free block labelled as the row is decoded", "src/transversals/rows.py",
+     "ones = [*map(label, ones)]", "ones = [*map(label, ones)]; [*map(label, free)]"),
     ("first free pick meets only the listed tails", "src/transversals/rows.py",
      "itertools.chain(kept, tails)", "kept"),
     ("a cut-off tail list replayed", "src/transversals/rows.py",
@@ -94,6 +98,10 @@ MUTANTS = [
      "tau_min += count", "tau_min += 1"),
     ("N counts a bubble's empty pick", "src/transversals/analytics.py",
      "size *= (1 << bubble.bit_count()) - 1", "size *= 1 << bubble.bit_count()"),
+    ("enumerate label width one short", "src/transversals/cli.py",
+     '% len(str(hg.w))).format', '% (len(str(hg.w)) - 1)).format'),
+    ("enumerate batch keeps its NULs", "src/transversals/cli.py",
+     '.replace("\\0", "")', ""),
     ("--at-least K leaves out size K", "src/transversals/cli.py",
      "below = sum(size_counts(rows, hg.w, at_least - 1))",
      "below = sum(size_counts(rows, hg.w, at_least))"),

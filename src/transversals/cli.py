@@ -26,11 +26,14 @@ from .engine import final_parts, final_rows
 from .hypergraph import (Hypergraph, brief_repr, load_hypergraph,
                          parse_vertex_list)
 from .oracles import brute_count, inclusion_exclusion_count
-from .rows import size_counts
+from .rows import _members, _Memo, size_counts
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
+
+# the lines that enumerate joins and writes at once
+_BATCH = 1024
 
 # Python 3.10.7+ limits int <-> str conversions (4300 digits by default)
 _get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -198,14 +201,20 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
         raise ValueError("--limit must be >= 0")
     if not 0 <= args.k <= hg.w:
         return EXIT_OK
-    # the run for k yields only the rows holding size-k transversals
+    # the run for k yields only the rows holding size-k transversals, read
+    # as their parts; a vertex's label is its number left-padded with NULs
+    # to the digits of w, made once, when first asked for, so labels sort
+    # in vertex order (see rows._members) and a line is one join of strings
+    label = _Memo(("{:\0>%d}" % len(str(hg.w))).format).__getitem__
     found = itertools.chain.from_iterable(
-        row.members_of_size(args.k) for row in final_rows(hg, args.k))
+        _members(parts, args.k, label) for parts in final_parts(hg, args.k))
     if args.limit is not None:
         found = itertools.islice(found, args.limit)
-    # one template formats every line; writelines pulls the lines one at a time
-    line = " ".join(["%d"] * args.k) + "\n"
-    sys.stdout.writelines(map(line.__mod__, found))
+    lines = map(" ".join, found)
+    # a batch of lines is joined, cleared of its NULs and written at once
+    while batch := list(itertools.islice(lines, _BATCH)):
+        batch.append("")
+        sys.stdout.write("\n".join(batch).replace("\0", ""))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -98,15 +98,15 @@ def _tails(bubbles: list[list[int]], need: int) -> Iterator[tuple[int, ...]]:
     return itertools.chain.from_iterable(walk())
 
 
-def _replay(ones: tuple[int, ...], free: list[int], bubbles: list[list[int]],
-            need: int) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The members of :meth:`Row.members_of_size`, unsorted, as a run of
-    iterators: for each free pick size d, the 1s and each free pick joined
-    with every tail of ``need - d`` positions."""
+def _replay(ones: tuple, free: list[int], bubbles: list[list], need: int,
+            label) -> Iterator[Iterator[tuple]]:
+    """The members of :func:`_members`, unsorted, as a run of iterators:
+    for each free pick size d, the 1s and each free pick joined with every
+    tail of ``need - d`` positions."""
     room = sum(map(len, bubbles))
     for d in range(min(len(free), need - len(bubbles)), max(0, need - room) - 1, -1):
         t = need - d
-        picks = map(ones.__add__, map(tuple, _picks(free, d)))
+        picks = map(ones.__add__, _labelled(_picks(free, d), label))
         tails = _tails(bubbles, t)
         kept = tuple(itertools.islice(tails, _REPLAY // t + 1))
         # the first pick finishes this walk of the tail
@@ -121,6 +121,62 @@ def _replay(ones: tuple[int, ...], free: list[int], bubbles: list[list[int]],
             yield itertools.starmap(operator.add, itertools.product(batch, kept))
             if 2 * size * (len(ones) + d) <= _REPLAY:
                 size *= 2
+
+
+def _labelled(picks: Iterable[Collection[int]], label) -> Iterator[tuple]:
+    """The free block's picks as tuples of their positions, or with a
+    ``label`` function, of their positions' labels, made as each pick is
+    taken."""
+    if label is not None:
+        picks = map(map, itertools.repeat(label), picks)
+    return map(tuple, picks)
+
+
+def _members(parts: tuple, k: int, label: Callable[[int], str] | None = None
+             ) -> Iterator[list]:
+    """Every member of cardinality k of the row with these parts ``(zeros,
+    ones, twos, bubbles)``, once each, as a sorted list of its positions,
+    or with a ``label`` function, of its positions' labels; an iterator
+    that runs no Python frame per member.  The walk and its order are
+    those of :meth:`Row.members_of_size`, which reads each list as a tuple
+    of ints; ``enumerate --k`` reads the engine's parts with labels, so it
+    builds no :class:`Row` and formats no int per member.
+
+    Labels.  ``label`` must map the vertices to strings that sort as the
+    vertices do.  ``enumerate --k`` labels vertex v with ``str(v)``
+    left-padded with NULs (``"\\0"``) to the number of digits of w.  Labels
+    of one width compare character by character, and a NUL sorts below
+    every digit, so a shorter number, padded, sorts below a longer one and
+    numbers of one length sort by their digits: the per-member ``sorted``
+    puts the labels in vertex order.  The caller joins them with spaces and
+    drops the NULs from the joined text.
+
+    Lazy labels.  The 1s and the bubbles are labelled when the row is
+    decoded; their positions lie in the hypergraph's edges, so their
+    number is bounded by the input size.  The free block stays a list of
+    ints, and each free pick is labelled as it is taken (:func:`_labelled`);
+    ``enumerate`` passes the lookup of a :class:`_Memo`, so each vertex is
+    formatted at most once per run.  So a wide free block of which few
+    picks are taken, as under ``--limit``, gets a label only for the
+    positions those picks hold: labels add memory for the positions
+    picked, not for the w positions of the row, whose decoded ints the
+    walk holds in any case.
+    """
+    _, ones, twos, bubbles = parts
+    need = k - ones.bit_count()
+    if not len(bubbles) <= need <= twos.bit_count() + sum(b.bit_count() for b in bubbles):
+        return iter(())
+    ones = _vertices(ones)
+    free = _vertices(twos)
+    bubbles = [*map(_vertices, bubbles)]
+    if label is not None:
+        ones = [*map(label, ones)]
+        bubbles = [[*map(label, bubble)] for bubble in bubbles]
+    ones = tuple(ones)
+    if not bubbles:
+        return map(sorted, map(ones.__add__,
+                               _labelled(itertools.combinations(free, need), label)))
+    return map(sorted, itertools.chain.from_iterable(_replay(ones, free, bubbles, need, label)))
 
 
 # a binary digit's character to the byte 0 or 1, a selector for compress
@@ -287,7 +343,8 @@ class Row:
 
     def members_of_size(self, k: int) -> Iterator[tuple[int, ...]]:
         """Every represented set of cardinality k exactly once, as a sorted
-        tuple, from an iterator that runs no Python frame per member.
+        tuple, from an iterator that runs no Python frame per member: the
+        walk of :func:`_members`, described here.
 
         A member is the forced 1s plus one pick from each block: the free
         block (possibly empty), then the bubbles in stored order.  With
@@ -320,17 +377,7 @@ class Row:
         a tail that would need more is walked again for each free pick.  A
         batch holds at most ``_REPLAY`` positions, or one pick.
         """
-        if not self.c_min <= k <= self.c_max:
-            return iter(())
-        _, ones, twos, bubbles = self.parts
-        ones = tuple(_vertices(ones))
-        free = _vertices(twos)
-        if not bubbles:
-            return map(tuple, map(sorted, map(
-                ones.__add__, itertools.combinations(free, k - len(ones)))))
-        bubbles = [*map(_vertices, bubbles)]
-        return map(tuple, map(sorted, itertools.chain.from_iterable(
-            _replay(ones, free, bubbles, k - len(ones)))))
+        return map(tuple, _members(self.parts, k))
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """Every represented set once, by increasing cardinality."""

@@ -679,11 +679,9 @@ def test_window_commutes_with_query_filtering(hg, size_asc, k, data):
         if len(x) == k and require <= set(x) and forbid.isdisjoint(x)]
 
 
-@settings(max_examples=60)
-@given(hypergraphs_st(max_w=12, max_h=6), st.data())
-def test_enumerate_prints_the_size_k_stream(hg, data):
-    k = data.draw(st.integers(-1, hg.w + 1))
-    limit = data.draw(st.none() | st.integers(0, 50))
+def enumerate_output(hg, k, limit):
+    """The stdout of ``enumerate --k k [--limit limit]`` on ``hg``, written
+    to a file; the command must exit 0."""
     argv = ["enumerate", "--k", str(k)]
     if limit is not None:
         argv += ["--limit", str(limit)]
@@ -693,11 +691,50 @@ def test_enumerate_prints_the_size_k_stream(hg, data):
         path.write_text(render_hypergraph(hg))
         with contextlib.redirect_stdout(out):
             assert main([*argv, str(path)]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60)
+@given(hypergraphs_st(max_w=12, max_h=6), st.data())
+def test_enumerate_prints_the_size_k_stream(hg, data):
+    k = data.draw(st.integers(-1, hg.w + 1))
+    limit = data.draw(st.none() | st.integers(0, 50))
+    got = enumerate_output(hg, k, limit)
     # a K outside 0..w prints nothing and never starts the engine
     found = () if k < 0 else itertools.chain.from_iterable(
         r.members_of_size(k) for r in final_rows(hg, k))
-    assert out.getvalue() == "".join(
+    assert got == "".join(
         " ".join(map(str, xs)) + "\n" for xs in itertools.islice(found, limit))
+
+
+@st.composite
+def digit_boundary_hypergraphs_st(draw):
+    """Hypergraphs whose ground set ends just below, at or just past 10 or
+    100 vertices, with small edges drawn from both ends of it, so that the
+    transversals mix vertices of different lengths."""
+    w = draw(st.sampled_from([8, 9, 10, 11, 98, 99, 100, 101]))
+    vertex = st.integers(1, min(w, 12)) | st.integers(max(1, w - 3), w) | st.integers(1, w)
+    edges = draw(st.lists(st.frozensets(vertex, min_size=1, max_size=4), max_size=6))
+    return Hypergraph(w, tuple(tuple(sorted(e)) for e in edges))
+
+
+@settings(max_examples=60)
+@given(digit_boundary_hypergraphs_st(), st.data())
+def test_enumerate_lines_cross_digit_boundaries(hg, data):
+    # the padded labels that enumerate joins give the bytes of the "%d"
+    # lines of the int members; the whole stream is printed only when it
+    # is short, else a drawn --limit cuts it
+    k = data.draw(st.just(0) | st.integers(1, 4) | st.integers(0, hg.w))
+    short = count_exactly(hg, k) <= 300
+    limit = data.draw(st.integers(0, 100) | (st.none() if short else st.nothing()))
+    got = enumerate_output(hg, k, limit)
+    found = itertools.chain.from_iterable(
+        r.members_of_size(k) for r in final_rows(hg, k))
+    line = " ".join(["%d"] * k) + "\n"
+    want = [line % xs for xs in itertools.islice(found, limit)]
+    assert got == "".join(want)
+    if any(len({len(v) for v in text.split()}) > 1 for text in want):
+        event("a line mixes vertices of different lengths")
 
 
 # ----- reductions and parsing -----------------------------------------------
