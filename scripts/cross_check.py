@@ -3,12 +3,13 @@ engine's exact counts against the brute-force sweep and the
 inclusion-exclusion oracle.  Then, in both edge orders (the file's, and
 ``--order size-asc``, whose engine checks run on the size-sorted
 hypergraph), compare the spectrum against inclusion-exclusion by size, the
-size-k transversals of every stream ``final_rows(hg, k)`` for a fixed k
-against the brute-force sets of size k, the output of ``transversals count
-FILE --exactly k`` for every k in -1..w+1 against inclusion-exclusion, the
-output of ``transversals count FILE --at-least K`` for one random K in
--1..w+1 (N less the counts of the sizes below K) against the brute-force
-tail, and the stream cut by one random require/forbid pair
+size-k transversals of the rows built from every stream of parts
+``final_parts(hg, k)`` for a fixed k against the brute-force sets of size
+k, the output of ``transversals count FILE --exactly k`` for every k in
+-1..w+1 against inclusion-exclusion, the output of ``transversals count
+FILE --at-least K`` for one random K in -1..w+1 (N less the counts of the
+sizes below K) against the brute-force tail, and the rows built from the
+stream ``final_parts(hg)`` cut by one random require/forbid pair
 (``filter_rows``) against the brute-force transversals that meet it.
 Report compression statistics (final rows R versus represented
 transversals N).
@@ -32,8 +33,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from transversals import (Hypergraph, brute_transversals, count_total,
-                          final_rows, inclusion_exclusion_count,
+from transversals import (Hypergraph, Row, brute_transversals, count_total,
+                          final_parts, inclusion_exclusion_count,
                           render_hypergraph, run, spectrum, vertex_mask)
 from transversals.analytics import filter_rows
 from transversals.cli import main as cli_main
@@ -61,22 +62,23 @@ def order_checks(hg: Hypergraph, path: pathlib.Path, order: str, brute: list,
     """The checks that depend on the edge order: the engine's streams on
     ``hg`` (the file's edges in ``order``) and the CLI's counts on the file
     with ``--order order``, each against the oracles."""
+    w = hg.w
     sp = spectrum(run(hg))
+    cut = filter_rows((Row(w, *p) for p in final_parts(hg)),
+                      vertex_mask(require), vertex_mask(forbid))
     return {
         "spectrum": all(sp.counts[k] == inclusion_exclusion_count(hg, k)
                         for k in range(hg.w + 1)),
         "size_k": all(
             sorted(chain.from_iterable(
-                r.members_of_size(k) for r in final_rows(hg, k)))
+                Row(w, *p).members_of_size(k) for p in final_parts(hg, k)))
             == [x for x in brute if len(x) == k]
             for k in range(hg.w + 1)),
         "exactly": all(
             cli_count(path, order, "--exactly", k)
             == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
             for k in range(-1, hg.w + 2)),
-        "filter": sorted(chain.from_iterable(
-            r.members() for r in filter_rows(final_rows(hg), vertex_mask(require),
-                                             vertex_mask(forbid)))) == [
+        "filter": sorted(chain.from_iterable(r.members() for r in cut)) == [
             x for x in brute if require <= set(x) and forbid.isdisjoint(x)],
         "at_least": cli_count(path, order, "--at-least", at_least).endswith(
             f"\nN(|X| >= {at_least}) = "

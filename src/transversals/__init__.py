@@ -4,8 +4,8 @@
 from .analytics import (Infeasible, Spectrum, Tally, count_at_least,
                         count_exactly, count_total, filter_family, spectrum,
                         transversal_number, transversals_of_size)
-from .engine import (RowFamily, RunStats, final_parts, final_rows, impose,
-                     is_feasible, run)
+from .engine import (RowFamily, RunStats, final_parts, impose, is_feasible,
+                     run)
 from .hypergraph import (Hypergraph, HypergraphError, load_hypergraph,
                          parse_hypergraph, parse_vertex_list, render_hypergraph)
 from .oracles import (all_rows, bell_numbers, brute_transversals,
@@ -19,8 +19,7 @@ __all__ = [
     "Hypergraph", "HypergraphError", "parse_hypergraph", "parse_vertex_list",
     "render_hypergraph", "load_hypergraph", "subset_reduced", "superset_reduced",
     "Row", "row_from_tokens", "bubble_segment_counts", "vertex_mask",
-    "RunStats", "RowFamily", "impose", "is_feasible", "final_parts",
-    "final_rows", "run",
+    "RunStats", "RowFamily", "impose", "is_feasible", "final_parts", "run",
     "Infeasible", "Spectrum", "Tally", "count_total", "spectrum",
     "count_at_least", "count_exactly", "transversal_number",
     "transversals_of_size", "filter_family",

@@ -1,6 +1,6 @@
 """Counting, generation and query filtering over the engine's final rows,
-stored in a RowFamily or streamed by :func:`~transversals.engine.final_rows`
-(rows) or :func:`~transversals.engine.final_parts` (their parts).
+stored in a RowFamily or streamed as their parts by
+:func:`~transversals.engine.final_parts`.
 A stored family always holds every transversal, so its answers need no
 size check; a fixed cardinality k exists only on the stream, as in
 :func:`count_exactly`.

@@ -22,11 +22,11 @@ from collections import deque
 
 from .analytics import (Spectrum, Tally, check_conditions, count_exactly,
                         filter_rows)
-from .engine import final_parts, final_rows
+from .engine import final_parts
 from .hypergraph import (Hypergraph, brief_repr, load_hypergraph,
                          parse_vertex_list)
 from .oracles import brute_count, inclusion_exclusion_count
-from .rows import _members, _Memo, size_counts
+from .rows import Row, _members, _Memo, size_counts
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -219,16 +219,19 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
 
 
 def _cmd_rows(args, hg: Hypergraph) -> int:
-    # each row is printed as the engine finishes it; none is stored
-    for row in final_rows(hg):
-        print(row.render())
+    # each row is built and printed as the engine yields it; none is stored
+    w = hg.w
+    for parts in final_parts(hg):
+        print(Row(w, *parts).render())
     return EXIT_OK
 
 
 def _cmd_query(args, hg: Hypergraph) -> int:
     # each row is cut and printed as the engine yields it; none is stored
+    w = hg.w
+    rows = (Row(w, *parts) for parts in final_parts(hg))
     tally = Tally()
-    for row in tally.tap(filter_rows(final_rows(hg), args.require, args.forbid)):
+    for row in tally.tap(filter_rows(rows, args.require, args.forbid)):
         print(row.render())
     print(f"R = {tally.r_final}, N = {tally.n_total}")
     return EXIT_OK

@@ -3,23 +3,22 @@ of rows, splitting each row into disjoint sons that still hit the edge and
 pruning sons that cannot survive the remaining edges.  The surviving final
 rows form a disjoint family whose union is the set of all transversals.
 
-One run loop works on a row's parts, the tuple ``(zeros, ones, twos,
-bubbles)`` of int masks with ``bubbles`` a tuple, the shape a
-:class:`~transversals.rows.Row` stores as ``parts``.  It has two views
-with one contract.  :func:`final_parts` yields each final row's parts as
-the loop holds them, which the counting folds read; :func:`final_rows`
-yields one validated ``Row`` per final row.  Each holds only the work
-stack, yields the final rows in one deterministic order (for an int
-``k``, the full run's rows holding a size-k transversal, in that order),
-returns the run's :class:`RunStats` (the value of its ``StopIteration``)
-and raises ValueError for a ``k`` other than None or an int >= 0 when
-the first row is asked for.
+The run loop, :func:`final_parts`, works on a row's parts, the tuple
+``(zeros, ones, twos, bubbles)`` of int masks with ``bubbles`` a tuple,
+the shape a :class:`~transversals.rows.Row` stores as ``parts``, and
+yields each final row's parts as it holds them; the counting folds read
+them, and :func:`run` builds one validated ``Row`` from each.  It holds
+only the work stack, yields the final rows in one deterministic order
+(for an int ``k``, the full run's rows holding a size-k transversal, in
+that order), returns the run's :class:`RunStats` (the value of its
+``StopIteration``) and raises ValueError for a ``k`` other than None or
+an int >= 0 when the first row is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from typing import Generator, Iterable
 
 from .hypergraph import Hypergraph
 from .rows import Row, vertex_mask
@@ -36,7 +35,7 @@ class RunStats:
 class RowFamily:
     """Ordered list of pairwise-disjoint rows whose members are exactly the
     transversals, plus the run bookkeeping.  A stored family is always
-    complete; a fixed cardinality k lives only on :func:`final_rows`.
+    complete; a fixed cardinality k lives only on :func:`final_parts`.
     """
 
     w: int
@@ -145,10 +144,10 @@ def is_feasible(row: tuple, pending: Iterable[int], k: int | None = None) -> boo
     return True
 
 
-def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> Generator:
-    """The run loop behind both views (see the module docstring): impose
-    all edges in input order and yield ``finish(parts)`` for each final
-    row's parts.
+def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[tuple, None, RunStats]:
+    """The run loop (see the module docstring): impose all edges in input
+    order and yield each final row's parts; no
+    :class:`~transversals.rows.Row` is built.
 
     The work stack is LIFO: a split pushes its later sons last-first and
     goes on with its first son, so the first son is processed first and the
@@ -158,8 +157,8 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> 
 
     A stack item is a row's parts ``(zeros, ones, twos, bubbles)``, as
     :func:`impose` and :func:`is_feasible` take and return them, with the
-    number of edges already imposed.  A final row's parts go to ``finish``
-    as they are; the suite checks that the one validating constructor would
+    number of edges already imposed.  A final row's parts are yielded as
+    they are; the suite checks that the one validating constructor would
     accept every son and every final row's parts unchanged.
 
     With an int ``k`` the run keeps exactly the final rows of the full run
@@ -248,7 +247,8 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> 
     stack: list[tuple[tuple, int]] = []
     # meets[done]: the edges after edges[done - 1] that meet it, in order
     meets: list[list[int] | None] = [None] * (h + 1)
-    root = Row.powerset(w).parts
+    # the all-free root, every subset of 1..w
+    root = (0, 0, (1 << w + 1) - 2, ())
     if k is None or k <= w and is_feasible(root, edges, k):
         stack.append((root, 0))
     while stack:
@@ -271,7 +271,7 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> 
                         break
             else:
                 impositions += done - start
-                yield finish(parts)
+                yield parts
                 break
             impositions += done - start
             if len(sons) > s_max:
@@ -302,29 +302,15 @@ def _final(hg: Hypergraph, k: int | None, finish: Callable[[tuple], object]) -> 
     return RunStats(impositions, s_max, max_stack)
 
 
-def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[tuple, None, RunStats]:
-    """The run's final rows, each as the loop's own tuple of its parts,
-    equal to the ``parts`` of the row that :func:`final_rows` builds; no
-    :class:`~transversals.rows.Row` is built."""
-    # tuple() of a tuple is that tuple, with no Python frame per row
-    return _final(hg, k, tuple)
-
-
-def final_rows(hg: Hypergraph, k: int | None = None) -> Generator[Row, None, RunStats]:
-    """The run's final rows, each built and validated as a
-    :class:`~transversals.rows.Row` as it is yielded, so each row a caller
-    gets goes through the one constructor once."""
-    w = hg.w
-    return _final(hg, k, lambda parts: Row(w, *parts))
-
-
 def run(hg: Hypergraph) -> RowFamily:
-    """The final rows of the full run of :func:`final_rows`, stored in
+    """The final rows of the full run of :func:`final_parts`, each built
+    and validated as a :class:`~transversals.rows.Row` once, stored in
     order, with the run's :class:`RunStats`."""
-    stream = final_rows(hg)
+    w = hg.w
+    stream = final_parts(hg)
     rows = []
     while True:
         try:
-            rows.append(next(stream))
+            rows.append(Row(w, *next(stream)))
         except StopIteration as stop:
-            return RowFamily(w=hg.w, rows=tuple(rows), stats=stop.value)
+            return RowFamily(w=w, rows=tuple(rows), stats=stop.value)

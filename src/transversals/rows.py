@@ -202,9 +202,7 @@ class Row:
     parses text.  A row stores ``w`` and one tuple ``parts`` = ``(zeros,
     ones, twos, bubbles)``, ``bubbles`` a tuple: the shape in which the
     engine passes parts on, so ``Row(w, *parts).parts == parts`` for the
-    parts of :func:`~transversals.engine.final_parts`.  ``zero_mask``,
-    ``one_mask``, ``two_mask`` and ``bubble_masks`` name them for readers.
-    Rows are immutable.
+    parts of :func:`~transversals.engine.final_parts`.  Rows are immutable.
 
     The bubbles keep the order given at construction; generation walks
     the bubbles in that order, so the order is part of the row's behaviour
@@ -216,10 +214,10 @@ class Row:
     Bubbles of size one are promoted to forced positions on construction;
     an empty bubble is rejected since no set can hit it.  The promotion
     serves :func:`row_from_tokens`, :meth:`restrict` and
-    :func:`bubble_segment_counts`.  The engine builds a row only for a final
-    row that :func:`~transversals.engine.final_rows` yields, from parts that
-    :func:`~transversals.engine.impose` made with no one-position bubble,
-    so the promotion never fires there.
+    :func:`bubble_segment_counts`.  The parts that
+    :func:`~transversals.engine.final_parts` yields hold no one-position
+    bubble (:func:`~transversals.engine.impose` makes none), so the
+    promotion never fires on a row built from them.
 
     A row unpacks into its parts: ``zeros, ones, twos, bubbles = row``, and
     ``Row(row.w, *row)`` rebuilds it with the same bubble order.
@@ -265,12 +263,6 @@ class Row:
                     ones |= bubble
             _set_parts(self, (zeros, ones, twos,
                               tuple(bubble for bubble in bubbles if bubble & bubble - 1)))
-
-    # the parts by name, for readers and tests
-    zero_mask = property(lambda self: self.parts[0])
-    one_mask = property(lambda self: self.parts[1])
-    two_mask = property(lambda self: self.parts[2])
-    bubble_masks = property(lambda self: self.parts[3])
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Row is immutable; cannot set {name!r}")

@@ -27,10 +27,11 @@ def reference_bound(row, pending):
     """The packing bound spelled out: c_min plus a greedy packing, in the
     given order, of the pending edges lying inside zeros and twos, whose
     live parts (the edge minus the zeros) are pairwise disjoint."""
+    zeros, _, twos, _ = row
     packed = []
     for edge in map(mask_vertices, pending):
-        live = edge - mask_vertices(row.zero_mask)
-        if edge <= mask_vertices(row.zero_mask | row.two_mask) and all(
+        live = edge - mask_vertices(zeros)
+        if edge <= mask_vertices(zeros | twos) and all(
                 live.isdisjoint(other) for other in packed):
             packed.append(live)
     return row.c_min + len(packed)

@@ -6,7 +6,7 @@ import pytest
 
 from transversals import (Hypergraph, Infeasible, Row, RowFamily, Spectrum,
                           Tally, brute_transversals, count_at_least,
-                          count_total, filter_family, final_rows,
+                          count_total, filter_family, final_parts,
                           parse_hypergraph, row_from_tokens, run, spectrum,
                           transversal_number, transversals_of_size)
 from conftest import DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL
@@ -57,7 +57,7 @@ def test_spectrum_sums_repeated_rows():
 
 def test_stream_fold_demo(demo_hg, demo_family):
     tally = Tally()
-    sp = Spectrum.of(tally.tap(final_rows(demo_hg)), demo_hg.w)
+    sp = Spectrum.of(tally.tap(final_parts(demo_hg)), demo_hg.w)
     assert (tally.r_final, tally.n_total, tally.k_min, tally.tau_min) == \
         (7, DEMO_TOTAL, DEMO_K_MIN, DEMO_TAU_MIN)
     assert tally.stats == demo_family.stats
@@ -81,7 +81,7 @@ def test_stream_fold_memory_stays_below_stored_family():
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         tally = Tally()
-        sp = Spectrum.of(tally.tap(final_rows(hg)), hg.w)
+        sp = Spectrum.of(tally.tap(final_parts(hg)), hg.w)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

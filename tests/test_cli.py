@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from transversals import (Hypergraph, Row, Spectrum, analytics, cli, engine, final_rows,
+from transversals import (Hypergraph, Row, Spectrum, analytics, cli, engine, final_parts,
                           load_hypergraph, run)
 from transversals.cli import main
 from transversals.hypergraph import MAX_W
@@ -264,7 +264,7 @@ class TestWideCounting:
     @pytest.fixture(scope="class")
     def spectrum(self, wide_file):
         hg = load_hypergraph(wide_file)
-        return Spectrum.of(final_rows(hg), hg.w)
+        return Spectrum.of(final_parts(hg), hg.w)
 
     def test_exactly_two(self, capsys, wide_file):
         assert run_cli(capsys, "count", wide_file, "--exactly", "2") == \
@@ -374,7 +374,6 @@ class TestFold:
 
         monkeypatch.setattr(engine, "RowFamily", no_family)
         monkeypatch.setattr(analytics, "RowFamily", no_family)
-        monkeypatch.setattr(cli, "final_rows", spy(cli.final_rows))
         monkeypatch.setattr(cli, "final_parts", spy(cli.final_parts))
         code, out, err = run_cli(capsys, argv[0], demo_file, *argv[1:])
         assert (code, err, len(calls)) == (0, "", 1)
@@ -390,9 +389,9 @@ class TestFold:
     def test_counting_builds_no_row_but_the_root(self, capsys, demo_file,
                                                  monkeypatch, argv):
         # count and spectrum fold the engine's parts and enumerate expands
-        # them, so the one Row they build is the all-free root; rows, which
-        # prints the final rows, builds each of the 7 as well
-        root = Row.powerset(14)
+        # them, and the engine starts from the all-free root's parts, so
+        # they build no Row; rows, which prints the final rows, builds each
+        # of the 7
         built = []
         validate = Row.__post_init__
 
@@ -403,8 +402,7 @@ class TestFold:
         monkeypatch.setattr(Row, "__post_init__", spy)
         code, out, err = run_cli(capsys, argv[0], demo_file, *argv[1:])
         assert (code, err) == (0, "")
-        assert built[:1] == [root]
-        assert len(built) == (8 if argv == ["rows"] else 1)
+        assert [row.render() for row in built] == (DEMO_FINAL_ROWS if argv == ["rows"] else [])
 
 
 class TestSpectrum:
@@ -448,7 +446,6 @@ class TestEnumerate:
     def test_k_outside_ground_set_skips_engine(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "final_parts", lambda *a: calls.append(a))
-        monkeypatch.setattr(cli, "final_rows", lambda *a: calls.append(a))
         for k in ("-1", "15"):
             assert run_cli(capsys, "enumerate", SAMPLE, "--k", k) == (0, "", "")
         assert calls == []
@@ -537,7 +534,7 @@ class TestQuery:
     def test_overlap_reported_before_engine_run(self, capsys, demo_file,
                                                 monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "final_rows", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "final_parts", lambda *a: calls.append(a))
         code, _, err = run_cli(capsys, "query", demo_file,
                                "--require", "8", "--forbid", "8")
         assert (code, err, calls) == (

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from transversals import (Hypergraph, Row, RunStats, Tally, count_exactly,
-                          count_total, final_rows, impose,
+                          count_total, final_parts, impose,
                           inclusion_exclusion_count, is_feasible,
                           parse_hypergraph, row_from_tokens, run, spectrum,
                           vertex_mask)
@@ -47,8 +47,9 @@ class TestImpose:
         r = row_from_tokens("e1 e1 2 0 e2 e2 2")
         sons = impose(r, vertex_mask({3, 4}))
         assert [Row(7, *s).render() for s in sons] == ["e1 e1 1 0 e2 e2 2"]
-        assert sons[0][3] is r.bubble_masks
-        assert impose(r, vertex_mask({3, 4, 7}))[0][3] == (*r.bubble_masks, vertex_mask({3, 7}))
+        bubbles = r.parts[3]
+        assert sons[0][3] is bubbles
+        assert impose(r, vertex_mask({3, 4, 7}))[0][3] == (*bubbles, vertex_mask({3, 7}))
         assert impose(r, vertex_mask({4})) == []
 
     def test_forced_hit_passes_through(self):
@@ -91,8 +92,9 @@ class TestWideMasks:
 
     @staticmethod
     def parts(row):
-        return (mask_vertices(row.zero_mask), mask_vertices(row.one_mask),
-                mask_vertices(row.two_mask), set(map(mask_vertices, row.bubble_masks)))
+        zeros, ones, twos, bubbles = row
+        return (mask_vertices(zeros), mask_vertices(ones),
+                mask_vertices(twos), set(map(mask_vertices, bubbles)))
 
     def test_impose_on_wide_row(self):
         row = self.row()
@@ -161,7 +163,7 @@ class TestBenchmarkHooks:
         assert calls["impose"] + skips == family.stats.impositions
         assert calls["is_feasible"] > 0
 
-    def test_final_rows_calls_module_impose(self, demo_hg, monkeypatch):
+    def test_final_parts_calls_module_impose(self, demo_hg, monkeypatch):
         # count and spectrum fold the generator without calling run
         calls = []
         real_impose = engine.impose
@@ -171,7 +173,7 @@ class TestBenchmarkHooks:
             return real_impose(row, edge)
 
         monkeypatch.setattr(engine, "impose", counting)
-        tally = Tally.of(final_rows(demo_hg))
+        tally = Tally.of(final_parts(demo_hg))
         assert tally.r_final == 7
         reference, skips = reference_calls(demo_hg)
         assert skips > 0
@@ -187,7 +189,7 @@ class TestBenchmarkHooks:
         rng = random.Random(7)
         hg = Hypergraph(12, tuple(tuple(rng.sample(range(1, 13), rng.randint(2, 5)))
                                   for _ in range(10)))
-        k = None if k_above_min is None else Tally.of(final_rows(hg)).k_min + k_above_min
+        k = None if k_above_min is None else Tally.of(final_parts(hg)).k_min + k_above_min
         passed, first_sons, rechecked, ones_hit = [], [], [], []
         known = {}                       # id -> row, which keeps the id unique
         real_impose, real_feasible = engine.impose, engine.is_feasible
@@ -206,7 +208,7 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(engine, "impose", spy_impose)
         monkeypatch.setattr(engine, "is_feasible", spy_feasible)
-        _, stats = drain(final_rows(hg, k))
+        _, stats = drain(final_parts(hg, k))
         reference, skips = reference_calls(hg, k)
         assert passed and first_sons and skips
         assert not any(ones_hit)
@@ -242,11 +244,11 @@ class TestRun:
     def test_demo_stored_bubble_order(self, demo_hg, demo_family):
         # render, equality and sorted digests ignore bubble order, but
         # members_of_size walks it, so the stored order is frozen here
-        assert [row.bubble_masks for row in demo_family.rows] == [
+        assert [bubbles for _, _, _, bubbles in demo_family.rows] == [
             (24, 1056, 6336, 24832), (6336, 24832), (192, 8448), (192,),
             (6144,), (24576, 6), (6,)]
         size_asc = Hypergraph(demo_hg.w, tuple(sorted(demo_hg.edges, key=len)))
-        assert [row.bubble_masks for row in run(size_asc).rows] == [
+        assert [bubbles for _, _, _, bubbles in run(size_asc).rows] == [
             (536, 24832, 6336), (24, 24832, 6336), (6336,), (192,), (6144, 6),
             (198,)]
 
@@ -264,11 +266,11 @@ class TestRun:
         hg = Hypergraph(2, ((1, 2),) * 4000)
         tracemalloc.start()
         try:
-            rows = list(final_rows(hg))
+            rows = list(final_parts(hg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [row.render() for row in rows] == ["e1 e1"]
+        assert [Row(hg.w, *parts).render() for parts in rows] == ["e1 e1"]
         assert peak < 1 << 20
 
     def test_star_keeps_pending_lists_small(self):
@@ -280,7 +282,7 @@ class TestRun:
         hg = Hypergraph(4001, tuple((1, i) for i in range(2, 4002)))
         tracemalloc.start()
         try:
-            rows, stats = drain(final_rows(hg))
+            rows, stats = drain(final_parts(hg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -290,7 +292,7 @@ class TestRun:
     def test_forced_vertices(self):
         family = run(Hypergraph(2, ((1,), (2,))))
         assert len(family.rows) == 1
-        assert family.rows[0].one_mask == vertex_mask({1, 2})
+        assert family.rows[0].parts[1] == vertex_mask({1, 2})
         assert family.rows[0].size() == 1
 
     def test_final_rows_are_feasible(self, demo_hg, demo_family):
@@ -298,8 +300,8 @@ class TestRun:
             assert is_feasible(row, map(vertex_mask, demo_hg.edges))
 
     def test_final_rows_stream_the_family(self, demo_hg, demo_family):
-        stream = final_rows(demo_hg)
-        rows = [next(stream) for _ in range(7)]
+        stream = final_parts(demo_hg)
+        rows = [Row(demo_hg.w, *next(stream)) for _ in range(7)]
         with pytest.raises(StopIteration) as stop:
             next(stream)
         assert [row.render() for row in rows] == DEMO_FINAL_ROWS
@@ -318,26 +320,28 @@ class TestRun:
         assert stats.max_stack <= demo_hg.h * stats.s_max + 1
 
 
-class TestWindowRun:
+class TestRunForK:
     def test_k_past_every_row_gives_no_rows(self, demo_hg):
-        assert drain(final_rows(demo_hg, 15))[0] == []
+        assert drain(final_parts(demo_hg, 15))[0] == []
 
-    def test_keeps_full_run_rows_meeting_window(self, demo_hg, demo_family):
+    def test_keeps_the_full_run_rows_holding_size_k(self, demo_hg, demo_family):
         for k in range(demo_hg.w + 2):
-            got, _ = drain(final_rows(demo_hg, k))
-            assert tuple(got) == tuple(r for r in demo_family.rows
-                                       if r.c_min <= k <= r.c_max)
+            got, _ = drain(final_parts(demo_hg, k))
+            assert tuple(Row(demo_hg.w, *p) for p in got) == tuple(
+                r for r in demo_family.rows if r.c_min <= k <= r.c_max)
 
+
+class TestWindowRun:
     def test_prunes_impositions(self, demo_hg, demo_family):
         # every final row of the demo has c_min >= 4, so k = 3 keeps none
-        rows, stats = drain(final_rows(demo_hg, 3))
+        rows, stats = drain(final_parts(demo_hg, 3))
         assert rows == []
         assert stats.impositions < demo_family.stats.impositions
 
     def test_packing_bound_prunes_the_root(self, demo_hg):
         # the demo's first four edges are pairwise disjoint, so no
         # transversal has fewer than 4 vertices and the run for 3 imposes none
-        rows, stats = drain(final_rows(demo_hg, 3))
+        rows, stats = drain(final_parts(demo_hg, 3))
         assert rows == []
         assert (stats.impositions, stats.s_max, stats.max_stack) == (0, 0, 0)
 
@@ -349,15 +353,15 @@ class TestWindowRun:
                                   for _ in range(24)))
         full = run(hg)
         assert min(row.c_min for row in full.rows) == 8
-        rows, stats = drain(final_rows(hg, 8))
-        assert rows == [row for row in full.rows if row.c_min <= 8 <= row.c_max]
+        rows, stats = drain(final_parts(hg, 8))
+        assert rows == [row.parts for row in full.rows if row.c_min <= 8 <= row.c_max]
         assert len(rows) == 14
         assert (stats.impositions, stats.s_max, stats.max_stack) == (438, 4, 7)
 
     @pytest.mark.parametrize("k", [-1, 2.5, True, "3"],
                              ids=["negative", "float", "bool", "str"])
     def test_bad_k_rejected(self, demo_hg, k):
-        stream = final_rows(demo_hg, k)
+        stream = final_parts(demo_hg, k)
         with pytest.raises(ValueError, match="k must be None or an int >= 0"):
             next(stream)
 

@@ -16,7 +16,7 @@ import pytest
 from transversals import (Hypergraph, HypergraphError, Row, Spectrum,
                           Tally, brute_transversals, count_at_least,
                           count_exactly, count_total, filter_family,
-                          final_parts, final_rows, impose,
+                          final_parts, impose,
                           inclusion_exclusion_count, is_feasible,
                           load_hypergraph, parse_hypergraph, render_hypergraph,
                           row_from_tokens, run, spectrum, subset_reduced,
@@ -96,8 +96,8 @@ def brute_members(row):
 
 @given(rows_st())
 def test_row_parts_partition_ground_set(r):
-    parts = [mask_vertices(m)
-             for m in (r.zero_mask, r.one_mask, r.two_mask, *r.bubble_masks)]
+    zeros, ones, twos, bubbles = r
+    parts = [mask_vertices(m) for m in (zeros, ones, twos, *bubbles)]
     assert sum(len(p) for p in parts) == r.w
     assert frozenset().union(*parts) == frozenset(range(1, r.w + 1))
 
@@ -108,9 +108,9 @@ def reference_size_counts(rows, w):
     bits = w + 1
     x = 1 << bits
     value = 0
-    for r in rows:
-        term = (x + 1) ** r.two_mask.bit_count() << bits * r.one_mask.bit_count()
-        for bubble in r.bubble_masks:
+    for _, ones, twos, bubbles in rows:
+        term = (x + 1) ** twos.bit_count() << bits * ones.bit_count()
+        for bubble in bubbles:
             term *= (x + 1) ** bubble.bit_count() - 1
         value += term
     return [(value >> j * bits) & (x - 1) for j in range(w + 1)]
@@ -143,9 +143,9 @@ def test_bounded_counts_of_a_stream_are_the_full_digits(hg):
     by_size = [0] * (hg.w + 1)
     for x in brute_transversals(hg):
         by_size[len(x)] += 1
-    assert reference_size_counts(final_rows(hg), hg.w) == by_size
+    assert reference_size_counts(final_parts(hg), hg.w) == by_size
     for limit in range(-1, hg.w + 3):
-        assert size_counts(final_rows(hg), hg.w, limit) == digits_up_to(by_size, limit)
+        assert size_counts(final_parts(hg), hg.w, limit) == digits_up_to(by_size, limit)
 
 
 @given(rows_st(min_w=60, max_w=140), st.integers(-1, 3))
@@ -160,7 +160,7 @@ def test_bounded_counts_of_wide_rows(r, limit):
 @given(rows_st())
 def test_minimum_size_count_is_bubble_product(r):
     product = 1
-    for bubble in r.bubble_masks:
+    for bubble in r.parts[3]:
         product *= bubble.bit_count()
     assert r.count_of_size(r.c_min) == product
 
@@ -183,8 +183,8 @@ def reference_members_of_size(row, k):
     last takes its pick sizes from hi down to lo and each size in reverse
     lexicographic order, the last takes the remaining positions in
     lexicographic order."""
-    blocks = [tuple(sorted(mask_vertices(m)))
-              for m in (row.two_mask, *row.bubble_masks)]
+    _, ones, twos, bubbles = row
+    blocks = [tuple(sorted(mask_vertices(m))) for m in (twos, *bubbles)]
 
     def walk(p, acc, need):
         if p == len(blocks):
@@ -200,16 +200,16 @@ def reference_members_of_size(row, k):
         for pick in picks:
             yield from walk(p + 1, acc + pick, need - len(pick))
 
-    ones = tuple(mask_vertices(row.one_mask))
-    return walk(0, ones, k - len(ones))
+    forced = tuple(mask_vertices(ones))
+    return walk(0, forced, k - len(forced))
 
 
 @settings(max_examples=300)
 @given(rows_st(max_w=10), st.data())
 def test_generation_order_matches_reference(r, data):
     # any stored bubble order, not only the canonical one rows_st gives
-    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
-            data.draw(st.permutations(r.bubble_masks)))
+    zeros, ones, twos, bubbles = r
+    r = Row(r.w, zeros, ones, twos, data.draw(st.permutations(bubbles)))
     # k in -1..w+1, mostly a size the row has members of
     k = data.draw(st.integers(r.c_min, r.c_max) | st.integers(-1, r.w + 1))
     assert list(r.members_of_size(k)) == list(reference_members_of_size(r, k))
@@ -221,8 +221,8 @@ def test_generation_order_matches_reference(r, data):
 def test_generation_order_with_small_replay_cap(cap, r, data):
     # cap 0 walks every tail again for each free pick; a tiny cap lists
     # some tails and walks others, and keeps batches of free picks short
-    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
-            data.draw(st.permutations(r.bubble_masks)))
+    zeros, ones, twos, bubbles = r
+    r = Row(r.w, zeros, ones, twos, data.draw(st.permutations(bubbles)))
     k = data.draw(st.integers(r.c_min, r.c_max) | st.integers(-1, r.w + 1))
     with mock.patch("transversals.rows._REPLAY", cap):
         got = list(r.members_of_size(k))
@@ -248,33 +248,31 @@ def test_surgery_matches_brute_filter(r, data):
 def require_one(row, v):
     """The deleted single-vertex rule: members containing v."""
     bit = 1 << v
-    if bit & row.zero_mask:
+    zeros, ones, twos, bubbles = row
+    if bit & zeros:
         return None
-    if bit & row.one_mask:
+    if bit & ones:
         return row
-    bubbles = row.bubble_masks
-    if bit & row.two_mask:
-        return Row(row.w, row.zero_mask, row.one_mask | bit,
-                   row.two_mask ^ bit, bubbles)
+    if bit & twos:
+        return Row(row.w, zeros, ones | bit, twos ^ bit, bubbles)
     i = next(i for i, b in enumerate(bubbles) if bit & b)
-    return Row(row.w, row.zero_mask, row.one_mask | bit,
-               row.two_mask | bubbles[i] ^ bit, bubbles[:i] + bubbles[i + 1:])
+    return Row(row.w, zeros, ones | bit, twos | bubbles[i] ^ bit,
+               bubbles[:i] + bubbles[i + 1:])
 
 
 def forbid_one(row, v):
     """The deleted single-vertex rule: members avoiding v."""
     bit = 1 << v
-    if bit & row.one_mask:
+    zeros, ones, twos, bubbles = row
+    if bit & ones:
         return None
-    if bit & row.zero_mask:
+    if bit & zeros:
         return row
-    bubbles = row.bubble_masks
-    if bit & row.two_mask:
-        return Row(row.w, row.zero_mask | bit, row.one_mask,
-                   row.two_mask ^ bit, bubbles)
+    if bit & twos:
+        return Row(row.w, zeros | bit, ones, twos ^ bit, bubbles)
     i = next(i for i, b in enumerate(bubbles) if bit & b)
     # the constructor promotes a one-position remainder to a forced 1
-    return Row(row.w, row.zero_mask | bit, row.one_mask, row.two_mask,
+    return Row(row.w, zeros | bit, ones, twos,
                bubbles[:i] + (bubbles[i] ^ bit,) + bubbles[i + 1:])
 
 
@@ -282,8 +280,8 @@ def forbid_one(row, v):
 @given(rows_st(min_w=1, max_w=10), st.data())
 def test_restrict_matches_single_vertex_surgery(r, data):
     # any stored bubble order, not only the canonical one rows_st gives
-    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
-            data.draw(st.permutations(r.bubble_masks)))
+    zeros, ones, twos, bubbles = r
+    r = Row(r.w, zeros, ones, twos, data.draw(st.permutations(bubbles)))
     require = data.draw(st.frozensets(st.integers(1, r.w)))
     forbid = data.draw(st.frozensets(st.integers(1, r.w))) - require
     expected = r
@@ -295,9 +293,7 @@ def test_restrict_matches_single_vertex_surgery(r, data):
     got = r.restrict(vertex_mask(require), vertex_mask(forbid))
     assert (got is None) == (expected is None)
     if got is not None:
-        assert (got.zero_mask, got.one_mask, got.two_mask, got.bubble_masks) == \
-            (expected.zero_mask, expected.one_mask, expected.two_mask,
-             expected.bubble_masks)
+        assert got.parts == expected.parts
         assert (got is r) == (expected is r)
     assert sorted(got.members() if got else []) == [
         x for x in brute_members(r) if require <= set(x) and forbid.isdisjoint(x)]
@@ -331,7 +327,8 @@ def test_packing_bound_is_sound(r, data):
     assert bool(hitting) == feasible
     if hitting:
         assert bound <= min(hitting)
-    if all(edge & ~(r.zero_mask | r.two_mask) for edge in pending):
+    zeros, _, twos, _ = r
+    if all(edge & ~(zeros | twos) for edge in pending):
         assert bound == r.c_min
 
 
@@ -345,7 +342,7 @@ def test_wide_rows_split_and_filter_by_size(r, data):
         r.size() - (missed.size() if missed else 0)
     # the one scan with its negative mask ~(zeros | twos): an edge is
     # feasible iff it leaves the zeros, and with no pending edge LB = c_min
-    assert is_feasible(r, [vertex_mask(edge)]) == bool(vertex_mask(edge) & ~r.zero_mask)
+    assert is_feasible(r, [vertex_mask(edge)]) == bool(vertex_mask(edge) & ~r.parts[0])
     k = data.draw(st.integers(0, r.w + 1))
     assert is_feasible(r, [], k) == (k >= r.c_min)
     v = data.draw(st.integers(1, r.w))
@@ -359,29 +356,29 @@ def reference_impose(row, edge):
     """The sons built from one ``cut`` list, part in place of its bubble and
     rests shrinking in place, leaving one-position bubbles to the
     constructor's promotion."""
-    if edge & row.one_mask or any(b & edge == b for b in row.bubble_masks):
+    zeros, ones, twos, bubbles = row
+    if edge & ones or any(b & edge == b for b in bubbles):
         return [row]
-    zeros, twos = row.zero_mask, row.two_mask
-    cut = list(row.bubble_masks)
+    cut = list(bubbles)
     sons = []
-    for i, bubble in enumerate(row.bubble_masks):
+    for i, bubble in enumerate(bubbles):
         part = bubble & edge
         if part:
             cut[i] = part
-            sons.append(Row(row.w, zeros, row.one_mask, twos | bubble ^ part, cut))
+            sons.append(Row(row.w, zeros, ones, twos | bubble ^ part, cut))
             zeros |= part
             cut[i] = bubble ^ part
     free_hit = twos & edge
     if free_hit:
-        sons.append(Row(row.w, zeros, row.one_mask, twos ^ free_hit, cut + [free_hit]))
+        sons.append(Row(row.w, zeros, ones, twos ^ free_hit, cut + [free_hit]))
     return sons
 
 
 @given(rows_st(min_w=1) | rows_st(min_w=60, max_w=140), st.data())
 def test_impose_builds_the_reference_sons_already_normal(r, data):
     # any stored bubble order, not only the canonical one rows_st gives
-    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
-            data.draw(st.permutations(r.bubble_masks)))
+    zeros, ones, twos, bubbles = r
+    r = Row(r.w, zeros, ones, twos, data.draw(st.permutations(bubbles)))
     # few positions, so that wide rows split rather than pass through
     edge = vertex_mask(data.draw(
         st.frozensets(st.integers(1, r.w), min_size=1, max_size=8)))
@@ -399,10 +396,10 @@ def test_impose_builds_the_reference_sons_already_normal(r, data):
 def test_impose_on_an_edge_missing_every_bubble(r, data):
     # an edge of 0s and 2s only: impose skips the bubbles and builds the
     # free son alone, if the edge meets the 2s, with the bubbles in order
-    r = Row(r.w, r.zero_mask, r.one_mask, r.two_mask,
-            data.draw(st.permutations(r.bubble_masks)))
-    outside = sorted(mask_vertices(r.zero_mask | r.two_mask))
-    assume(r.bubble_masks and outside)
+    zeros, ones, twos, bubbles = r
+    r = Row(r.w, zeros, ones, twos, data.draw(st.permutations(bubbles)))
+    outside = sorted(mask_vertices(zeros | twos))
+    assume(bubbles and outside)
     edge = vertex_mask(data.draw(
         st.frozensets(st.sampled_from(outside), min_size=1, max_size=8)))
     sons = list(map(tuple, impose(r, edge)))
@@ -416,17 +413,18 @@ def test_later_sons_fail_only_on_edges_meeting_the_split_edge(r, data):
     # inside its zeros) and the edge leaves its zeros; a son's new zeros lie
     # in the edge, so the pending edges missing it cannot fail the son
     # an edge missing the 1s, so that it mostly splits the row
-    off = sorted(mask_vertices(~r.one_mask & (1 << r.w + 1) - 2))
+    zeros, ones, _, _ = r
+    off = sorted(mask_vertices(~ones & (1 << r.w + 1) - 2))
     assume(off)
     edge = vertex_mask(data.draw(st.frozensets(st.sampled_from(off), min_size=1, max_size=4)))
-    assume(edge & ~r.zero_mask)
+    assume(edge & ~zeros)
     sons = list(map(tuple, impose(r, edge)))
     # parts of the sons' zeros fail some sons; any other edges are drawn too
-    zeros = [sorted(mask_vertices(son[0])) for son in sons if son[0] != r.zero_mask]
+    cuts = [sorted(mask_vertices(son[0])) for son in sons if son[0] != zeros]
     vertices = st.frozensets(st.integers(1, r.w), min_size=1, max_size=3)
     drawn = data.draw(st.lists(st.one_of(vertices, *(
-        st.frozensets(st.sampled_from(z), min_size=1, max_size=3) for z in zeros)), max_size=8))
-    pending = [e for e in map(vertex_mask, drawn) if e & ~r.zero_mask]
+        st.frozensets(st.sampled_from(z), min_size=1, max_size=3) for z in cuts)), max_size=8))
+    pending = [e for e in map(vertex_mask, drawn) if e & ~zeros]
     meeting = [e for e in pending if e & edge]
     for son in sons:
         feasible = is_feasible(son, pending)
@@ -452,7 +450,8 @@ def test_size_window_keeps_full_run_rows_holding_size_k(hg, size_asc):
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
     full = run(hg)
     for k in range(hg.w + 1):
-        window, _ = drain(final_rows(hg, k))
+        parts, _ = drain(final_parts(hg, k))
+        window = [Row(hg.w, *p) for p in parts]
         assert tuple(window) == tuple(
             row for row in full.rows if row.c_min <= k <= row.c_max)
         members = [x for r in window for x in r.members_of_size(k)]
@@ -462,8 +461,8 @@ def test_size_window_keeps_full_run_rows_holding_size_k(hg, size_asc):
 @settings(max_examples=60)
 @given(hypergraphs_st(), st.integers(0, 8))
 def test_size_window_members_match_brute_force(hg, k):
-    rows, _ = drain(final_rows(hg, k))
-    got = [x for row in rows for x in row.members() if len(x) == k]
+    parts, _ = drain(final_parts(hg, k))
+    got = [x for p in parts for x in Row(hg.w, *p).members() if len(x) == k]
     assert len(got) == len(set(got))
     assert sorted(got) == [x for x in brute_transversals(hg) if len(x) == k]
 
@@ -478,9 +477,9 @@ def test_size_window_members_match_brute_force(hg, k):
 def test_run_matches_reference_loop(hg, size_asc, k):
     if size_asc:
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
-    rows, stats = drain(final_rows(hg, k))
+    parts, stats = drain(final_parts(hg, k))
     ref_rows, ref_stats = reference_run(hg, k)
-    assert [row.render() for row in rows] == [row.render() for row in ref_rows]
+    assert [Row(hg.w, *p).render() for p in parts] == [row.render() for row in ref_rows]
     assert (stats.impositions, stats.s_max, stats.max_stack) == ref_stats
 
 
@@ -545,20 +544,26 @@ def test_transversal_number_matches_spectrum(hg):
 @settings(max_examples=80)
 @given(hypergraphs_st(), st.booleans(), st.none() | st.integers(0, 10))
 def test_final_parts_are_the_final_rows_unbuilt(hg, size_asc, k):
-    # the stream that counting reads yields each final row's parts, as the
-    # plain tuple a Row stores, in order and with the same stats; the
-    # constructor takes each one unchanged, and the folds read them as they
-    # read the rows or the rows' parts
+    # the one engine stream yields each final row's parts, as the plain
+    # tuple a Row stores; the constructor takes each one unchanged, run
+    # stores the full run's rows built from them in order with the same
+    # stats, and the folds read the parts as they read the rows or the
+    # rows' parts
     if size_asc:
         hg = Hypergraph(hg.w, tuple(sorted(hg.edges, key=len)))
     parts, stats = drain(final_parts(hg, k))
-    rows, row_stats = drain(final_rows(hg, k))
+    rows = [Row(hg.w, *p) for p in parts]
     row_parts = [row.parts for row in rows]
     assert parts == [tuple(row) for row in rows] == row_parts
-    assert stats == row_stats
     for p in parts:
         assert type(p) is tuple
-        assert Row(hg.w, *p).parts == p
+    full, full_stats = drain(final_parts(hg))
+    family = run(hg)
+    assert family.rows == tuple(Row(hg.w, *p) for p in full)
+    assert [row.parts for row in family.rows] == full
+    assert family.stats == full_stats
+    if k is None:
+        assert stats == full_stats
 
     by_parts, by_rows, by_row_parts = Tally.of(parts), Tally.of(rows), Tally.of(row_parts)
     assert (by_parts.r_final, by_parts.n_total, by_parts.k_min, by_parts.tau_min) == \
@@ -595,11 +600,11 @@ def test_streamed_fold_matches_stored_analytics(hg, size_asc, k, at_least):
     # the stream for k keeps the full run's rows holding a size-k member
     kept = [row for row in full.rows
             if k is None or row.c_min <= k <= row.c_max]
-    rows, stats = drain(final_rows(hg, k))
-    assert [row.render() for row in rows] == [row.render() for row in kept]
+    parts, stats = drain(final_parts(hg, k))
+    assert [Row(hg.w, *p).render() for p in parts] == [row.render() for row in kept]
 
     tally = Tally()
-    sp = Spectrum.of(tally.tap(final_rows(hg, k)), hg.w)
+    sp = Spectrum.of(tally.tap(final_parts(hg, k)), hg.w)
     assert tally.stats == stats
     stored = Tally.of(kept)
     assert (tally.r_final, tally.n_total, tally.k_min, tally.tau_min) == \
@@ -647,7 +652,8 @@ def test_filter_family_matches_brute_filter(hg, data):
         st.integers(1, hg.w)).filter(lambda f: not (f & require)))
     filtered = filter_family(run(hg), require=require, forbid=forbid)
     # the stream filter cuts the same rows in the same order
-    assert list(filter_rows(final_rows(hg), vertex_mask(require),
+    rows = (Row(hg.w, *p) for p in final_parts(hg))
+    assert list(filter_rows(rows, vertex_mask(require),
                             vertex_mask(forbid))) == list(filtered.rows)
     expanded = [x for row in filtered.rows for x in row.members()]
     assert len(expanded) == len(set(expanded))
@@ -666,13 +672,14 @@ def test_window_commutes_with_query_filtering(hg, size_asc, k, data):
         st.integers(1, hg.w)).filter(lambda f: not (f & require)))
 
     def size_k(stream):
-        return [x for r in filter_rows(stream, vertex_mask(require),
+        rows = (Row(hg.w, *p) for p in stream)
+        return [x for r in filter_rows(rows, vertex_mask(require),
                                        vertex_mask(forbid))
                 for x in r.members_of_size(k)]
 
-    got = size_k(final_rows(hg, k))
+    got = size_k(final_parts(hg, k))
     # the same members in the same order as from the full stream
-    assert got == size_k(final_rows(hg))
+    assert got == size_k(final_parts(hg))
     assert len(got) == len(set(got))
     assert sorted(got) == [
         x for x in brute_transversals(hg)
@@ -702,7 +709,7 @@ def test_enumerate_prints_the_size_k_stream(hg, data):
     got = enumerate_output(hg, k, limit)
     # a K outside 0..w prints nothing and never starts the engine
     found = () if k < 0 else itertools.chain.from_iterable(
-        r.members_of_size(k) for r in final_rows(hg, k))
+        Row(hg.w, *p).members_of_size(k) for p in final_parts(hg, k))
     assert got == "".join(
         " ".join(map(str, xs)) + "\n" for xs in itertools.islice(found, limit))
 
@@ -729,7 +736,7 @@ def test_enumerate_lines_cross_digit_boundaries(hg, data):
     limit = data.draw(st.integers(0, 100) | (st.none() if short else st.nothing()))
     got = enumerate_output(hg, k, limit)
     found = itertools.chain.from_iterable(
-        r.members_of_size(k) for r in final_rows(hg, k))
+        Row(hg.w, *p).members_of_size(k) for p in final_parts(hg, k))
     line = " ".join(["%d"] * k) + "\n"
     want = [line % xs for xs in itertools.islice(found, limit)]
     assert got == "".join(want)
