@@ -330,8 +330,6 @@ class TestRunForK:
             assert tuple(Row(demo_hg.w, *p) for p in got) == tuple(
                 r for r in demo_family.rows if r.c_min <= k <= r.c_max)
 
-
-class TestWindowRun:
     def test_prunes_impositions(self, demo_hg, demo_family):
         # every final row of the demo has c_min >= 4, so k = 3 keeps none
         rows, stats = drain(final_parts(demo_hg, 3))
@@ -358,6 +356,8 @@ class TestWindowRun:
         assert len(rows) == 14
         assert (stats.impositions, stats.s_max, stats.max_stack) == (438, 4, 7)
 
+
+class TestWindowRun:
     @pytest.mark.parametrize("k", [-1, 2.5, True, "3"],
                              ids=["negative", "float", "bool", "str"])
     def test_bad_k_rejected(self, demo_hg, k):
