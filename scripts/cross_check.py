@@ -9,8 +9,9 @@ k, the output of ``transversals count FILE --exactly k`` for every k in
 -1..w+1 against inclusion-exclusion, the output of ``transversals count
 FILE --at-least K`` for one random K in -1..w+1 (N less the counts of the
 sizes below K) against the brute-force tail, and the rows built from the
-stream ``final_parts(hg)`` cut by one random require/forbid pair
-(``filter_rows``) against the brute-force transversals that meet it.
+parts of the stream ``final_parts(hg)`` left by one random require/forbid
+pair (``filter_rows``, which cuts the parts and builds no row) against the
+brute-force transversals that meet it.
 Report compression statistics (final rows R versus represented
 transversals N).
 
@@ -64,8 +65,7 @@ def order_checks(hg: Hypergraph, path: pathlib.Path, order: str, brute: list,
     with ``--order order``, each against the oracles."""
     w = hg.w
     sp = spectrum(run(hg))
-    cut = filter_rows((Row(w, *p) for p in final_parts(hg)),
-                      vertex_mask(require), vertex_mask(forbid))
+    cut = filter_rows(final_parts(hg), vertex_mask(require), vertex_mask(forbid))
     return {
         "spectrum": all(sp.counts[k] == inclusion_exclusion_count(hg, k)
                         for k in range(hg.w + 1)),
@@ -78,7 +78,7 @@ def order_checks(hg: Hypergraph, path: pathlib.Path, order: str, brute: list,
             cli_count(path, order, "--exactly", k)
             == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
             for k in range(-1, hg.w + 2)),
-        "filter": sorted(chain.from_iterable(r.members() for r in cut)) == [
+        "filter": sorted(chain.from_iterable(Row(w, *p).members() for p in cut)) == [
             x for x in brute if require <= set(x) and forbid.isdisjoint(x)],
         "at_least": cli_count(path, order, "--at-least", at_least).endswith(
             f"\nN(|X| >= {at_least}) = "

@@ -87,11 +87,19 @@ MUTANTS = [
     ("free picks batched from the start", "src/transversals/rows.py",
      "        size = 1\n", "        size = 1024\n"),
     ("restrict keeps a bubble's forbidden positions", "src/transversals/rows.py",
-     "kept.append(bubble & ~forbid)", "kept.append(bubble)"),
+     "rest = bubble & ~forbid", "rest = bubble"),
+    ("restrict keeps a one-position rest as a bubble", "src/transversals/rows.py",
+     "if rest & rest - 1:", "if rest:"),
+    ("restrict leaves a promoted rest out of the 1s", "src/transversals/rows.py",
+     "ones |= rest", "pass"),
+    ("restrict walks the bubbles for a cut that meets none", "src/transversals/rows.py",
+     "if not cut & ~(zeros | ones | twos):", "if False:"),
     ("one-position bubble dropped, not promoted", "src/transversals/rows.py",
      "ones |= bubble", "pass"),
     ("size_counts reads the 2s as the 1s", "src/transversals/rows.py",
      "for _, ones, twos, bubbles in", "for _, twos, ones, bubbles in"),
+    ("filter_family rebuilds a row the cut left", "src/transversals/analytics.py",
+     "row if parts is row.parts else Row(w, *parts)", "Row(w, *parts)"),
     ("Tally reads the 2s as the 1s", "src/transversals/analytics.py",
      "_, ones, twos, bubbles = row", "_, twos, ones, bubbles = row"),
     ("tau_min ignores bubble sizes", "src/transversals/analytics.py",

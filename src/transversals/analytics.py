@@ -7,12 +7,13 @@ size check; a fixed cardinality k exists only on the stream, as in
 
 Every answer is one pass over the rows: :class:`Tally` (R, N, k_min and
 tau_min) and :meth:`Spectrum.of` (per-size counts) fold them, and
-:func:`filter_rows` cuts each row with one multi-vertex
-:meth:`Row.restrict`, so a stored family and an engine stream get the same
-formulas and no row of a stream is stored.  The two folds unpack each row
-as its parts ``(zeros, ones, twos, bubbles)``: a tuple of
-:func:`~transversals.engine.final_parts`, so counting a stream builds no
-row, or a stored row's ``Row.parts``.  :func:`count_total` sums
+:func:`filter_rows` cuts each row's parts with one multi-vertex
+:func:`~transversals.rows.restrict`, so a stored family and an engine
+stream get the same formulas, no row of a stream is stored, and a
+:class:`Row` is built only for a row that a caller keeps.  The two folds
+and the filter read each row as its parts ``(zeros, ones, twos,
+bubbles)``: a tuple of :func:`~transversals.engine.final_parts`, so
+counting a stream builds no row, or a stored row's ``Row.parts``.  :func:`count_total` sums
 :meth:`Row.size` over a stored family, the product Tally forms from the
 parts, without Tally's work for k_min;
 :func:`count_at_least` takes N less the counts of the sizes below k
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 
 from .engine import RowFamily, RunStats, final_parts
 from .hypergraph import Hypergraph, brief_repr
-from .rows import Row, size_counts, vertex_mask
+from .rows import Row, restrict, size_counts, vertex_mask
 
 
 class Infeasible(Exception):
@@ -176,22 +177,32 @@ def check_conditions(w: int, require: Iterable[int],
     return vertex_mask(require), vertex_mask(forbid)
 
 
-def filter_rows(rows: Iterable[Row], require: int,
-                forbid: int) -> Iterator[Row]:
-    """Cut each row down to its members containing every vertex of the mask
-    ``require`` and none of the mask ``forbid``, with one :meth:`Row.restrict`
-    per row, reading ``rows`` once; rows whose members all violate a
-    condition drop out.  The masks come from :func:`check_conditions`."""
-    for row in rows:
-        row = row.restrict(require, forbid)
-        if row is not None:
-            yield row
+def filter_rows(rows: Iterable[tuple], require: int,
+                forbid: int) -> Iterator[tuple]:
+    """Cut each row, read as its parts ``(zeros, ones, twos, bubbles)``,
+    down to its members containing every vertex of the mask ``require``
+    and none of the mask ``forbid``, with one
+    :func:`~transversals.rows.restrict` per row, reading ``rows`` once, and
+    yield the parts of each row that keeps a member: a row's own parts
+    where all of its members do, else the cut parts, which are normal.
+    The masks come from :func:`check_conditions`; no row is built here."""
+    for parts in rows:
+        parts = restrict(parts, require, forbid)
+        if parts is not None:
+            yield parts
 
 
 def filter_family(family: RowFamily, require: Iterable[int] = (),
                   forbid: Iterable[int] = ()) -> RowFamily:
     """Restrict the family to members containing all of ``require`` and none
-    of ``forbid`` (see :func:`filter_rows`), with no engine re-run."""
+    of ``forbid``, with no engine re-run: the cut of :func:`filter_rows`,
+    made on each stored row's parts.  A row whose members all pass comes
+    back as the same object, and a :class:`Row` is built only for each row
+    that the cut changed and kept."""
     require, forbid = check_conditions(family.w, require, forbid)
-    return RowFamily(w=family.w,
-                     rows=tuple(filter_rows(family.rows, require, forbid)))
+    w, rows = family.w, []
+    for row in family.rows:
+        parts = restrict(row.parts, require, forbid)
+        if parts is not None:
+            rows.append(row if parts is row.parts else Row(w, *parts))
+    return RowFamily(w=w, rows=tuple(rows))

@@ -227,12 +227,12 @@ def _cmd_rows(args, hg: Hypergraph) -> int:
 
 
 def _cmd_query(args, hg: Hypergraph) -> int:
-    # each row is cut and printed as the engine yields it; none is stored
+    # each row's parts are cut as the engine yields them, and a Row is
+    # built only for each row printed; none is stored
     w = hg.w
-    rows = (Row(w, *parts) for parts in final_parts(hg))
     tally = Tally()
-    for row in tally.tap(filter_rows(rows, args.require, args.forbid)):
-        print(row.render())
+    for parts in tally.tap(filter_rows(final_parts(hg), args.require, args.forbid)):
+        print(Row(w, *parts).render())
     print(f"R = {tally.r_final}, N = {tally.n_total}")
     return EXIT_OK
 

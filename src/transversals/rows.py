@@ -213,11 +213,12 @@ class Row:
 
     Bubbles of size one are promoted to forced positions on construction;
     an empty bubble is rejected since no set can hit it.  The promotion
-    serves :func:`row_from_tokens`, :meth:`restrict` and
-    :func:`bubble_segment_counts`.  The parts that
-    :func:`~transversals.engine.final_parts` yields hold no one-position
-    bubble (:func:`~transversals.engine.impose` makes none), so the
-    promotion never fires on a row built from them.
+    serves :func:`row_from_tokens`, :func:`bubble_segment_counts` and
+    external callers only.  The parts that
+    :func:`~transversals.engine.final_parts` yields and the parts that
+    :func:`restrict` cuts hold no one-position bubble
+    (:func:`~transversals.engine.impose` and :func:`restrict` make none),
+    so the promotion never fires on a row built from them.
 
     A row unpacks into its parts: ``zeros, ones, twos, bubbles = row``, and
     ``Row(row.w, *row)`` rebuilds it with the same bubble order.
@@ -376,33 +377,6 @@ class Row:
         return itertools.chain.from_iterable(
             map(self.members_of_size, range(self.c_min, self.c_max + 1)))
 
-    # ----- query surgery ------------------------------------------------------
-
-    def restrict(self, require: int, forbid: int) -> "Row | None":
-        """Restrict to the members holding every vertex of the mask
-        ``require`` and none of the mask ``forbid``, in one cut: None if no
-        member does, the row itself if all do.  A bubble that ``require``
-        hits is satisfied, so its positions that neither mask names are
-        freed; any other bubble loses the forbidden positions and keeps its
-        place in the bubble order, and the constructor promotes a
-        one-position remainder.  A bit outside 1..w, or in both masks,
-        fails the constructor's partition check."""
-        zeros, ones, twos, bubbles = self.parts
-        if require & zeros or forbid & ones:
-            return None
-        cut = require | forbid
-        if not cut & ~(zeros | ones):
-            return self
-        freed, kept = 0, []
-        for bubble in bubbles:
-            if bubble & require:
-                freed |= bubble
-            elif bubble & ~forbid:
-                kept.append(bubble & ~forbid)
-            else:  # every position of the bubble is forbidden
-                return None
-        return Row(self.w, zeros | forbid, ones | require, (twos | freed) & ~cut, kept)
-
     # ----- canonical text form ----------------------------------------------
 
     def render(self) -> str:
@@ -424,6 +398,47 @@ class Row:
 # The slot descriptors' setters, bound once: they store past the immutable
 # __setattr__, which object.__setattr__ would look up on every call.
 _set_w, _set_parts = (getattr(Row, name).__set__ for name in Row.__slots__)
+
+
+def restrict(parts: tuple, require: int, forbid: int) -> tuple | None:
+    """Cut the row with parts ``(zeros, ones, twos, bubbles)`` down to its
+    members holding every vertex of the mask ``require`` and none of the
+    mask ``forbid``, in one pass over the bubbles: None if no member does,
+    ``parts`` itself if all do, else the cut row's parts.
+
+    A bubble that ``require`` hits is satisfied, so its positions that
+    neither mask names are freed; any other bubble loses the forbidden
+    positions and keeps its place in the bubble order.  The cut parts are
+    normal: a one-position rest goes to the 1s here, as in
+    :func:`~transversals.engine.impose`, so ``Row(w, *cut).parts == cut``.
+    The masks are not checked here; they come from
+    :func:`~transversals.analytics.check_conditions`, and a bit outside
+    1..w, or in both masks, fails the partition check when the cut parts
+    are built into a :class:`Row`.
+    """
+    zeros, ones, twos, bubbles = parts
+    if require & zeros or forbid & ones:
+        return None
+    cut = require | forbid
+    if not cut & ~(zeros | ones):
+        return parts
+    if not cut & ~(zeros | ones | twos):
+        # the cut meets no bubble: the bubbles stay as they are
+        return zeros | forbid, ones | require, twos & ~cut, bubbles
+    ones |= require
+    freed, kept = 0, []
+    for bubble in bubbles:
+        if bubble & require:
+            freed |= bubble
+            continue
+        rest = bubble & ~forbid
+        if rest & rest - 1:
+            kept.append(rest)
+        elif rest:
+            ones |= rest
+        else:  # every position of the bubble is forbidden
+            return None
+    return zeros | forbid, ones, (twos | freed) & ~cut, tuple(kept)
 
 
 class _Memo(dict):

@@ -148,6 +148,12 @@ class TestFilterFamily:
         got = filter_family(demo_family)
         assert got.rows == demo_family.rows
 
+    def test_rows_the_cut_leaves_are_reused(self, demo_family):
+        # vertex 9 is a 1 in every demo row but the first, where it is a 2
+        got = filter_family(demo_family, require={9})
+        assert [a is b for a, b in zip(got.rows, demo_family.rows)] == [False] + [True] * 6
+        assert got.rows[0].render() == "2 2 e1 e1 e2 e3 e3 e4 1 e2 e3 e3 e4 e4"
+
     def test_overlap_rejected(self, demo_family):
         with pytest.raises(ValueError):
             filter_family(demo_family, require={3}, forbid={3})

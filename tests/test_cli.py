@@ -404,6 +404,21 @@ class TestFold:
         assert (code, err) == (0, "")
         assert [row.render() for row in built] == (DEMO_FINAL_ROWS if argv == ["rows"] else [])
 
+    def test_query_builds_a_row_per_printed_row(self, capsys, monkeypatch):
+        # query cuts the engine's parts and builds a Row only to print one:
+        # 4 of the 7 final rows keep a member
+        built = []
+        validate = Row.__post_init__
+
+        def spy(row):
+            built.append(row)
+            validate(row)
+
+        monkeypatch.setattr(Row, "__post_init__", spy)
+        code, out, err = run_cli(capsys, "query", SAMPLE, "--require", "8,9", "--forbid", "7")
+        assert (code, out, err) == (0, GOLDEN_QUERY, "")
+        assert [row.render() for row in built] == GOLDEN_QUERY.splitlines()[:-1]
+
 
 class TestSpectrum:
     def test_demo_lines(self, capsys, demo_file):

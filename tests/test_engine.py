@@ -9,6 +9,7 @@ from transversals import (Hypergraph, Row, RunStats, Tally, count_exactly,
                           parse_hypergraph, row_from_tokens, run, spectrum,
                           vertex_mask)
 from transversals import engine
+from transversals.rows import restrict
 from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, drain, mask_vertices, reference_run
 
 MOD4 = "2 2 e1 e1 e2 e3 e3 e4 e1 e2 e3 e3 e4 e4"
@@ -109,15 +110,15 @@ class TestWideMasks:
 
     def test_require_and_forbid_on_wide_row(self):
         row = self.row()
-        assert self.parts(row.restrict(vertex_mask({100}), 0)) == (
+        assert self.parts(restrict(row.parts, vertex_mask({100}), 0)) == (
             self.ZEROS, {3, 100}, self.TWOS | {64, 65}, {frozenset({128, 129})})
-        assert self.parts(row.restrict(0, vertex_mask({129}))) == (
+        assert self.parts(restrict(row.parts, 0, vertex_mask({129}))) == (
             {1, 66, 129}, {3, 128}, self.TWOS, {frozenset({64, 65, 100})})
-        assert self.parts(row.restrict(vertex_mask({130}), 0)) == (
+        assert self.parts(restrict(row.parts, vertex_mask({130}), 0)) == (
             self.ZEROS, {3, 130}, self.TWOS - {130},
             {frozenset({64, 65, 100}), frozenset({128, 129})})
-        assert row.restrict(0, vertex_mask({66})) is row
-        assert row.restrict(vertex_mask({66}), 0) is None
+        assert restrict(row.parts, 0, vertex_mask({66})) is row.parts
+        assert restrict(row.parts, vertex_mask({66}), 0) is None
 
     def test_run_and_spectrum_past_bit_64(self):
         rng = random.Random(7)

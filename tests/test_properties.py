@@ -24,7 +24,7 @@ from transversals import (Hypergraph, HypergraphError, Row, Spectrum,
                           transversals_of_size, vertex_mask)
 from transversals.analytics import filter_rows
 from transversals.cli import main
-from transversals.rows import _vertices, size_counts
+from transversals.rows import _vertices, restrict, size_counts
 from conftest import drain, mask_vertices, reference_bound, reference_run
 
 
@@ -237,11 +237,11 @@ def test_full_expansion_is_exact(r):
 @given(rows_st(min_w=1), st.data())
 def test_surgery_matches_brute_filter(r, data):
     v = data.draw(st.integers(1, r.w))
-    kept = r.restrict(vertex_mask({v}), 0)
-    assert sorted(kept.members() if kept else []) == \
+    kept = restrict(r.parts, vertex_mask({v}), 0)
+    assert sorted(Row(r.w, *kept).members() if kept else []) == \
         [x for x in brute_members(r) if v in x]
-    dropped = r.restrict(0, vertex_mask({v}))
-    assert sorted(dropped.members() if dropped else []) == \
+    dropped = restrict(r.parts, 0, vertex_mask({v}))
+    assert sorted(Row(r.w, *dropped).members() if dropped else []) == \
         [x for x in brute_members(r) if v not in x]
 
 
@@ -290,13 +290,67 @@ def test_restrict_matches_single_vertex_surgery(r, data):
         expected = cut(expected, v)
         if expected is None:
             break
-    got = r.restrict(vertex_mask(require), vertex_mask(forbid))
+    got = restrict(r.parts, vertex_mask(require), vertex_mask(forbid))
     assert (got is None) == (expected is None)
     if got is not None:
-        assert got.parts == expected.parts
-        assert (got is r) == (expected is r)
-    assert sorted(got.members() if got else []) == [
+        assert got == expected.parts
+        assert (got is r.parts) == (expected is r)
+    assert sorted(Row(r.w, *got).members() if got else []) == [
         x for x in brute_members(r) if require <= set(x) and forbid.isdisjoint(x)]
+
+
+def reference_restrict(row, require, forbid):
+    """The deleted method ``Row.restrict``: the cut built through the
+    constructor, which promotes a one-position rest; None if no member
+    passes, the row itself if all do."""
+    zeros, ones, twos, bubbles = row
+    if require & zeros or forbid & ones:
+        return None
+    cut = require | forbid
+    if not cut & ~(zeros | ones):
+        return row
+    freed, kept = 0, []
+    for bubble in bubbles:
+        if bubble & require:
+            freed |= bubble
+        elif bubble & ~forbid:
+            kept.append(bubble & ~forbid)
+        else:
+            return None
+    return Row(row.w, zeros | forbid, ones | require, (twos | freed) & ~cut, kept)
+
+
+def cut_masks(r, data):
+    """Disjoint require and forbid masks over 1..w for the row r: each
+    position open, required or forbidden, and some bubbles forbidden whole
+    or all but their first position, so that wide rows also get dead
+    bubbles and one-position rests."""
+    marks = data.draw(st.lists(st.sampled_from((0, 0, 1, 2)), min_size=r.w, max_size=r.w))
+    require = {v for v, mark in enumerate(marks, start=1) if mark == 1}
+    forbid = {v for v, mark in enumerate(marks, start=1) if mark == 2}
+    for bubble in r.parts[3]:
+        spare = data.draw(st.none() | st.integers(0, 1))
+        if spare is not None:
+            block = sorted(mask_vertices(bubble))
+            require -= set(block)
+            forbid |= set(block[spare:])
+    return vertex_mask(require), vertex_mask(forbid)
+
+
+@settings(max_examples=300)
+@given(st.one_of(rows_st(), rows_st(min_w=60, max_w=140)), st.data())
+def test_restrict_matches_the_row_method(r, data):
+    zeros, ones, twos, bubbles = r
+    r = Row(r.w, zeros, ones, twos, data.draw(st.permutations(bubbles)))
+    require, forbid = cut_masks(r, data)
+    got = restrict(r.parts, require, forbid)
+    expected = reference_restrict(r, require, forbid)
+    assert (got is None) == (expected is None)
+    assert (got is r.parts) == (expected is r)
+    if got is not None:
+        # equal with the bubbles in order, and already normal
+        assert got == expected.parts
+        assert Row(r.w, *got).parts == got
 
 
 # ----- imposition and the engine -------------------------------------------
@@ -337,19 +391,21 @@ def test_wide_rows_split_and_filter_by_size(r, data):
     # past bit 64 the members cannot be listed, so check sizes: the sons
     # hold the members hitting the edge, the surgery halves partition r
     edge = data.draw(st.frozensets(st.integers(1, r.w), min_size=1, max_size=8))
-    missed = r.restrict(0, vertex_mask(edge))
+    missed = restrict(r.parts, 0, vertex_mask(edge))
     assert sum(Row(r.w, *son).size() for son in impose(r, vertex_mask(edge))) == \
-        r.size() - (missed.size() if missed else 0)
+        r.size() - (Row(r.w, *missed).size() if missed else 0)
     # the one scan with its negative mask ~(zeros | twos): an edge is
     # feasible iff it leaves the zeros, and with no pending edge LB = c_min
     assert is_feasible(r, [vertex_mask(edge)]) == bool(vertex_mask(edge) & ~r.parts[0])
     k = data.draw(st.integers(0, r.w + 1))
     assert is_feasible(r, [], k) == (k >= r.c_min)
     v = data.draw(st.integers(1, r.w))
-    halves = [r.restrict(vertex_mask({v}), 0), r.restrict(0, vertex_mask({v}))]
-    assert sum(half.size() for half in halves if half) == r.size()
+    halves = [Row(r.w, *half) for half in (restrict(r.parts, vertex_mask({v}), 0),
+                                           restrict(r.parts, 0, vertex_mask({v})))
+              if half]
+    assert sum(half.size() for half in halves) == r.size()
     assert all(half.contains(next(half.members_of_size(half.c_min)))
-               for half in halves if half)
+               for half in halves)
 
 
 def reference_impose(row, edge):
@@ -652,9 +708,8 @@ def test_filter_family_matches_brute_filter(hg, data):
         st.integers(1, hg.w)).filter(lambda f: not (f & require)))
     filtered = filter_family(run(hg), require=require, forbid=forbid)
     # the stream filter cuts the same rows in the same order
-    rows = (Row(hg.w, *p) for p in final_parts(hg))
-    assert list(filter_rows(rows, vertex_mask(require),
-                            vertex_mask(forbid))) == list(filtered.rows)
+    assert list(filter_rows(final_parts(hg), vertex_mask(require),
+                            vertex_mask(forbid))) == [row.parts for row in filtered.rows]
     expanded = [x for row in filtered.rows for x in row.members()]
     assert len(expanded) == len(set(expanded))
     assert sorted(expanded) == [
@@ -672,10 +727,9 @@ def test_window_commutes_with_query_filtering(hg, size_asc, k, data):
         st.integers(1, hg.w)).filter(lambda f: not (f & require)))
 
     def size_k(stream):
-        rows = (Row(hg.w, *p) for p in stream)
-        return [x for r in filter_rows(rows, vertex_mask(require),
+        return [x for p in filter_rows(stream, vertex_mask(require),
                                        vertex_mask(forbid))
-                for x in r.members_of_size(k)]
+                for x in Row(hg.w, *p).members_of_size(k)]
 
     got = size_k(final_parts(hg, k))
     # the same members in the same order as from the full stream

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from transversals import Row, bubble_segment_counts, row_from_tokens, vertex_mask
-from transversals.rows import size_counts
+from transversals.rows import restrict, size_counts
 
 
 def brute_members(row, k=None):
@@ -323,64 +323,71 @@ class TestFullExpansion:
 class TestSurgery:
     def test_demo_filter_chain(self):
         r1 = row_from_tokens("2 2 e1 e1 e2 e3 e3 e4 2 e2 e3 e3 e4 e4")
-        got = r1.restrict(vertex_mask({8, 9}), vertex_mask({7}))
-        assert got.render() == "2 2 e1 e1 e2 e3 0 1 1 e2 e3 e3 2 2"
+        got = restrict(r1.parts, vertex_mask({8, 9}), vertex_mask({7}))
+        assert Row(r1.w, *got).render() == "2 2 e1 e1 e2 e3 0 1 1 e2 e3 e3 2 2"
 
     def test_demo_filter_chain_collapses_bubbles(self):
         r3 = row_from_tokens("2 2 0 0 0 e1 e1 e2 1 1 2 2 e2 2")
-        got = r3.restrict(vertex_mask({8, 9}), vertex_mask({7}))
-        assert got.render() == "2 2 0 0 0 1 0 1 1 1 2 2 2 2"
+        got = restrict(r3.parts, vertex_mask({8, 9}), vertex_mask({7}))
+        assert Row(r3.w, *got).render() == "2 2 0 0 0 1 0 1 1 1 2 2 2 2"
 
     def test_require_is_idempotent_on_ones(self):
         r = row_from_tokens("1 2 2")
-        assert r.restrict(vertex_mask({1}), 0) is r
+        assert restrict(r.parts, vertex_mask({1}), 0) is r.parts
 
     def test_forbid_is_idempotent_on_zeros(self):
         r = row_from_tokens("0 2 2")
-        assert r.restrict(0, vertex_mask({1})) is r
+        assert restrict(r.parts, 0, vertex_mask({1})) is r.parts
 
     def test_dead_results(self):
         r = row_from_tokens("0 1 2")
-        assert r.restrict(vertex_mask({1}), 0) is None
-        assert r.restrict(0, vertex_mask({2})) is None
+        assert restrict(r.parts, vertex_mask({1}), 0) is None
+        assert restrict(r.parts, 0, vertex_mask({2})) is None
 
     def test_free_position_moves(self):
         r = row_from_tokens("2 2 2")
-        assert r.restrict(vertex_mask({2}), 0).parts[1] == vertex_mask({2})
-        assert r.restrict(0, vertex_mask({2})).parts[0] == vertex_mask({2})
+        assert restrict(r.parts, vertex_mask({2}), 0)[1] == vertex_mask({2})
+        assert restrict(r.parts, 0, vertex_mask({2}))[0] == vertex_mask({2})
+
+    def test_cut_meeting_no_bubble_keeps_the_bubbles(self):
+        # the bubbles come back as the same tuple, with no walk over them
+        r = row_from_tokens("2 e1 e1 1 e2 e2 2")
+        got = restrict(r.parts, vertex_mask({1}), vertex_mask({7}))
+        assert got[:3] == (vertex_mask({7}), vertex_mask({1, 4}), 0)
+        assert got[3] is r.parts[3]
 
     def test_bubble_hit_releases_rest(self):
         r = row_from_tokens("e1 e1 e1 e1")
-        _, ones, twos, bubbles = r.restrict(vertex_mask({2}), 0)
+        _, ones, twos, bubbles = restrict(r.parts, vertex_mask({2}), 0)
         assert ones == vertex_mask({2})
         assert twos == vertex_mask({1, 3, 4}) and not bubbles
 
     def test_forbid_shrinks_bubble_to_forced(self):
         r = row_from_tokens("e1 e1")
-        zeros, ones, _, _ = r.restrict(0, vertex_mask({1}))
+        zeros, ones, _, _ = restrict(r.parts, 0, vertex_mask({1}))
         assert zeros == vertex_mask({1}) and ones == vertex_mask({2})
 
     def test_unknown_vertex(self):
         # a bit outside 1..w fails the constructor's partition check
         with pytest.raises(ValueError, match="do not partition"):
-            row_from_tokens("2 2").restrict(vertex_mask({9}), 0)
+            Row(2, *restrict(row_from_tokens("2 2").parts, vertex_mask({9}), 0))
         for require, forbid in ((1, 0), (0, 1)):
             with pytest.raises(ValueError, match="do not partition"):
-                Row.powerset(3).restrict(require, forbid)
+                Row(3, *restrict(Row.powerset(3).parts, require, forbid))
 
     def test_overlapping_masks(self):
         with pytest.raises(ValueError, match="overlap"):
-            Row.powerset(3).restrict(vertex_mask({2}), vertex_mask({2}))
+            Row(3, *restrict(Row.powerset(3).parts, vertex_mask({2}), vertex_mask({2})))
 
     @pytest.mark.parametrize("v", range(1, 8))
     def test_matches_brute_filter(self, v):
         r = row_from_tokens("2 e1 e1 0 e1 1 2")
-        kept = r.restrict(vertex_mask({v}), 0)
+        kept = restrict(r.parts, vertex_mask({v}), 0)
         expected = sorted(x for x in brute_members(r) if v in x)
-        assert sorted(kept.members() if kept else []) == expected
-        dropped = r.restrict(0, vertex_mask({v}))
+        assert sorted(Row(r.w, *kept).members() if kept else []) == expected
+        dropped = restrict(r.parts, 0, vertex_mask({v}))
         expected = sorted(x for x in brute_members(r) if v not in x)
-        assert sorted(dropped.members() if dropped else []) == expected
+        assert sorted(Row(r.w, *dropped).members() if dropped else []) == expected
 
 
 class TestTokens:
