@@ -357,8 +357,6 @@ class TestRunForK:
         assert len(rows) == 14
         assert (stats.impositions, stats.s_max, stats.max_stack) == (438, 4, 7)
 
-
-class TestWindowRun:
     @pytest.mark.parametrize("k", [-1, 2.5, True, "3"],
                              ids=["negative", "float", "bool", "str"])
     def test_bad_k_rejected(self, demo_hg, k):
