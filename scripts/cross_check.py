@@ -78,7 +78,8 @@ def order_checks(hg: Hypergraph, path: pathlib.Path, order: str, brute: list,
             cli_count(path, order, "--exactly", k)
             == f"N(|X| = {k}) = {inclusion_exclusion_count(hg, k)}\n"
             for k in range(-1, hg.w + 2)),
-        "filter": sorted(chain.from_iterable(Row(w, *p).members() for p in cut)) == [
+        "filter": sorted(chain.from_iterable(
+            Row(w, *p).members_of_size(k) for p in cut for k in range(w + 1))) == [
             x for x in brute if require <= set(x) and forbid.isdisjoint(x)],
         "at_least": cli_count(path, order, "--at-least", at_least).endswith(
             f"\nN(|X| >= {at_least}) = "

@@ -167,14 +167,24 @@ def check_conditions(w: int, require: Iterable[int],
     require, forbid = frozenset(require), frozenset(forbid)
     # a message names at most three vertices, each briefly, so it stays one
     # short line however many or however long the vertices are
-    if shared := sorted(require & forbid):
+    if shared := _ordered(require & forbid):
         listed = ", ".join(map(brief_repr, shared[:3]))
         raise ValueError(f"require and forbid overlap on "
                          f"[{listed}{', ...' if len(shared) > 3 else ''}]")
-    for v in sorted(require | forbid):
+    for v in _ordered(require | forbid):
         if type(v) is not int or not 1 <= v <= w:
             raise ValueError(f"vertex {brief_repr(v)} not in ground set 1..{w}")
     return vertex_mask(require), vertex_mask(forbid)
+
+
+def _ordered(vertices: frozenset) -> list:
+    """The vertices in their natural order, or, where they do not compare,
+    in the order of their :func:`brief_repr`, so that a message names the
+    same vertex on every run."""
+    try:
+        return sorted(vertices)
+    except TypeError:
+        return sorted(vertices, key=brief_repr)
 
 
 def filter_rows(rows: Iterable[tuple], require: int,

@@ -296,15 +296,7 @@ class Row:
     def __repr__(self) -> str:
         return f"Row({self.render()!r})"
 
-    # ----- membership and size -------------------------------------------
-
-    def contains(self, xs: Iterable[int]) -> bool:
-        """True iff the set avoids every 0, holds every 1, hits every bubble."""
-        zeros, ones, _, bubbles = self.parts
-        members = vertex_mask(xs)
-        if members & zeros or ones & ~members:
-            return False
-        return all(bubble & members for bubble in bubbles)
+    # ----- size ------------------------------------------------------------
 
     def size(self) -> int:
         """Number of represented sets: 2^|twos| * prod(2^|bubble| - 1)."""
@@ -371,11 +363,6 @@ class Row:
         batch holds at most ``_REPLAY`` positions, or one pick.
         """
         return map(tuple, _members(self.parts, k))
-
-    def members(self) -> Iterator[tuple[int, ...]]:
-        """Every represented set once, by increasing cardinality."""
-        return itertools.chain.from_iterable(
-            map(self.members_of_size, range(self.c_min, self.c_max + 1)))
 
     # ----- canonical text form ----------------------------------------------
 
@@ -562,7 +549,7 @@ def row_from_tokens(text: str) -> Row:
     for pos, tok in enumerate(tokens, start=1):
         if tok in parts:
             parts[tok] |= 1 << pos
-        elif tok == "e" or (tok.startswith("e") and tok[1:].isdigit()):
+        elif tok == "e" or (tok.startswith("e") and tok[1:].isdecimal()):
             groups[tok] = groups.get(tok, 0) | 1 << pos
         else:
             raise ValueError(f"bad row token {tok!r}")

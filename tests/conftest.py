@@ -3,6 +3,8 @@
 frozen throughout the suite, and the engine loop with no skipped step that
 the engine's tests compare against."""
 
+import itertools
+
 import pytest
 
 from transversals import Row, impose, is_feasible, parse_hypergraph, run, vertex_mask
@@ -11,6 +13,25 @@ from transversals import Row, impose, is_feasible, parse_hypergraph, run, vertex
 def mask_vertices(mask):
     """The vertex set of a row part's bitmask, read bit by bit."""
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def is_member(parts, xs):
+    """The membership oracle: True iff the vertex set xs is a member of the
+    row with parts ``(zeros, ones, twos, bubbles)``, that is, it avoids the
+    0s, holds the 1s and meets every bubble.  It reads the parts as vertex
+    sets and calls no Row method."""
+    zeros, ones, _, bubbles = parts
+    xs = frozenset(xs)
+    return (xs.isdisjoint(mask_vertices(zeros)) and mask_vertices(ones) <= xs
+            and all(not xs.isdisjoint(mask_vertices(b)) for b in bubbles))
+
+
+def brute_members(w, parts, k=None):
+    """Every subset of {1..w}, or every k-subset, that is_member accepts
+    for the row with these parts, as sorted tuples in sorted order."""
+    return sorted(x for size in range(w + 1) if k in (None, size)
+                  for x in itertools.combinations(range(1, w + 1), size)
+                  if is_member(parts, x))
 
 
 def drain(stream):

@@ -17,7 +17,8 @@ from transversals import (Hypergraph, Row, brute_transversals, count_total,
                           row_from_tokens, run, spectrum, transversal_number,
                           transversals_of_size, vertex_mask)
 from transversals.rows import bubble_segment_counts, size_counts
-from conftest import (DEMO_FINAL_ROWS, DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL)
+from conftest import (DEMO_FINAL_ROWS, DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL,
+                      is_member)
 
 CORPUS_SIZE = 200
 CORPUS_SEED = 987654321
@@ -79,7 +80,7 @@ def test_criterion_4_generation_order():
     assert [set(x) for x in got[:3]] == [
         {5, 1, 4, 3, 7, 2}, {5, 1, 4, 3, 7, 6}, {5, 1, 4, 3, 7, 9}]
     brute = [set(c) for c in itertools.combinations(range(1, 10), 6)
-             if row.contains(c)]
+             if is_member(row.parts, c)]
     assert len(brute) == 20
     assert len(got) == 20
     assert sorted(map(tuple, map(sorted, brute))) == sorted(got)
@@ -103,7 +104,8 @@ def test_criterion_5_oracle_triangle(corpus):
 def test_criterion_6_disjointness_and_exactness(corpus):
     instances, _ = corpus
     for hg, family, brute in instances:
-        expanded = [x for row in family.rows for x in row.members()]
+        expanded = [x for row in family.rows for k in range(row.w + 1)
+                    for x in row.members_of_size(k)]
         assert len(expanded) == len(set(expanded))  # pairwise disjoint rows
         assert sorted(expanded) == brute
         for k in range(hg.w + 1):

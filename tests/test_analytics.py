@@ -9,7 +9,7 @@ from transversals import (Hypergraph, Infeasible, Row, RowFamily, Spectrum,
                           count_total, filter_family, final_parts,
                           parse_hypergraph, row_from_tokens, run, spectrum,
                           transversal_number, transversals_of_size)
-from conftest import DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL
+from conftest import DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL, brute_members
 
 DEMO_QUERY_ROWS = [
     "2 2 e1 e1 e2 e3 0 1 1 e2 e3 e3 2 2",
@@ -46,10 +46,7 @@ def test_spectrum_sums_repeated_rows():
     # while every per-size sum stays below the digit bound 2^(w + 1)
     rows = (row_from_tokens("2 e1 e1 1 0 e2 e2"), Row.powerset(7),
             row_from_tokens("2 e1 e1 1 0 e2 e2"), row_from_tokens("1 1 1 1 1 1 1"))
-    expected = [sum(1 for row in rows
-                    for x in itertools.combinations(range(1, 8), k)
-                    if row.contains(x))
-                for k in range(8)]
+    expected = [sum(len(brute_members(7, row.parts, k)) for row in rows) for k in range(8)]
     sp = spectrum(RowFamily(w=7, rows=rows))
     assert list(sp.counts) == expected
     assert sp.total == sum(row.size() for row in rows)
@@ -141,7 +138,8 @@ class TestFilterFamily:
         expected = [x for x in brute_transversals(demo_hg)
                     if {8, 9} <= set(x) and 7 not in x]
         assert count_total(got) == len(expected) == 1344
-        expanded = [x for r in got.rows for x in r.members()]
+        expanded = [x for r in got.rows for k in range(r.w + 1)
+                    for x in r.members_of_size(k)]
         assert sorted(expanded) == expected
 
     def test_no_conditions_is_identity(self, demo_family):
@@ -177,7 +175,12 @@ class TestFilterFamily:
          "require and forbid overlap on [1, 2, 3, ...]"),
         ({3, 4, 10 ** 5000}, {3, 4, 10 ** 5000},
          "require and forbid overlap on [3, 4, <int too long to show>]"),
-    ], ids=["huge-int", "long-str", "float", "many-shared", "huge-shared"])
+        # vertices that do not compare are ordered by their brief text
+        ([1], ["x"], "vertex 'x' not in ground set 1..3"),
+        ([None], [2], "vertex None not in ground set 1..3"),
+        ([1, "x"], [1, "x"], "require and forbid overlap on ['x', 1]"),
+    ], ids=["huge-int", "long-str", "float", "many-shared", "huge-shared",
+            "int-and-str", "none-and-int", "mixed-shared"])
     def test_condition_message_stays_short(self, require, forbid, message):
         with pytest.raises(ValueError) as info:
             filter_family(RowFamily(w=3, rows=()), require=require, forbid=forbid)

@@ -10,7 +10,8 @@ from transversals import (Hypergraph, Row, RunStats, Tally, count_exactly,
                           vertex_mask)
 from transversals import engine
 from transversals.rows import restrict
-from conftest import DEMO_FINAL_ROWS, DEMO_TOTAL, drain, mask_vertices, reference_run
+from conftest import (DEMO_FINAL_ROWS, DEMO_TOTAL, brute_members, drain, mask_vertices,
+                      reference_run)
 
 MOD4 = "2 2 e1 e1 e2 e3 e3 e4 e1 e2 e3 e3 e4 e4"
 
@@ -73,10 +74,11 @@ class TestImpose:
         r = row_from_tokens("2 2 e1 e1 e1 0")
         edge = {1, 3, 6}
         sons = impose(r, vertex_mask(edge))
-        expanded = [x for s in sons for x in Row(r.w, *s).members()]
+        expanded = [x for s in sons for k in range(r.w + 1)
+                    for x in Row(r.w, *s).members_of_size(k)]
         assert len(expanded) == len(set(expanded))
-        assert sorted(set(expanded)) == sorted(
-            x for x in r.members() if set(x) & edge)
+        assert sorted(set(expanded)) == [
+            x for x in brute_members(r.w, r.parts) if set(x) & edge]
 
 
 class TestWideMasks:

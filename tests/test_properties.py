@@ -25,7 +25,8 @@ from transversals import (Hypergraph, HypergraphError, Row, Spectrum,
 from transversals.analytics import filter_rows
 from transversals.cli import main
 from transversals.rows import _vertices, restrict, size_counts
-from conftest import drain, mask_vertices, reference_bound, reference_run
+from conftest import (brute_members, drain, is_member, mask_vertices,
+                      reference_bound, reference_run)
 
 
 @given(st.one_of(st.integers(0, 1 << 3000),
@@ -86,12 +87,6 @@ def hypergraphs_st(draw, max_w=8, max_h=5):
     return Hypergraph(w, tuple(tuple(sorted(e)) for e in edges))
 
 
-def brute_members(row):
-    return sorted(x for size in range(row.w + 1)
-                  for x in itertools.combinations(range(1, row.w + 1), size)
-                  if row.contains(x))
-
-
 # ----- row invariants ------------------------------------------------------
 
 @given(rows_st())
@@ -130,7 +125,7 @@ def test_counts_sum_to_size(r):
 def test_counts_match_brute_force(r):
     # for every limit, the bounded digits are the full ones, zero-padded
     by_size = [0] * (r.w + 1)
-    for x in brute_members(r):
+    for x in brute_members(r.w, r.parts):
         by_size[len(x)] += 1
     assert reference_size_counts((r,), r.w) == by_size
     for limit in range(-1, r.w + 3):
@@ -174,7 +169,7 @@ def test_tokens_round_trip(r):
 def test_generation_is_exact(r, k):
     got = list(r.members_of_size(k))
     assert len(got) == len(set(got)) == r.count_of_size(k)
-    assert all(len(x) == k and r.contains(x) for x in got)
+    assert all(len(x) == k and is_member(r.parts, x) for x in got)
 
 
 def reference_members_of_size(row, k):
@@ -231,18 +226,21 @@ def test_generation_order_with_small_replay_cap(cap, r, data):
 
 @given(rows_st())
 def test_full_expansion_is_exact(r):
-    assert sorted(r.members()) == brute_members(r)
+    assert sorted(itertools.chain.from_iterable(
+        map(r.members_of_size, range(r.w + 1)))) == brute_members(r.w, r.parts)
 
 
 @given(rows_st(min_w=1), st.data())
 def test_surgery_matches_brute_filter(r, data):
     v = data.draw(st.integers(1, r.w))
     kept = restrict(r.parts, vertex_mask({v}), 0)
-    assert sorted(Row(r.w, *kept).members() if kept else []) == \
-        [x for x in brute_members(r) if v in x]
+    assert sorted(itertools.chain.from_iterable(
+        map(Row(r.w, *kept).members_of_size, range(r.w + 1))) if kept else []) == \
+        [x for x in brute_members(r.w, r.parts) if v in x]
     dropped = restrict(r.parts, 0, vertex_mask({v}))
-    assert sorted(Row(r.w, *dropped).members() if dropped else []) == \
-        [x for x in brute_members(r) if v not in x]
+    assert sorted(itertools.chain.from_iterable(
+        map(Row(r.w, *dropped).members_of_size, range(r.w + 1))) if dropped else []) == \
+        [x for x in brute_members(r.w, r.parts) if v not in x]
 
 
 def require_one(row, v):
@@ -295,8 +293,10 @@ def test_restrict_matches_single_vertex_surgery(r, data):
     if got is not None:
         assert got == expected.parts
         assert (got is r.parts) == (expected is r)
-    assert sorted(Row(r.w, *got).members() if got else []) == [
-        x for x in brute_members(r) if require <= set(x) and forbid.isdisjoint(x)]
+    assert sorted(itertools.chain.from_iterable(
+        map(Row(r.w, *got).members_of_size, range(r.w + 1))) if got else []) == [
+        x for x in brute_members(r.w, r.parts)
+        if require <= set(x) and forbid.isdisjoint(x)]
 
 
 def reference_restrict(row, require, forbid):
@@ -359,10 +359,10 @@ def test_restrict_matches_the_row_method(r, data):
 def test_impose_splits_hitters_disjointly(r, data):
     edge = data.draw(st.frozensets(st.integers(1, r.w), min_size=1))
     sons = impose(r, vertex_mask(edge))
-    expanded = [x for son in sons for x in Row(r.w, *son).members()]
+    expanded = [x for son in sons for k in range(r.w + 1)
+                for x in Row(r.w, *son).members_of_size(k)]
     assert len(expanded) == len(set(expanded))
-    assert sorted(expanded) == sorted(
-        x for x in r.members() if set(x) & edge)
+    assert sorted(expanded) == [x for x in brute_members(r.w, r.parts) if set(x) & edge]
 
 
 @given(rows_st(min_w=1, max_w=10), st.data())
@@ -376,7 +376,7 @@ def test_packing_bound_is_sound(r, data):
     # the engine's LB is the least k it accepts; an infeasible row has none
     accepted = [k for k in range(r.w + 2) if is_feasible(r, pending, k)]
     assert accepted == (list(range(bound, r.w + 2)) if feasible else [])
-    hitting = [len(x) for x in r.members()
+    hitting = [len(x) for x in brute_members(r.w, r.parts)
                if all(edge & vertex_mask(x) for edge in pending)]
     assert bool(hitting) == feasible
     if hitting:
@@ -404,7 +404,7 @@ def test_wide_rows_split_and_filter_by_size(r, data):
                                            restrict(r.parts, 0, vertex_mask({v})))
               if half]
     assert sum(half.size() for half in halves) == r.size()
-    assert all(half.contains(next(half.members_of_size(half.c_min)))
+    assert all(is_member(half.parts, next(half.members_of_size(half.c_min)))
                for half in halves)
 
 
@@ -492,7 +492,8 @@ def test_later_sons_fail_only_on_edges_meeting_the_split_edge(r, data):
 @given(hypergraphs_st())
 def test_engine_matches_brute_force(hg):
     family = run(hg)
-    expanded = [x for row in family.rows for x in row.members()]
+    expanded = [x for row in family.rows for k in range(row.w + 1)
+                for x in row.members_of_size(k)]
     assert len(expanded) == len(set(expanded))
     assert sorted(expanded) == brute_transversals(hg)
     for row in family.rows:
@@ -518,7 +519,7 @@ def test_size_window_keeps_full_run_rows_holding_size_k(hg, size_asc):
 @given(hypergraphs_st(), st.integers(0, 8))
 def test_size_window_members_match_brute_force(hg, k):
     parts, _ = drain(final_parts(hg, k))
-    got = [x for p in parts for x in Row(hg.w, *p).members() if len(x) == k]
+    got = [x for p in parts for x in Row(hg.w, *p).members_of_size(k)]
     assert len(got) == len(set(got))
     assert sorted(got) == [x for x in brute_transversals(hg) if len(x) == k]
 
@@ -710,7 +711,8 @@ def test_filter_family_matches_brute_filter(hg, data):
     # the stream filter cuts the same rows in the same order
     assert list(filter_rows(final_parts(hg), vertex_mask(require),
                             vertex_mask(forbid))) == [row.parts for row in filtered.rows]
-    expanded = [x for row in filtered.rows for x in row.members()]
+    expanded = [x for row in filtered.rows for k in range(row.w + 1)
+                for x in row.members_of_size(k)]
     assert len(expanded) == len(set(expanded))
     assert sorted(expanded) == [
         x for x in brute_transversals(hg)

@@ -9,18 +9,7 @@ import pytest
 
 from transversals import Row, bubble_segment_counts, row_from_tokens, vertex_mask
 from transversals.rows import restrict, size_counts
-
-
-def brute_members(row, k=None):
-    """All subsets of the ground set the row contains, by membership test."""
-    out = []
-    for size in range(row.w + 1):
-        if k is not None and size != k:
-            continue
-        for combo in itertools.combinations(range(1, row.w + 1), size):
-            if row.contains(combo):
-                out.append(tuple(combo))
-    return out
+from conftest import brute_members, is_member
 
 
 class TestConstruction:
@@ -141,7 +130,7 @@ class TestConstruction:
     def test_empty_ground_set(self):
         r = Row(0, 0, 0, 0)
         assert r.size() == 1
-        assert r.contains(())
+        assert is_member(r.parts, ())
 
     def test_equality_ignores_bubble_order(self):
         a = row_from_tokens("e1 e1 e2 e2")
@@ -155,16 +144,16 @@ class TestConstruction:
 class TestMembership:
     def test_powerset_contains_everything(self):
         r = Row.powerset(5)
-        assert r.contains(())
-        assert r.contains({1, 3, 5})
+        assert is_member(r.parts, ())
+        assert is_member(r.parts, {1, 3, 5})
 
     def test_demo_row_hit_all_bubbles(self):
         r1 = row_from_tokens("2 2 e1 e1 e2 e3 e3 e4 2 e2 e3 e3 e4 e4")
-        assert r1.contains({3, 5, 6, 8})
+        assert is_member(r1.parts, {3, 5, 6, 8})
 
     def test_demo_row_missed_bubble(self):
         r1 = row_from_tokens("2 2 e1 e1 e2 e3 e3 e4 2 e2 e3 e3 e4 e4")
-        assert not r1.contains({3, 5, 6})
+        assert not is_member(r1.parts, {3, 5, 6})
 
 
 class TestSize:
@@ -203,6 +192,12 @@ class TestCounting:
             [0, 0, 0, 18, 45, 48],
             [0, 0, 0, 0, 72, 288],
         ]
+        # a one-position bubble is carried as a forced 1
+        assert bubble_segment_counts([1, 2], 3) == [[0, 1, 0, 0], [0, 0, 2, 1]]
+
+    def test_segment_counts_reject_an_empty_bubble(self):
+        with pytest.raises(ValueError, match="empty e-bubble"):
+            bubble_segment_counts([2, 0], 3)
 
     def test_minimum_size_count_is_product_of_bubble_sizes(self):
         assert self.R0.count_of_size(4) == 2 * 3 * 3 * 4
@@ -226,7 +221,7 @@ class TestCounting:
 
     def test_counts_against_brute_force(self):
         r = row_from_tokens("2 e1 e1 0 e1 1 2")
-        expected = [len(brute_members(r, k)) for k in range(8)]
+        expected = [len(brute_members(r.w, r.parts, k)) for k in range(8)]
         assert size_counts((r,), 7, 7) == expected
 
     def test_binomial_row(self):
@@ -245,7 +240,7 @@ class TestGeneration:
         assert [set(x) for x in out[:3]] == [
             {5, 1, 4, 3, 7, 2}, {5, 1, 4, 3, 7, 6}, {5, 1, 4, 3, 7, 9}]
         assert len(out) == 20
-        assert sorted(out) == sorted(brute_members(r, 6))
+        assert sorted(out) == brute_members(r.w, r.parts, 6)
 
     def test_single_bubble(self):
         r = row_from_tokens("e1 e1")
@@ -300,24 +295,28 @@ class TestGeneration:
             got = list(r.members_of_size(k))
             assert len(got) == r.count_of_size(k)
             assert len(set(got)) == len(got)
-            assert all(len(x) == k and r.contains(x) for x in got)
+            assert all(len(x) == k and is_member(r.parts, x) for x in got)
 
 
 class TestFullExpansion:
     def test_powerset(self):
-        assert sorted(Row.powerset(3).members()) == sorted(
-            brute_members(Row.powerset(3)))
+        r = Row.powerset(3)
+        assert sorted(itertools.chain.from_iterable(
+            map(r.members_of_size, range(r.w + 1)))) == brute_members(r.w, r.parts)
 
     def test_single_bubble(self):
-        assert sorted(row_from_tokens("e1 e1").members()) == [
+        r = row_from_tokens("e1 e1")
+        assert sorted(itertools.chain.from_iterable(
+            map(r.members_of_size, range(r.w + 1)))) == [
             (1,), (1, 2), (2,)]
 
     def test_demo_row_expands_to_size(self):
         r1 = row_from_tokens("2 2 e1 e1 e2 e3 e3 e4 2 e2 e3 e3 e4 e4")
-        members = list(r1.members())
+        members = list(itertools.chain.from_iterable(
+            map(r1.members_of_size, range(r1.w + 1))))
         assert len(members) == 7560
         assert len(set(members)) == 7560
-        assert all(r1.contains(x) for x in members)
+        assert all(is_member(r1.parts, x) for x in members)
 
 
 class TestSurgery:
@@ -383,11 +382,13 @@ class TestSurgery:
     def test_matches_brute_filter(self, v):
         r = row_from_tokens("2 e1 e1 0 e1 1 2")
         kept = restrict(r.parts, vertex_mask({v}), 0)
-        expected = sorted(x for x in brute_members(r) if v in x)
-        assert sorted(Row(r.w, *kept).members() if kept else []) == expected
+        assert sorted(itertools.chain.from_iterable(
+            map(Row(r.w, *kept).members_of_size, range(r.w + 1))) if kept else []) == \
+            [x for x in brute_members(r.w, r.parts) if v in x]
         dropped = restrict(r.parts, 0, vertex_mask({v}))
-        expected = sorted(x for x in brute_members(r) if v not in x)
-        assert sorted(Row(r.w, *dropped).members() if dropped else []) == expected
+        assert sorted(itertools.chain.from_iterable(
+            map(Row(r.w, *dropped).members_of_size, range(r.w + 1))) if dropped else []) == \
+            [x for x in brute_members(r.w, r.parts) if v not in x]
 
 
 class TestTokens:
@@ -406,3 +407,8 @@ class TestTokens:
     def test_bad_token(self):
         with pytest.raises(ValueError):
             row_from_tokens("2 x 1")
+
+    def test_bubble_label_must_be_decimal(self):
+        # "²" is a digit, but not a decimal that int() reads
+        with pytest.raises(ValueError, match="bad row token 'e²'"):
+            row_from_tokens("e² e²")
