@@ -78,14 +78,10 @@ MUTANTS = [
      "picks = map(map, itertools.repeat(label), picks)", "pass"),
     ("free block labelled as the row is decoded", "src/transversals/rows.py",
      "ones = [*map(label, ones)]", "ones = [*map(label, ones)]; [*map(label, free)]"),
-    ("first free pick meets only the listed tails", "src/transversals/rows.py",
-     "itertools.chain(kept, tails)", "kept"),
     ("a cut-off tail list replayed", "src/transversals/rows.py",
-     "if len(kept) * t > _REPLAY:", "if len(kept) * t > _REPLAY + t:"),
-    ("each batch of free picks skips one", "src/transversals/rows.py",
-     "itertools.islice(picks, size)", "itertools.islice(picks, 1, size + 1)"),
-    ("free picks batched from the start", "src/transversals/rows.py",
-     "        size = 1\n", "        size = 1024\n"),
+     "walked = len(kept) * t > _REPLAY", "walked = len(kept) * t > _REPLAY + t"),
+    ("a walked tail replayed from the cut-off list", "src/transversals/rows.py",
+     "_tails(bubbles, t) if walked else kept", "kept"),
     ("restrict keeps a bubble's forbidden positions", "src/transversals/rows.py",
      "rest = bubble & ~forbid", "rest = bubble"),
     ("restrict keeps a one-position rest as a bubble", "src/transversals/rows.py",

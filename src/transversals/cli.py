@@ -209,7 +209,8 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
     found = itertools.chain.from_iterable(
         _members(parts, args.k, label) for parts in final_parts(hg, args.k))
     if args.limit is not None:
-        found = itertools.islice(found, args.limit)
+        # no output reaches a limit past islice's sys.maxsize
+        found = itertools.islice(found, min(args.limit, sys.maxsize))
     lines = map(" ".join, found)
     # a batch of lines is joined, cleared of its NULs and written at once
     while batch := list(itertools.islice(lines, _BATCH)):

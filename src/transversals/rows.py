@@ -12,7 +12,6 @@ products instead of enumeration.
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Callable, Collection, Iterable, Iterator
 
 
@@ -48,8 +47,7 @@ def _picks(block: list[int], d: int) -> Iterator[Collection[int]]:
                itertools.combinations(block, len(block) - d))
 
 
-# the most positions that Row.members_of_size keeps in a listed tail, or
-# in a batch of more than one free pick
+# the most positions that Row.members_of_size keeps in a listed tail
 _REPLAY = 4096
 
 
@@ -106,21 +104,11 @@ def _replay(ones: tuple, free: list[int], bubbles: list[list], need: int,
     room = sum(map(len, bubbles))
     for d in range(min(len(free), need - len(bubbles)), max(0, need - room) - 1, -1):
         t = need - d
-        picks = map(ones.__add__, _labelled(_picks(free, d), label))
-        tails = _tails(bubbles, t)
-        kept = tuple(itertools.islice(tails, _REPLAY // t + 1))
-        # the first pick finishes this walk of the tail
-        yield map(next(picks).__add__, itertools.chain(kept, tails))
-        if len(kept) * t > _REPLAY:
-            # too long to keep: each later pick walks the tail again
-            for pick in picks:
-                yield map(pick.__add__, _tails(bubbles, t))
-            continue
-        size = 1
-        while batch := tuple(itertools.islice(picks, size)):
-            yield itertools.starmap(operator.add, itertools.product(batch, kept))
-            if 2 * size * (len(ones) + d) <= _REPLAY:
-                size *= 2
+        kept = tuple(itertools.islice(_tails(bubbles, t), _REPLAY // t + 1))
+        # a tail too long to keep is walked again for each free pick
+        walked = len(kept) * t > _REPLAY
+        for pick in map(ones.__add__, _labelled(_picks(free, d), label)):
+            yield map(pick.__add__, _tails(bubbles, t) if walked else kept)
 
 
 def _labelled(picks: Iterable[Collection[int]], label) -> Iterator[tuple]:
@@ -140,7 +128,9 @@ def _members(parts: tuple, k: int, label: Callable[[int], str] | None = None
     that runs no Python frame per member.  The walk and its order are
     those of :meth:`Row.members_of_size`, which reads each list as a tuple
     of ints; ``enumerate --k`` reads the engine's parts with labels, so it
-    builds no :class:`Row` and formats no int per member.
+    builds no :class:`Row` and formats no int per member.  A k that is not
+    an int (``True``, ``2.5``, ``"2"``) raises ValueError at the call; an
+    int k the row has no members of gives none.
 
     Labels.  ``label`` must map the vertices to strings that sort as the
     vertices do.  ``enumerate --k`` labels vertex v with ``str(v)``
@@ -162,6 +152,8 @@ def _members(parts: tuple, k: int, label: Callable[[int], str] | None = None
     picked, not for the w positions of the row, whose decoded ints the
     walk holds in any case.
     """
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, not {k!r}")
     _, ones, twos, bubbles = parts
     need = k - ones.bit_count()
     if not len(bubbles) <= need <= twos.bit_count() + sum(b.bit_count() for b in bubbles):
@@ -347,20 +339,18 @@ class Row:
         Replay.  After a free pick of size d, the bubbles' picks (the
         tail, :func:`_tails`) have the bounds above with the same need - d
         positions missing, whatever the pick was; so the tail is the same
-        sequence for every pick of size d.  The first pick of size d runs
-        one walk of the tail and lists its first picks on the way; later
-        picks, taken in batches of 1, 2, 4, ..., are joined with the list
-        by ``itertools.product``, whose first factor varies slowest.  So
+        sequence for every pick of size d.  It is listed once, and each
+        free pick is joined with the listed tails, one map per pick.  So
         every free pick meets the whole tail in the tail's order before the
         next pick, in the order of one walk of all the blocks, and the
-        first member comes after one pick.  A row without bubbles is one
-        map over the free block's combinations.
+        first member comes after at most ``_REPLAY`` listed positions plus
+        one tail.  A row without bubbles is one map over the free block's
+        combinations.
 
         Memory.  The pick sources and a walk of the tail hold O(w)
         positions however many members the row has.  A tail list holds at
         most ``_REPLAY`` positions, a fixed internal bound, plus one tail;
-        a tail that would need more is walked again for each free pick.  A
-        batch holds at most ``_REPLAY`` positions, or one pick.
+        a tail that would need more is walked again for each free pick.
         """
         return map(tuple, _members(self.parts, k))
 

@@ -131,6 +131,12 @@ def test_generate_small_system():
     assert list(transversals_of_size(family, 1)) == [(1,), (2,)]
 
 
+@pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "str"])
+def test_generate_rejects_non_int_k(demo_family, k):
+    with pytest.raises(ValueError, match="^k must be an int, not "):
+        list(transversals_of_size(demo_family, k))
+
+
 class TestFilterFamily:
     def test_demo_query(self, demo_hg, demo_family):
         got = filter_family(demo_family, require={8, 9}, forbid={7})

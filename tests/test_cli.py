@@ -318,8 +318,8 @@ class TestWideRows:
         (3, 3, [f"1 {W - 1} {W}", f"2 {W - 1} {W}", f"1 {W - 2} {W}"]),
     ], ids=["k2", "k3"])
     def test_enumerate_first_members(self, capsys, wide_file, k, limit, expected):
-        # a free pick costs O(w) here, so the first members come after few
-        # picks, not after a whole batch of them
+        # a free pick costs O(w) here, so the first members must come after
+        # the few picks that make them
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "enumerate", wide_file, "--k", str(k),
                                  "--limit", str(limit))
@@ -449,6 +449,13 @@ class TestEnumerate:
                                "--k", "4", "--limit", "5")
         assert code == 0
         assert len(out.splitlines()) == 5
+
+    def test_limit_past_maxsize_prints_everything(self, capsys):
+        # islice takes no stop past sys.maxsize; no output reaches one
+        full = run_cli(capsys, "enumerate", SAMPLE, "--k", "4")
+        assert run_cli(capsys, "enumerate", SAMPLE, "--k", "4",
+                       "--limit", str(10**30)) == full
+        assert (full[0], len(full[1].splitlines()), full[2]) == (0, 66, "")
 
     def test_negative_limit_rejected(self, capsys):
         assert run_cli(capsys, "enumerate", SAMPLE, "--k", "5",

@@ -24,7 +24,7 @@ from transversals import (Hypergraph, HypergraphError, Row, Spectrum,
                           transversals_of_size, vertex_mask)
 from transversals.analytics import filter_rows
 from transversals.cli import main
-from transversals.rows import _vertices, restrict, size_counts
+from transversals.rows import _REPLAY, _tails, _vertices, restrict, size_counts
 from conftest import (brute_members, drain, is_member, mask_vertices,
                       reference_bound, reference_run)
 
@@ -215,13 +215,27 @@ def test_generation_order_matches_reference(r, data):
 @given(rows_st(max_w=10), st.data())
 def test_generation_order_with_small_replay_cap(cap, r, data):
     # cap 0 walks every tail again for each free pick; a tiny cap lists
-    # some tails and walks others, and keeps batches of free picks short
+    # some tails and walks others
     zeros, ones, twos, bubbles = r
     r = Row(r.w, zeros, ones, twos, data.draw(st.permutations(bubbles)))
     k = data.draw(st.integers(r.c_min, r.c_max) | st.integers(-1, r.w + 1))
     with mock.patch("transversals.rows._REPLAY", cap):
         got = list(r.members_of_size(k))
     assert got == list(reference_members_of_size(r, k))
+
+
+def test_generation_order_walks_long_tails_at_the_real_cap():
+    # five 3-bubbles and two free positions, k = 7: the 243 tails of five
+    # positions (free pick size 2) are listed; those of six and seven
+    # positions (sizes 1 and 0) are too long, so each free pick walks them
+    r = row_from_tokens("e1 e1 e1 e2 e2 e2 e3 e3 e3 e4 e4 e4 e5 e5 e5 2 2")
+    bubbles = [*map(_vertices, r.parts[3])]
+    tails = [sum(1 for _ in _tails(bubbles, t)) for t in (5, 6, 7)]
+    assert tails[0] == 243
+    assert [n * t > _REPLAY for n, t in zip(tails, (5, 6, 7))] == [False, True, True]
+    got = list(r.members_of_size(7))
+    assert len(got) == 5508
+    assert got == list(reference_members_of_size(r, 7))
 
 
 @given(rows_st())

@@ -249,8 +249,16 @@ class TestGeneration:
 
     def test_out_of_range_k(self):
         r = row_from_tokens("e1 e1")
+        assert list(r.members_of_size(-1)) == []
         assert list(r.members_of_size(0)) == []
         assert list(r.members_of_size(3)) == []
+
+    @pytest.mark.parametrize("tokens", ["2 e1 e1", "2 1 2"], ids=["bubbles", "no-bubbles"])
+    @pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "str"])
+    def test_non_int_k_rejected(self, tokens, k):
+        r = row_from_tokens(tokens)
+        with pytest.raises(ValueError, match="^k must be an int, not "):
+            r.members_of_size(k)
 
     def test_only_forced_positions(self):
         r = row_from_tokens("0 1 1")
