@@ -11,7 +11,10 @@ FILE --at-least K`` for one random K in -1..w+1 (N less the counts of the
 sizes below K) against the brute-force tail, and the rows built from the
 parts of the stream ``final_parts(hg)`` left by one random require/forbid
 pair (``filter_rows``, which cuts the parts and builds no row) against the
-brute-force transversals that meet it.
+brute-force transversals that meet it.  On the stored family, ask the
+spectrum and the transversal number, then the count from the same random
+K, then the spectrum and the transversal number again, each time against
+the oracles, so an answer the family kept must still be its own.
 Report compression statistics (final rows R versus represented
 transversals N).
 
@@ -34,9 +37,10 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from transversals import (Hypergraph, Row, brute_transversals, count_total,
-                          final_parts, inclusion_exclusion_count,
-                          render_hypergraph, run, spectrum, vertex_mask)
+from transversals import (Hypergraph, Row, brute_transversals, count_at_least,
+                          count_total, final_parts, inclusion_exclusion_count,
+                          render_hypergraph, run, spectrum, transversal_number,
+                          vertex_mask)
 from transversals.analytics import filter_rows
 from transversals.cli import main as cli_main
 
@@ -87,6 +91,23 @@ def order_checks(hg: Hypergraph, path: pathlib.Path, order: str, brute: list,
     }
 
 
+def kept_checks(hg: Hypergraph, family, brute: list, at_least: int) -> dict[str, bool]:
+    """The stored family's spectrum and transversal number, asked before
+    and again after ``count_at_least``, which the family keeps as it keeps
+    them, each against the oracles."""
+    by_size = [inclusion_exclusion_count(hg, k) for k in range(hg.w + 1)]
+    k_min = min(map(len, brute))
+
+    def kept():
+        return list(spectrum(family).counts) == by_size and \
+            transversal_number(family) == (k_min, by_size[k_min])
+
+    return {"kept_before": kept(),
+            "kept_at_least": count_at_least(family, at_least)
+            == sum(len(x) >= at_least for x in brute),
+            "kept_after": kept()}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=200)
@@ -121,6 +142,8 @@ def main() -> int:
                   for name, ok in order_checks(ordered, path, order, brute, require,
                                                forbid, at_least).items()
                   if not ok]
+        failed += [name for name, ok in kept_checks(hg, family, brute, at_least).items()
+                   if not ok]
         if not n_engine == n_brute == n_ie or failed:
             mismatches += 1
             print(f"[{i}] MISMATCH on w={hg.w} h={hg.h}: engine={n_engine}, "

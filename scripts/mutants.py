@@ -102,6 +102,10 @@ MUTANTS = [
      "tau_min += count", "tau_min += 1"),
     ("N counts a bubble's empty pick", "src/transversals/analytics.py",
      "size *= (1 << bubble.bit_count()) - 1", "size *= 1 << bubble.bit_count()"),
+    ("at-least memo key drops k", "src/transversals/analytics.py",
+     '("at least", max(k, 0))', '"at least"'),
+    ("memo serves the first fold for every key", "src/transversals/analytics.py",
+     "if key not in folds:", "if not folds:"),
     ("enumerate label width one short", "src/transversals/cli.py",
      '% len(str(hg.w))).format', '% (len(str(hg.w)) - 1)).format'),
     ("enumerate batch keeps its NULs", "src/transversals/cli.py",

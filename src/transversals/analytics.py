@@ -5,10 +5,10 @@ A stored family always holds every transversal, so its answers need no
 size check; a fixed cardinality k exists only on the stream, as in
 :func:`count_exactly`.
 
-Every answer is one pass over the rows: :class:`Tally` (R, N, k_min and
-tau_min) and :meth:`Spectrum.of` (per-size counts) fold them, and
-:func:`filter_rows` cuts each row's parts with one multi-vertex
-:func:`~transversals.rows.restrict`, so a stored family and an engine
+Every answer is at most one pass over the rows per stored family and
+answer: :class:`Tally` (R, N, k_min and tau_min) and :meth:`Spectrum.of`
+(per-size counts) fold them, and :func:`filter_rows` cuts each row's
+parts with one multi-vertex :func:`~transversals.rows.restrict`, so a stored family and an engine
 stream get the same formulas, no row of a stream is stored, and a
 :class:`Row` is built only for a row that a caller keeps.  The two folds
 and the filter read each row as its parts ``(zeros, ones, twos,
@@ -19,6 +19,13 @@ parts, without Tally's work for k_min;
 :func:`count_at_least` takes N less the counts of the sizes below k
 (:func:`~transversals.rows.size_counts` with a limit), as
 ``count --at-least`` does.
+
+A stored family never changes, so its four answers are folded on their
+first ask and kept on the family (see :class:`RowFamily`): N, the tally
+of :func:`transversal_number`, the spectrum, and the count from each k of
+:func:`count_at_least`, at most w + 4 values.  :func:`filter_family`
+returns a new family, with an empty memo, and generation is a stream, so
+neither is kept.
 """
 
 from __future__ import annotations
@@ -110,28 +117,42 @@ class Tally:
             yield row
 
 
+def _folded(family: RowFamily, key, fold):
+    """The answer ``fold(family)``, folded on the first ask for ``key`` and
+    kept in the family's memo after that."""
+    folds = family._folds
+    if key not in folds:
+        folds[key] = fold(family)
+    return folds[key]
+
+
 def count_total(family: RowFamily) -> int:
     """Total number of represented transversals."""
-    return sum(row.size() for row in family.rows)
+    return _folded(family, "total", lambda f: sum(row.size() for row in f.rows))
 
 
 def spectrum(family: RowFamily) -> Spectrum:
     """Exact transversal counts for every cardinality 0..w."""
-    return Spectrum.of([row.parts for row in family.rows], family.w)
+    return _folded(family, "spectrum",
+                   lambda f: Spectrum.of([row.parts for row in f.rows], f.w))
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
     """Number of transversals of cardinality >= k: N less the counts of the
-    sizes below k, the only ones computed; a k past w gives 0 with none."""
+    sizes below k, the only ones computed; a k past w gives 0 with none.
+    A k other than an int (``True``, ``2.5`` or ``"2"``) is refused with
+    ValueError."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, not {k!r}")
     if k > family.w:
         return 0
-    return count_total(family) - sum(
-        size_counts([row.parts for row in family.rows], family.w, k - 1))
+    return _folded(family, ("at least", max(k, 0)), lambda f: count_total(f) - sum(
+        size_counts([row.parts for row in f.rows], f.w, k - 1)))
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:
     """(smallest transversal size, number of transversals of that size)."""
-    tally = Tally.of([row.parts for row in family.rows])
+    tally = _folded(family, "tally", lambda f: Tally.of([row.parts for row in f.rows]))
     if tally.k_min is None:
         raise Infeasible("empty row family has no transversals")
     return tally.k_min, tally.tau_min

@@ -17,7 +17,7 @@ an int >= 0 when the first row is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Generator, Iterable
 
 from .hypergraph import Hypergraph
@@ -36,11 +36,17 @@ class RowFamily:
     """Ordered list of pairwise-disjoint rows whose members are exactly the
     transversals, plus the run bookkeeping.  A stored family is always
     complete; a fixed cardinality k lives only on :func:`final_parts`.
+
+    The analytics fold each answer over the rows on its first ask and keep
+    it in ``_folds``, so the rows must never change.  The memo takes no
+    part in ``==``, ``hash`` or ``repr``, and ``dataclasses.replace``
+    starts it empty.
     """
 
     w: int
     rows: tuple[Row, ...]
     stats: RunStats | None = None
+    _folds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def impose(row: tuple, edge: int) -> list[tuple]:

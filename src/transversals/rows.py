@@ -311,7 +311,10 @@ class Row:
     # ----- counting by cardinality ---------------------------------------
 
     def count_of_size(self, k: int) -> int:
-        """Number of represented sets of cardinality exactly k."""
+        """Number of represented sets of cardinality exactly k; a k other
+        than an int is refused with ValueError, as in :func:`_members`."""
+        if type(k) is not int:
+            raise ValueError(f"k must be an int, not {k!r}")
         if k < 0 or k > self.w:
             return 0
         return size_counts((self.parts,), self.w, k)[k]

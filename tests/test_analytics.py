@@ -1,9 +1,13 @@
+from collections import Counter
+import dataclasses
 import itertools
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
+from transversals import analytics
 from transversals import (Hypergraph, Infeasible, Row, RowFamily, Spectrum,
                           Tally, brute_transversals, count_at_least,
                           count_total, filter_family, final_parts,
@@ -110,6 +114,69 @@ def test_transversal_number_trivial_systems():
 def test_transversal_number_empty_family():
     with pytest.raises(Infeasible):
         transversal_number(RowFamily(w=3, rows=()))
+
+
+@pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "str"])
+def test_count_at_least_rejects_non_int_k(demo_hg, k):
+    # True == 1, but a bool is not a size; nothing is folded or kept
+    family = run(demo_hg)
+    with pytest.raises(ValueError, match="^k must be an int, not "):
+        count_at_least(family, k)
+    assert family._folds == {}
+
+
+class TestKeptAnswers:
+    """A stored family folds each answer on its first ask and keeps it."""
+
+    def answers(self, family):
+        return (count_total(family), spectrum(family), transversal_number(family),
+                count_at_least(family, 5), count_at_least(family, 0))
+
+    def test_second_ask_folds_nothing(self, demo_hg, monkeypatch):
+        family = run(demo_hg)
+        folds = Counter()
+        counts, of, size = analytics.size_counts, Tally.of.__func__, Row.size
+
+        def counting(name, real):
+            def call(*args):
+                folds[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(analytics, "size_counts", counting("size_counts", counts))
+        monkeypatch.setattr(Tally, "of", classmethod(counting("Tally.of", of)))
+        monkeypatch.setattr(Row, "size", counting("Row.size", size))
+        first = self.answers(family)
+        assert folds == {"size_counts": 3, "Tally.of": 1, "Row.size": len(family.rows)}
+        folds.clear()
+        assert self.answers(family) == first
+        assert count_at_least(family, -3) == count_at_least(family, 0) == DEMO_TOTAL
+        assert folds == {}
+        assert count_at_least(family, 6) == sum(first[1].counts[6:])
+        assert folds == {"size_counts": 1}
+
+    def test_past_w_keeps_nothing(self, demo_hg):
+        family = run(demo_hg)
+        assert count_at_least(family, 15) == 0
+        assert family._folds == {}
+
+    def test_filtered_family_starts_empty(self, demo_hg):
+        family = run(demo_hg)
+        self.answers(family)
+        for got in (filter_family(family), filter_family(family, require={9})):
+            assert got._folds == {}
+        assert count_total(filter_family(family, require={8, 9}, forbid={7})) == 1344
+
+    def test_memo_leaves_equality_hash_repr_and_pickle(self, demo_hg):
+        fresh, used = run(demo_hg), run(demo_hg)
+        answers = self.answers(used)
+        assert len(used._folds) == 5 and fresh._folds == {}
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used and self.answers(back) == answers
+        copy = dataclasses.replace(used)
+        assert copy == used and copy._folds == {}
+        assert self.answers(copy) == answers
 
 
 def test_generate_minimum_size_demo(demo_hg, demo_family):

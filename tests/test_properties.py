@@ -610,6 +610,36 @@ def test_transversal_number_matches_spectrum(hg):
     assert all(c == 0 for c in sp.counts[:k_min])
 
 
+@settings(max_examples=60)
+@given(hypergraphs_st(), st.data())
+def test_kept_answers_match_fresh_folds_in_any_order(hg, data):
+    # a stored family keeps each answer after its first fold; asked in a
+    # drawn order and twice over, with k below 0, within 0..w and past w,
+    # each answer is the fresh family's and the brute-force count by size
+    family = run(hg)
+    by_size = [0] * (hg.w + 1)
+    for x in brute_transversals(hg):
+        by_size[len(x)] += 1
+    k_min = min(j for j, n in enumerate(by_size) if n)
+    ks = data.draw(st.lists(st.integers(-2, hg.w + 2), min_size=1, max_size=6))
+    asks = [("total", None), ("spectrum", None), ("number", None)]
+    asks += [("at least", k) for k in ks]
+    for name, k in data.draw(st.permutations(asks * 2)):
+        fresh = run(hg)
+        if name == "total":
+            assert count_total(family) == count_total(fresh) == sum(by_size)
+        elif name == "spectrum":
+            assert spectrum(family) == spectrum(fresh) == \
+                Spectrum(tuple(by_size), sum(by_size))
+        elif name == "number":
+            assert transversal_number(family) == transversal_number(fresh) == \
+                (k_min, by_size[k_min])
+        else:
+            assert count_at_least(family, k) == count_at_least(fresh, k) == \
+                sum(by_size[max(k, 0):])
+    assert len(family._folds) <= hg.w + 4
+
+
 # ----- streamed folds -------------------------------------------------------
 
 @settings(max_examples=80)

@@ -215,6 +215,12 @@ class TestCounting:
         assert row_from_tokens("1 2").count_of_size(0) == 0
         assert row_from_tokens("e1 e1").count_of_size(0) == 0
 
+    @pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "str"])
+    def test_count_of_size_rejects_non_int_k(self, k):
+        # True == 1, but a bool is not a size: the row 2 e1 e1 has 2 members of size 1
+        with pytest.raises(ValueError, match="^k must be an int, not "):
+            row_from_tokens("2 e1 e1").count_of_size(k)
+
     def test_counts_wider_than_64_bits(self):
         assert size_counts((Row.powerset(200),), 200, 200) == \
             [comb(200, k) for k in range(201)]
