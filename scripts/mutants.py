@@ -92,6 +92,8 @@ MUTANTS = [
      "if not cut & ~(zeros | ones | twos):", "if False:"),
     ("one-position bubble dropped, not promoted", "src/transversals/rows.py",
      "ones |= bubble", "pass"),
+    ("rendered bubbles numbered by mask, not least element", "src/transversals/rows.py",
+     "sorted(bubbles, key=lambda b: b & -b)", "sorted(bubbles)"),
     ("size_counts reads the 2s as the 1s", "src/transversals/rows.py",
      "for _, ones, twos, bubbles in", "for _, twos, ones, bubbles in"),
     ("filter_family rebuilds a row the cut left", "src/transversals/analytics.py",
@@ -106,10 +108,14 @@ MUTANTS = [
      '("at least", max(k, 0))', '"at least"'),
     ("memo serves the first fold for every key", "src/transversals/analytics.py",
      "if key not in folds:", "if not folds:"),
+    ("kept-spectrum tail off by one", "src/transversals/analytics.py",
+     "kept.counts[max(k, 0):]", "kept.counts[max(k, 0) + 1:]"),
     ("enumerate label width one short", "src/transversals/cli.py",
      '% len(str(hg.w))).format', '% (len(str(hg.w)) - 1)).format'),
     ("enumerate batch keeps its NULs", "src/transversals/cli.py",
      '.replace("\\0", "")', ""),
+    ("writer batch not bounded by its characters", "src/transversals/cli.py",
+     "min(_BATCH, _BATCH_CHARS // (len(first) + 1))", "_BATCH"),
     ("--at-least K leaves out size K", "src/transversals/cli.py",
      "below = sum(size_counts(rows, hg.w, at_least - 1))",
      "below = sum(size_counts(rows, hg.w, at_least))"),

@@ -16,7 +16,8 @@ bubbles)``: a tuple of :func:`~transversals.engine.final_parts`, so
 counting a stream builds no row, or a stored row's ``Row.parts``.  :func:`count_total` sums
 :meth:`Row.size` over a stored family, the product Tally forms from the
 parts, without Tally's work for k_min;
-:func:`count_at_least` takes N less the counts of the sizes below k
+:func:`count_at_least` sums the tail of the spectrum where the family
+keeps one, and else takes N less the counts of the sizes below k
 (:func:`~transversals.rows.size_counts` with a limit), as
 ``count --at-least`` does.
 
@@ -138,7 +139,8 @@ def spectrum(family: RowFamily) -> Spectrum:
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
-    """Number of transversals of cardinality >= k: N less the counts of the
+    """Number of transversals of cardinality >= k: the tail of the kept
+    spectrum where the family keeps one, else N less the counts of the
     sizes below k, the only ones computed; a k past w gives 0 with none.
     A k other than an int (``True``, ``2.5`` or ``"2"``) is refused with
     ValueError."""
@@ -146,8 +148,13 @@ def count_at_least(family: RowFamily, k: int) -> int:
         raise ValueError(f"k must be an int, not {k!r}")
     if k > family.w:
         return 0
-    return _folded(family, ("at least", max(k, 0)), lambda f: count_total(f) - sum(
-        size_counts([row.parts for row in f.rows], f.w, k - 1)))
+
+    def fold(f: RowFamily) -> int:
+        if (kept := f._folds.get("spectrum")) is not None:
+            return sum(kept.counts[max(k, 0):])
+        return count_total(f) - sum(size_counts([row.parts for row in f.rows], f.w, k - 1))
+
+    return _folded(family, ("at least", max(k, 0)), fold)
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:
@@ -176,7 +183,11 @@ def count_exactly(hg: Hypergraph, k: int) -> int:
 
 def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]:
     """Every represented transversal of cardinality k exactly once, row by
-    row; row disjointness rules out duplicates."""
+    row; row disjointness rules out duplicates.  A k other than an int
+    (``True``, ``2.5`` or ``"2"``) is refused with ValueError at the call,
+    even on a family with no rows."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, not {k!r}")
     return chain.from_iterable(row.members_of_size(k) for row in family.rows)
 
 

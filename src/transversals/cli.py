@@ -1,6 +1,11 @@
 """Command-line front end: count, spectrum, enumerate, rows and query
 subcommands over a hypergraph file.
 
+Each subcommand reads the engine's final rows once, as their parts, and
+builds no :class:`~transversals.rows.Row`; ``rows`` and ``query`` render
+the parts with :func:`~transversals.rows.render`, and every listing is
+written by :func:`_write`.
+
 All input (the file, and query's vertex lists via
 :func:`~transversals.hypergraph.parse_vertex_list`) is read under Python's
 int/str digit limit.  ``count --verify`` hands each oracle to
@@ -19,6 +24,7 @@ import os
 import sys
 import time
 from collections import deque
+from typing import Iterable
 
 from .analytics import (Spectrum, Tally, check_conditions, count_exactly,
                         filter_rows)
@@ -26,14 +32,16 @@ from .engine import final_parts
 from .hypergraph import (Hypergraph, brief_repr, load_hypergraph,
                          parse_vertex_list)
 from .oracles import brute_count, inclusion_exclusion_count
-from .rows import Row, _members, _Memo, size_counts
+from .rows import _members, _Memo, render, size_counts
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
-# the lines that enumerate joins and writes at once
+# the most lines, and about the most characters, that _write joins and
+# writes at once
 _BATCH = 1024
+_BATCH_CHARS = 1 << 20
 
 # Python 3.10.7+ limits int <-> str conversions (4300 digits by default)
 _get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -190,9 +198,22 @@ def _cmd_count(args, hg: Hypergraph) -> int:
     return code
 
 
+def _write(lines: Iterable[str]) -> None:
+    """Write ``lines`` to stdout, each ended with a newline and cleared of
+    NULs (``enumerate``'s label padding), one joined batch at a time.  A
+    batch holds at most ``_BATCH`` lines and, sized from its first line,
+    about ``_BATCH_CHARS`` characters, so 1 024 rows over w = 4 194 304,
+    some 8.6 GB, are never held at once."""
+    lines = iter(lines)
+    for first in lines:
+        size = max(1, min(_BATCH, _BATCH_CHARS // (len(first) + 1)))
+        batch = [first, *itertools.islice(lines, size - 1), ""]
+        sys.stdout.write("\n".join(batch).replace("\0", ""))
+
+
 def _cmd_spectrum(args, hg: Hypergraph) -> int:
-    for k, count in enumerate(Spectrum.of(final_parts(hg), hg.w).counts):
-        print(f"{k} {count}")
+    counts = Spectrum.of(final_parts(hg), hg.w).counts
+    _write(f"{k} {count}" for k, count in enumerate(counts))
     return EXIT_OK
 
 
@@ -204,36 +225,29 @@ def _cmd_enumerate(args, hg: Hypergraph) -> int:
     # the run for k yields only the rows holding size-k transversals, read
     # as their parts; a vertex's label is its number left-padded with NULs
     # to the digits of w, made once, when first asked for, so labels sort
-    # in vertex order (see rows._members) and a line is one join of strings
+    # in vertex order (see rows._members), a line is one join of strings
+    # and _write drops the NULs
     label = _Memo(("{:\0>%d}" % len(str(hg.w))).format).__getitem__
     found = itertools.chain.from_iterable(
         _members(parts, args.k, label) for parts in final_parts(hg, args.k))
     if args.limit is not None:
         # no output reaches a limit past islice's sys.maxsize
         found = itertools.islice(found, min(args.limit, sys.maxsize))
-    lines = map(" ".join, found)
-    # a batch of lines is joined, cleared of its NULs and written at once
-    while batch := list(itertools.islice(lines, _BATCH)):
-        batch.append("")
-        sys.stdout.write("\n".join(batch).replace("\0", ""))
+    _write(map(" ".join, found))
     return EXIT_OK
 
 
 def _cmd_rows(args, hg: Hypergraph) -> int:
-    # each row is built and printed as the engine yields it; none is stored
-    w = hg.w
-    for parts in final_parts(hg):
-        print(Row(w, *parts).render())
+    # each row's parts are rendered as the engine yields them; none is stored
+    _write(render(hg.w, parts) for parts in final_parts(hg))
     return EXIT_OK
 
 
 def _cmd_query(args, hg: Hypergraph) -> int:
-    # each row's parts are cut as the engine yields them, and a Row is
-    # built only for each row printed; none is stored
-    w = hg.w
+    # each row's parts are cut and rendered as the engine yields them
     tally = Tally()
-    for parts in tally.tap(filter_rows(final_parts(hg), args.require, args.forbid)):
-        print(Row(w, *parts).render())
+    rows = tally.tap(filter_rows(final_parts(hg), args.require, args.forbid))
+    _write(render(hg.w, parts) for parts in rows)
     print(f"R = {tally.r_final}, N = {tally.n_total}")
     return EXIT_OK
 

@@ -360,24 +360,32 @@ class Row:
     # ----- canonical text form ----------------------------------------------
 
     def render(self) -> str:
-        """Space-separated position tokens, bubbles numbered by least element."""
-        _, ones, twos, bubbles = self.parts
-        token = ["0"] * (self.w + 1)
-        for v in _vertices(ones):
-            token[v] = "1"
-        for v in _vertices(twos):
-            token[v] = "2"
-        # the lowest set bit orders bubbles by their least element
-        for i, bubble in enumerate(sorted(bubbles, key=lambda b: b & -b),
-                                   start=1):
-            for v in _vertices(bubble):
-                token[v] = f"e{i}"
-        return " ".join(token[1:])
+        """The row's canonical text form, :func:`render` of its parts."""
+        return render(self.w, self.parts)
 
 
 # The slot descriptors' setters, bound once: they store past the immutable
 # __setattr__, which object.__setattr__ would look up on every call.
 _set_w, _set_parts = (getattr(Row, name).__set__ for name in Row.__slots__)
+
+
+def render(w: int, parts: tuple) -> str:
+    """The canonical text form of the row over {1..w} with parts ``(zeros,
+    ones, twos, bubbles)``: space-separated position tokens, bubbles
+    numbered by least element.  The parts are not checked here, so the
+    CLI renders the engine's parts with no :class:`Row` built."""
+    _, ones, twos, bubbles = parts
+    token = ["0"] * (w + 1)
+    for v in _vertices(ones):
+        token[v] = "1"
+    for v in _vertices(twos):
+        token[v] = "2"
+    # the lowest set bit orders bubbles by their least element
+    for i, bubble in enumerate(sorted(bubbles, key=lambda b: b & -b),
+                               start=1):
+        for v in _vertices(bubble):
+            token[v] = f"e{i}"
+    return " ".join(token[1:])
 
 
 def restrict(parts: tuple, require: int, forbid: int) -> tuple | None:
@@ -391,10 +399,11 @@ def restrict(parts: tuple, require: int, forbid: int) -> tuple | None:
     positions and keeps its place in the bubble order.  The cut parts are
     normal: a one-position rest goes to the 1s here, as in
     :func:`~transversals.engine.impose`, so ``Row(w, *cut).parts == cut``.
-    The masks are not checked here; they come from
-    :func:`~transversals.analytics.check_conditions`, and a bit outside
-    1..w, or in both masks, fails the partition check when the cut parts
-    are built into a :class:`Row`.
+    The masks are not checked here: they come from
+    :func:`~transversals.analytics.check_conditions`, which refuses a
+    vertex outside 1..w or in both masks before any row is cut.  ``query``
+    renders the cut parts with :func:`render` and builds no :class:`Row`;
+    the tests build one from every cut, so the one validator checks them.
     """
     zeros, ones, twos, bubbles = parts
     if require & zeros or forbid & ones:

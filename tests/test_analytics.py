@@ -147,13 +147,26 @@ class TestKeptAnswers:
         monkeypatch.setattr(Tally, "of", classmethod(counting("Tally.of", of)))
         monkeypatch.setattr(Row, "size", counting("Row.size", size))
         first = self.answers(family)
-        assert folds == {"size_counts": 3, "Tally.of": 1, "Row.size": len(family.rows)}
+        # the at-least counts are tails of the spectrum kept before them
+        assert folds == {"size_counts": 1, "Tally.of": 1, "Row.size": len(family.rows)}
         folds.clear()
         assert self.answers(family) == first
         assert count_at_least(family, -3) == count_at_least(family, 0) == DEMO_TOTAL
-        assert folds == {}
         assert count_at_least(family, 6) == sum(first[1].counts[6:])
-        assert folds == {"size_counts": 1}
+        assert folds == {}
+
+    def test_at_least_before_spectrum_folds_the_low_sizes(self, demo_hg, monkeypatch):
+        family = run(demo_hg)
+        calls = []
+        real = analytics.size_counts
+
+        def counting(rows, w, limit=None):
+            calls.append(limit)
+            return real(rows, w, limit)
+
+        monkeypatch.setattr(analytics, "size_counts", counting)
+        assert count_at_least(family, 5) == DEMO_TOTAL - DEMO_TAU_MIN
+        assert calls == [4]
 
     def test_past_w_keeps_nothing(self, demo_hg):
         family = run(demo_hg)
@@ -200,8 +213,13 @@ def test_generate_small_system():
 
 @pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "str"])
 def test_generate_rejects_non_int_k(demo_family, k):
-    with pytest.raises(ValueError, match="^k must be an int, not "):
-        list(transversals_of_size(demo_family, k))
+    # refused at the call, also where no row would ever read k: forbidding
+    # the edge {5, 10} keeps nothing
+    empty = filter_family(demo_family, forbid={5, 10})
+    assert empty.rows == ()
+    for family in demo_family, empty:
+        with pytest.raises(ValueError, match="^k must be an int, not "):
+            transversals_of_size(family, k)
 
 
 class TestFilterFamily:

@@ -385,39 +385,40 @@ class TestFold:
 
     @pytest.mark.parametrize("argv", [
         ["count"], ["count", "--at-least", "5"], ["count", "--exactly", "5"],
-        ["spectrum"], ["enumerate", "--k", "5"], ["rows"]])
+        ["spectrum"], ["enumerate", "--k", "5"], ["rows"],
+        ["query", "--require", "8,9", "--forbid", "7"]])
     def test_counting_builds_no_row_but_the_root(self, capsys, demo_file,
                                                  monkeypatch, argv):
-        # count and spectrum fold the engine's parts and enumerate expands
-        # them, and the engine starts from the all-free root's parts, so
-        # they build no Row; rows, which prints the final rows, builds each
-        # of the 7
-        built = []
-        validate = Row.__post_init__
+        # count and spectrum fold the engine's parts, enumerate expands
+        # them, rows renders them and query cuts and renders them, and the
+        # engine starts from the all-free root's parts, so none builds a
+        # Row; every listing goes through the one writer
+        built, written = [], []
+        validate, write = Row.__post_init__, cli._write
 
         def spy(row):
             built.append(row)
             validate(row)
 
+        def writer(lines):
+            written.append(argv[0])
+            write(lines)
+
         monkeypatch.setattr(Row, "__post_init__", spy)
+        monkeypatch.setattr(cli, "_write", writer)
         code, out, err = run_cli(capsys, argv[0], demo_file, *argv[1:])
-        assert (code, err) == (0, "")
-        assert [row.render() for row in built] == (DEMO_FINAL_ROWS if argv == ["rows"] else [])
-
-    def test_query_builds_a_row_per_printed_row(self, capsys, monkeypatch):
-        # query cuts the engine's parts and builds a Row only to print one:
-        # 4 of the 7 final rows keep a member
-        built = []
-        validate = Row.__post_init__
-
-        def spy(row):
-            built.append(row)
-            validate(row)
-
-        monkeypatch.setattr(Row, "__post_init__", spy)
-        code, out, err = run_cli(capsys, "query", SAMPLE, "--require", "8,9", "--forbid", "7")
-        assert (code, out, err) == (0, GOLDEN_QUERY, "")
-        assert [row.render() for row in built] == GOLDEN_QUERY.splitlines()[:-1]
+        if argv[0] == "enumerate":
+            out = hashlib.sha256(out.encode()).hexdigest()
+        golden = {
+            "count": GOLDEN_COUNT,
+            "count --at-least 5": GOLDEN_COUNT + "N(|X| >= 5) = 8718\n",
+            "count --exactly 5": "N(|X| = 5) = 419\n",
+            "spectrum": GOLDEN_SPECTRUM,
+            "enumerate --k 5": GOLDEN_ENUMERATE_SHA256,
+            "rows": "".join(line + "\n" for line in DEMO_FINAL_ROWS),
+            "query --require 8,9 --forbid 7": GOLDEN_QUERY}[" ".join(argv)]
+        assert (code, out, err, built) == (0, golden, "", [])
+        assert written == ([] if argv[0] == "count" else [argv[0]])
 
 
 class TestSpectrum:
@@ -563,32 +564,73 @@ class TestQuery:
             2, "error: require and forbid overlap on [8]\n", [])
 
 
+class TestWrite:
+    """The one writer of listings, on a stub stdout that keeps each write."""
+
+    def writes(self, monkeypatch, lines):
+        class Stub:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        stub = Stub()
+        monkeypatch.setattr(sys, "stdout", stub)
+        cli._write(lines)
+        monkeypatch.undo()
+        return stub.writes
+
+    def test_short_lines_in_batches(self, monkeypatch):
+        lines = [f"{i} \0{i}" for i in range(3000)]
+        writes = self.writes(monkeypatch, iter(lines))
+        assert "".join(writes) == "\n".join(lines).replace("\0", "") + "\n"
+        assert [text.count("\n") for text in writes] == [1024, 1024, 952]
+
+    def test_long_lines_one_per_write(self, monkeypatch):
+        # 1 024 lines of 2 MiB in one batch would hold 2 GiB
+        lines = [c * (2 << 20) for c in "abc"]
+        assert self.writes(monkeypatch, lines) == [line + "\n" for line in lines]
+
+    def test_no_lines_no_write(self, monkeypatch):
+        assert self.writes(monkeypatch, []) == []
+
+
 class TestBrokenPipe:
-    def test_closed_stdout_in_process(self, capsys, demo_file, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--k", "5"], ["rows"],
+        ["query", "--require", "8,9", "--forbid", "7"], ["spectrum"]],
+        ids=["enumerate", "rows", "query", "spectrum"])
+    def test_closed_stdout_in_process(self, capsys, demo_file, monkeypatch, argv):
         class ClosedPipe(io.StringIO):
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        code = main(["enumerate", demo_file, "--k", "5"])
+        code = main([argv[0], demo_file, *argv[1:]])
         monkeypatch.undo()
         assert (code, capsys.readouterr().err) == (0, "")
 
-    def test_reader_closes_pipe_after_first_line(self, tmp_path):
-        # C(18, 9) lines, far more than a pipe buffer holds, so the command is
-        # still writing when the reader goes away
-        path = tmp_path / "free18.hg"
-        path.write_text("18 0\n")
+    # far more output than a pipe buffer holds, so the command is still
+    # writing when the reader goes away: C(18, 9) lines, and the 1 897
+    # final rows (107 464 bytes) of the path 1-2, 2-3, ..., 27-28
+    @pytest.mark.parametrize("text, argv, first", [
+        ("18 0\n", ["enumerate", "--k", "9"], "1 2 3 4 5 6 7 8 9"),
+        ("28 27\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 28)), ["rows"],
+         " ".join("21" * 13) + " e1 e1"),
+    ], ids=["enumerate", "rows"])
+    def test_reader_closes_pipe_after_first_line(self, tmp_path, text, argv, first):
+        path = tmp_path / "input.hg"
+        path.write_text(text)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "transversals", "enumerate", str(path),
-             "--k", "9"],
+            [sys.executable, "-m", "transversals", argv[0], str(path), *argv[1:]],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        first = proc.stdout.readline()
+        got = proc.stdout.readline()
         proc.stdout.close()
         code = proc.wait(timeout=60)
         err = proc.stderr.read()
         proc.stderr.close()
-        assert (first, code, err) == (b"1 2 3 4 5 6 7 8 9\n", 0, b"")
+        assert (got, code, err) == (f"{first}\n".encode(), 0, b"")
 
 
 class TestErrors:
@@ -734,6 +776,11 @@ def test_module_invocation(demo_file):
 
 SAMPLE = str(pathlib.Path(__file__).resolve().parent.parent / "data" / "sample14.hg")
 
+GOLDEN_COUNT = "N = 8784, R = 7, k_min = 4, tau_min = 66\n"
+
+# enumerate --k 5: all 419 lines
+GOLDEN_ENUMERATE_SHA256 = "b62c174cb0684467d34303a2448f6da54d54bae606391119c2226be60e3c6dbf"
+
 GOLDEN_SPECTRUM = """\
 0 0
 1 0
@@ -805,8 +852,7 @@ def test_golden_enumerate_full_order(capsys):
     assert len(lines) == 419
     assert lines[:3] == ["4 8 9 10 12", "4 9 10 12 13", "4 9 10 12 14"]
     assert lines[-3:] == ["2 9 10 12 13", "1 9 10 11 13", "2 9 10 11 13"]
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "b62c174cb0684467d34303a2448f6da54d54bae606391119c2226be60e3c6dbf"
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENUMERATE_SHA256
 
 
 def test_golden_overlap_error(capsys):
@@ -889,6 +935,5 @@ class TestParser:
             (0, "N = 8784, R = 7, k_min = 4, tau_min = 66\n", "")
         code, out, err = run_cli(capsys, "enumerate", SAMPLE, "--k", "5")
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "b62c174cb0684467d34303a2448f6da54d54bae606391119c2226be60e3c6dbf"
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENUMERATE_SHA256
         assert run_cli(capsys, "spectrum", SAMPLE) == (0, GOLDEN_SPECTRUM, "")

@@ -24,7 +24,7 @@ from transversals import (Hypergraph, HypergraphError, Row, Spectrum,
                           transversals_of_size, vertex_mask)
 from transversals.analytics import filter_rows
 from transversals.cli import main
-from transversals.rows import _REPLAY, _tails, _vertices, restrict, size_counts
+from transversals.rows import _REPLAY, _tails, _vertices, render, restrict, size_counts
 from conftest import (brute_members, drain, is_member, mask_vertices,
                       reference_bound, reference_run)
 
@@ -160,9 +160,34 @@ def test_minimum_size_count_is_bubble_product(r):
     assert r.count_of_size(r.c_min) == product
 
 
+def assert_round_trip(w, parts):
+    """``render`` of the parts is the text of the validated row they build,
+    and that text parses back to the row."""
+    row = Row(w, *parts)
+    text = render(w, parts)
+    assert text == row.render()
+    assert row_from_tokens(text) == row
+
+
 @given(rows_st())
 def test_tokens_round_trip(r):
-    assert row_from_tokens(r.render()) == r
+    assert_round_trip(r.w, r.parts)
+
+
+@given(hypergraphs_st(), st.data())
+def test_tokens_round_trip_of_engine_parts(hg, data):
+    # the parts that rows and query render unbuilt: every final row, and
+    # its cut by each single vertex required or forbidden and by a drawn
+    # pair of conditions
+    require = data.draw(st.frozensets(st.integers(1, hg.w)), label="require")
+    forbid = data.draw(st.frozensets(st.integers(1, hg.w)), label="forbid") - require
+    cuts = [(vertex_mask(require), vertex_mask(forbid))]
+    for v in range(1, hg.w + 1):
+        cuts += [(vertex_mask({v}), 0), (0, vertex_mask({v}))]
+    for parts in final_parts(hg):
+        assert_round_trip(hg.w, parts)
+        for cut in filter(None, (restrict(parts, *masks) for masks in cuts)):
+            assert_round_trip(hg.w, cut)
 
 
 @given(rows_st(), st.integers(0, 8))
