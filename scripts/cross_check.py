@@ -11,7 +11,9 @@ FILE --at-least K`` for one random K in -1..w+1 (N less the counts of the
 sizes below K) against the brute-force tail, and the rows built from the
 parts of the stream ``final_parts(hg)`` left by one random require/forbid
 pair (``filter_rows``, which cuts the parts and builds no row) against the
-brute-force transversals that meet it.  On the stored family, ask the
+brute-force transversals that meet it.  Cut the stored family by the
+same pair with ``filter_family``: its parts must be the stream's cut, and
+its ``count_total`` the brute-force count.  On the stored family, ask the
 spectrum and the transversal number, then the count from the same random
 K, then the spectrum and the transversal number again, each time against
 the oracles, so an answer the family kept must still be its own.
@@ -38,9 +40,9 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from transversals import (Hypergraph, Row, brute_transversals, count_at_least,
-                          count_total, final_parts, inclusion_exclusion_count,
-                          render_hypergraph, run, spectrum, transversal_number,
-                          vertex_mask)
+                          count_total, filter_family, final_parts,
+                          inclusion_exclusion_count, render_hypergraph, run,
+                          spectrum, transversal_number, vertex_mask)
 from transversals.analytics import filter_rows
 from transversals.cli import main as cli_main
 
@@ -108,6 +110,17 @@ def kept_checks(hg: Hypergraph, family, brute: list, at_least: int) -> dict[str,
             "kept_after": kept()}
 
 
+def family_filter_checks(hg: Hypergraph, family, brute: list, require: set,
+                         forbid: set) -> dict[str, bool]:
+    """The stored family cut by ``filter_family``: its parts against the
+    cut of the engine stream, and its count against brute force."""
+    cut = filter_family(family, require, forbid)
+    return {"family_filter_parts": cut.parts == tuple(filter_rows(
+                final_parts(hg), vertex_mask(require), vertex_mask(forbid))),
+            "family_filter_count": count_total(cut) == sum(
+                require <= set(x) and forbid.isdisjoint(x) for x in brute)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=200)
@@ -143,6 +156,9 @@ def main() -> int:
                                                forbid, at_least).items()
                   if not ok]
         failed += [name for name, ok in kept_checks(hg, family, brute, at_least).items()
+                   if not ok]
+        failed += [name for name, ok in
+                   family_filter_checks(hg, family, brute, require, forbid).items()
                    if not ok]
         if not n_engine == n_brute == n_ie or failed:
             mismatches += 1

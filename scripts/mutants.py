@@ -96,8 +96,15 @@ MUTANTS = [
      "sorted(bubbles, key=lambda b: b & -b)", "sorted(bubbles)"),
     ("size_counts reads the 2s as the 1s", "src/transversals/rows.py",
      "for _, ones, twos, bubbles in", "for _, twos, ones, bubbles in"),
-    ("filter_family rebuilds a row the cut left", "src/transversals/analytics.py",
-     "row if parts is row.parts else Row(w, *parts)", "Row(w, *parts)"),
+    ("filter_family returns the parts uncut", "src/transversals/analytics.py",
+     "RowFamily(family.w, filter_rows(family.parts, require, forbid))",
+     "RowFamily(family.w, family.parts)"),
+    ("count_total reads R from the kept tally", "src/transversals/analytics.py",
+     "return _tally(family).n_total", "return _tally(family).r_final"),
+    ("a family keeps a one-shot iterator of parts", "src/transversals/engine.py",
+     'object.__setattr__(self, "parts", tuple(self.parts))', "pass"),
+    ("the rows view rebuilt on every read", "src/transversals/engine.py",
+     "@cached_property", "@property"),
     ("Tally reads the 2s as the 1s", "src/transversals/analytics.py",
      "_, ones, twos, bubbles = row", "_, twos, ones, bubbles = row"),
     ("tau_min ignores bubble sizes", "src/transversals/analytics.py",

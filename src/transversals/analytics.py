@@ -1,32 +1,28 @@
 """Counting, generation and query filtering over the engine's final rows,
-stored in a RowFamily or streamed as their parts by
+each read as its part tuple ``(zeros, ones, twos, bubbles)``: stored in
+a RowFamily's ``parts`` or streamed by
 :func:`~transversals.engine.final_parts`.
 A stored family always holds every transversal, so its answers need no
 size check; a fixed cardinality k exists only on the stream, as in
 :func:`count_exactly`.
 
-Every answer is at most one pass over the rows per stored family and
+Every answer is at most one pass over the parts per stored family and
 answer: :class:`Tally` (R, N, k_min and tau_min) and :meth:`Spectrum.of`
 (per-size counts) fold them, and :func:`filter_rows` cuts each row's
-parts with one multi-vertex :func:`~transversals.rows.restrict`, so a stored family and an engine
-stream get the same formulas, no row of a stream is stored, and a
-:class:`Row` is built only for a row that a caller keeps.  The two folds
-and the filter read each row as its parts ``(zeros, ones, twos,
-bubbles)``: a tuple of :func:`~transversals.engine.final_parts`, so
-counting a stream builds no row, or a stored row's ``Row.parts``.  :func:`count_total` sums
-:meth:`Row.size` over a stored family, the product Tally forms from the
-parts, without Tally's work for k_min;
+parts with one multi-vertex :func:`~transversals.rows.restrict`, so a
+stored family and an engine stream get the same formulas, no row of a
+stream is stored, and no :class:`~transversals.rows.Row` is built here.
 :func:`count_at_least` sums the tail of the spectrum where the family
 keeps one, and else takes N less the counts of the sizes below k
 (:func:`~transversals.rows.size_counts` with a limit), as
 ``count --at-least`` does.
 
-A stored family never changes, so its four answers are folded on their
-first ask and kept on the family (see :class:`RowFamily`): N, the tally
-of :func:`transversal_number`, the spectrum, and the count from each k of
-:func:`count_at_least`, at most w + 4 values.  :func:`filter_family`
-returns a new family, with an empty memo, and generation is a stream, so
-neither is kept.
+A stored family never changes, so its answers are folded on their first
+ask and kept on the family (see :class:`RowFamily`): one :class:`Tally`,
+which :func:`count_total` and :func:`transversal_number` share, the
+spectrum, and the count from each k of :func:`count_at_least`, at most
+w + 3 values.  :func:`filter_family` returns a new family, with an empty
+memo, and generation is a stream, so neither is kept.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from typing import Iterable, Iterator
 
 from .engine import RowFamily, RunStats, final_parts
 from .hypergraph import Hypergraph, brief_repr
-from .rows import Row, restrict, size_counts, vertex_mask
+from .rows import _members, restrict, size_counts, vertex_mask
 
 
 class Infeasible(Exception):
@@ -66,11 +62,12 @@ class Tally:
 
     A row is unpacked as its parts ``(zeros, ones, twos, bubbles)``, so a
     tuple of :func:`~transversals.engine.final_parts`, a ``Row.parts`` and
-    a :class:`Row` are added up alike: its size is 2^|twos| times the
-    product of 2^|b| - 1 over its bubbles b, as :meth:`Row.size`, and its
-    ``c_min`` is |ones| + |bubbles|.  tau_min sums, over the rows whose
-    ``c_min`` attains k_min, the product of their bubble sizes: a minimum
-    member takes the forced positions plus exactly one position per bubble.
+    a :class:`~transversals.rows.Row` are added up alike: its size is
+    2^|twos| times the product of 2^|b| - 1 over its bubbles b, as
+    :meth:`~transversals.rows.Row.size`, and its ``c_min`` is |ones| +
+    |bubbles|.  tau_min sums, over the rows whose ``c_min`` attains k_min,
+    the product of their bubble sizes: a minimum member takes the forced
+    positions plus exactly one position per bubble.
     """
 
     def __init__(self) -> None:
@@ -127,15 +124,19 @@ def _folded(family: RowFamily, key, fold):
     return folds[key]
 
 
+def _tally(family: RowFamily) -> Tally:
+    """The family's :class:`Tally`, folded on the first ask and kept."""
+    return _folded(family, "tally", lambda f: Tally.of(f.parts))
+
+
 def count_total(family: RowFamily) -> int:
     """Total number of represented transversals."""
-    return _folded(family, "total", lambda f: sum(row.size() for row in f.rows))
+    return _tally(family).n_total
 
 
 def spectrum(family: RowFamily) -> Spectrum:
     """Exact transversal counts for every cardinality 0..w."""
-    return _folded(family, "spectrum",
-                   lambda f: Spectrum.of([row.parts for row in f.rows], f.w))
+    return _folded(family, "spectrum", lambda f: Spectrum.of(f.parts, f.w))
 
 
 def count_at_least(family: RowFamily, k: int) -> int:
@@ -152,14 +153,14 @@ def count_at_least(family: RowFamily, k: int) -> int:
     def fold(f: RowFamily) -> int:
         if (kept := f._folds.get("spectrum")) is not None:
             return sum(kept.counts[max(k, 0):])
-        return count_total(f) - sum(size_counts([row.parts for row in f.rows], f.w, k - 1))
+        return count_total(f) - sum(size_counts(f.parts, f.w, k - 1))
 
     return _folded(family, ("at least", max(k, 0)), fold)
 
 
 def transversal_number(family: RowFamily) -> tuple[int, int]:
     """(smallest transversal size, number of transversals of that size)."""
-    tally = _folded(family, "tally", lambda f: Tally.of([row.parts for row in f.rows]))
+    tally = _tally(family)
     if tally.k_min is None:
         raise Infeasible("empty row family has no transversals")
     return tally.k_min, tally.tau_min
@@ -188,7 +189,7 @@ def transversals_of_size(family: RowFamily, k: int) -> Iterator[tuple[int, ...]]
     even on a family with no rows."""
     if type(k) is not int:
         raise ValueError(f"k must be an int, not {k!r}")
-    return chain.from_iterable(row.members_of_size(k) for row in family.rows)
+    return map(tuple, chain.from_iterable(_members(p, k) for p in family.parts))
 
 
 def check_conditions(w: int, require: Iterable[int],
@@ -228,23 +229,15 @@ def filter_rows(rows: Iterable[tuple], require: int,
     yield the parts of each row that keeps a member: a row's own parts
     where all of its members do, else the cut parts, which are normal.
     The masks come from :func:`check_conditions`; no row is built here."""
-    for parts in rows:
-        parts = restrict(parts, require, forbid)
-        if parts is not None:
-            yield parts
+    cuts = (restrict(parts, require, forbid) for parts in rows)
+    return (parts for parts in cuts if parts is not None)
 
 
 def filter_family(family: RowFamily, require: Iterable[int] = (),
                   forbid: Iterable[int] = ()) -> RowFamily:
     """Restrict the family to members containing all of ``require`` and none
     of ``forbid``, with no engine re-run: the cut of :func:`filter_rows`,
-    made on each stored row's parts.  A row whose members all pass comes
-    back as the same object, and a :class:`Row` is built only for each row
-    that the cut changed and kept."""
+    made on the stored parts.  A row whose members all pass comes back as
+    the same part tuple, and no :class:`~transversals.rows.Row` is built."""
     require, forbid = check_conditions(family.w, require, forbid)
-    w, rows = family.w, []
-    for row in family.rows:
-        parts = restrict(row.parts, require, forbid)
-        if parts is not None:
-            rows.append(row if parts is row.parts else Row(w, *parts))
-    return RowFamily(w=w, rows=tuple(rows))
+    return RowFamily(family.w, filter_rows(family.parts, require, forbid))

@@ -7,7 +7,7 @@ The run loop, :func:`final_parts`, works on a row's parts, the tuple
 ``(zeros, ones, twos, bubbles)`` of int masks with ``bubbles`` a tuple,
 the shape a :class:`~transversals.rows.Row` stores as ``parts``, and
 yields each final row's parts as it holds them; the counting folds read
-them, and :func:`run` builds one validated ``Row`` from each.  It holds
+them, and :func:`run` stores them as they come.  It holds
 only the work stack, yields the final rows in one deterministic order
 (for an int ``k``, the full run's rows holding a size-k transversal, in
 that order), returns the run's :class:`RunStats` (the value of its
@@ -18,6 +18,7 @@ an int >= 0 when the first row is asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Generator, Iterable
 
 from .hypergraph import Hypergraph
@@ -37,16 +38,33 @@ class RowFamily:
     transversals, plus the run bookkeeping.  A stored family is always
     complete; a fixed cardinality k lives only on :func:`final_parts`.
 
-    The analytics fold each answer over the rows on its first ask and keep
-    it in ``_folds``, so the rows must never change.  The memo takes no
+    ``parts`` holds each row as the engine's part tuple ``(zeros, ones,
+    twos, bubbles)``; any iterable of them is stored as a tuple, read once.
+    The analytics read ``parts`` and build no :class:`~transversals.rows.Row`.
+    ``rows`` is the validated view for callers that want ``Row`` objects:
+    each ``Row(w, *p)`` is built through the one validating constructor on
+    the first read, and kept.  Equality compares the part tuples, so two
+    families whose rows differ only in bubble order differ.
+
+    The analytics fold each answer over the parts on its first ask and keep
+    it in ``_folds``, so the parts must never change.  The memo takes no
     part in ``==``, ``hash`` or ``repr``, and ``dataclasses.replace``
     starts it empty.
     """
 
     w: int
-    rows: tuple[Row, ...]
+    parts: tuple[tuple, ...]
     stats: RunStats | None = None
     _folds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parts", tuple(self.parts))
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """Each stored row as a validated :class:`Row`, built on the first
+        read and kept."""
+        return tuple(Row(self.w, *p) for p in self.parts)
 
 
 def impose(row: tuple, edge: int) -> list[tuple]:
@@ -309,14 +327,13 @@ def final_parts(hg: Hypergraph, k: int | None = None) -> Generator[tuple, None, 
 
 
 def run(hg: Hypergraph) -> RowFamily:
-    """The final rows of the full run of :func:`final_parts`, each built
-    and validated as a :class:`~transversals.rows.Row` once, stored in
-    order, with the run's :class:`RunStats`."""
-    w = hg.w
+    """The final rows of the full run of :func:`final_parts`, stored in
+    order as the parts it yields, with the run's :class:`RunStats`; no
+    :class:`~transversals.rows.Row` is built."""
     stream = final_parts(hg)
-    rows = []
+    parts = []
     while True:
         try:
-            rows.append(Row(w, *next(stream)))
+            parts.append(next(stream))
         except StopIteration as stop:
-            return RowFamily(w=w, rows=tuple(rows), stats=stop.value)
+            return RowFamily(hg.w, tuple(parts), stop.value)

@@ -10,7 +10,7 @@ import pytest
 from transversals import analytics
 from transversals import (Hypergraph, Infeasible, Row, RowFamily, Spectrum,
                           Tally, brute_transversals, count_at_least,
-                          count_total, filter_family, final_parts,
+                          count_exactly, count_total, filter_family, final_parts,
                           parse_hypergraph, row_from_tokens, run, spectrum,
                           transversal_number, transversals_of_size)
 from conftest import DEMO_K_MIN, DEMO_TAU_MIN, DEMO_TOTAL, brute_members
@@ -51,7 +51,7 @@ def test_spectrum_sums_repeated_rows():
     rows = (row_from_tokens("2 e1 e1 1 0 e2 e2"), Row.powerset(7),
             row_from_tokens("2 e1 e1 1 0 e2 e2"), row_from_tokens("1 1 1 1 1 1 1"))
     expected = [sum(len(brute_members(7, row.parts, k)) for row in rows) for k in range(8)]
-    sp = spectrum(RowFamily(w=7, rows=rows))
+    sp = spectrum(RowFamily(w=7, parts=[row.parts for row in rows]))
     assert list(sp.counts) == expected
     assert sp.total == sum(row.size() for row in rows)
 
@@ -113,7 +113,7 @@ def test_transversal_number_trivial_systems():
 
 def test_transversal_number_empty_family():
     with pytest.raises(Infeasible):
-        transversal_number(RowFamily(w=3, rows=()))
+        transversal_number(RowFamily(w=3, parts=()))
 
 
 @pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "str"])
@@ -135,7 +135,7 @@ class TestKeptAnswers:
     def test_second_ask_folds_nothing(self, demo_hg, monkeypatch):
         family = run(demo_hg)
         folds = Counter()
-        counts, of, size = analytics.size_counts, Tally.of.__func__, Row.size
+        counts, of = analytics.size_counts, Tally.of.__func__
 
         def counting(name, real):
             def call(*args):
@@ -145,10 +145,10 @@ class TestKeptAnswers:
 
         monkeypatch.setattr(analytics, "size_counts", counting("size_counts", counts))
         monkeypatch.setattr(Tally, "of", classmethod(counting("Tally.of", of)))
-        monkeypatch.setattr(Row, "size", counting("Row.size", size))
         first = self.answers(family)
-        # the at-least counts are tails of the spectrum kept before them
-        assert folds == {"size_counts": 1, "Tally.of": 1, "Row.size": len(family.rows)}
+        # count_total and transversal_number share one kept Tally, and the
+        # at-least counts are tails of the spectrum kept before them
+        assert folds == {"size_counts": 1, "Tally.of": 1}
         folds.clear()
         assert self.answers(family) == first
         assert count_at_least(family, -3) == count_at_least(family, 0) == DEMO_TOTAL
@@ -183,13 +183,74 @@ class TestKeptAnswers:
     def test_memo_leaves_equality_hash_repr_and_pickle(self, demo_hg):
         fresh, used = run(demo_hg), run(demo_hg)
         answers = self.answers(used)
-        assert len(used._folds) == 5 and fresh._folds == {}
+        assert len(used._folds) == 4 and fresh._folds == {}
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         back = pickle.loads(pickle.dumps(used))
         assert back == used and self.answers(back) == answers
         copy = dataclasses.replace(used)
         assert copy == used and copy._folds == {}
         assert self.answers(copy) == answers
+
+
+class TestStoredParts:
+    """A stored family holds the engine's part tuples; a Row is built only
+    when a caller reads ``family.rows``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        validate = Row.__post_init__
+
+        def spy(row):
+            built.append(row)
+            validate(row)
+
+        monkeypatch.setattr(Row, "__post_init__", spy)
+        return built
+
+    def test_run_filter_and_answers_build_no_row(self, demo_hg, built):
+        family = run(demo_hg)
+        cut = filter_family(family, require={8, 9}, forbid={7})
+        for f in family, cut:
+            answers = (count_total(f), spectrum(f), count_at_least(f, 5),
+                       transversal_number(f), list(transversals_of_size(f, 5)))
+            assert answers[2] == sum(answers[1].counts[5:])
+            assert len(answers[4]) == answers[1].counts[5]
+        assert (count_total(family), count_total(cut)) == (DEMO_TOTAL, 1344)
+        assert built == []
+
+    def test_rows_built_once_on_first_read(self, demo_hg, built):
+        family = run(demo_hg)
+        rows = family.rows
+        assert len(built) == len(family.parts) == 7
+        assert family.rows is rows and len(built) == 7
+        assert rows == tuple(Row(demo_hg.w, *p) for p in family.parts)
+        assert tuple(row.parts for row in rows) == family.parts
+
+    def test_rows_count_of_size_is_count_exactly(self, demo_hg):
+        # the boundary the benchmark's recorder reads: Row.count_of_size
+        # over a stored family's rows
+        rng = random.Random(5)
+        wide = Hypergraph(24, tuple(
+            tuple(sorted(rng.sample(range(1, 25), rng.randint(3, 6)))) for _ in range(18)))
+        for hg in demo_hg, wide:
+            family = run(hg)
+            k_min = transversal_number(family)[0]
+            for k in range(k_min, k_min + 3):
+                assert sum(row.count_of_size(k) for row in family.rows) == \
+                    count_exactly(hg, k) == spectrum(family).counts[k]
+
+    def test_parts_from_any_iterable_are_kept(self, demo_family):
+        # a one-shot iterator is read once into the tuple every fold reads;
+        # a tuple is kept as the same object, and a list becomes hashable
+        once = RowFamily(w=demo_family.w, parts=iter(demo_family.parts))
+        assert count_total(once) == spectrum(once).total == DEMO_TOTAL
+        assert transversal_number(once) == (DEMO_K_MIN, DEMO_TAU_MIN)
+        assert RowFamily(demo_family.w, demo_family.parts).parts is demo_family.parts
+        listed = RowFamily(w=demo_family.w, parts=list(demo_family.parts))
+        assert listed == once == RowFamily(demo_family.w, demo_family.parts)
+        assert hash(listed) == hash(once)
+        assert spectrum(listed).total == DEMO_TOTAL
 
 
 def test_generate_minimum_size_demo(demo_hg, demo_family):
@@ -235,12 +296,13 @@ class TestFilterFamily:
 
     def test_no_conditions_is_identity(self, demo_family):
         got = filter_family(demo_family)
-        assert got.rows == demo_family.rows
+        assert all(a is b for a, b in zip(got.parts, demo_family.parts))
+        assert got.parts == demo_family.parts and got.rows == demo_family.rows
 
     def test_rows_the_cut_leaves_are_reused(self, demo_family):
         # vertex 9 is a 1 in every demo row but the first, where it is a 2
         got = filter_family(demo_family, require={9})
-        assert [a is b for a, b in zip(got.rows, demo_family.rows)] == [False] + [True] * 6
+        assert [a is b for a, b in zip(got.parts, demo_family.parts)] == [False] + [True] * 6
         assert got.rows[0].render() == "2 2 e1 e1 e2 e3 e3 e4 1 e2 e3 e3 e4 e4"
 
     def test_overlap_rejected(self, demo_family):
@@ -249,14 +311,14 @@ class TestFilterFamily:
 
     def test_vertex_outside_ground_set_rejected_without_rows(self):
         with pytest.raises(ValueError, match="vertex 5 not in ground set 1..3"):
-            filter_family(RowFamily(w=3, rows=()), forbid={1, 5})
+            filter_family(RowFamily(w=3, parts=()), forbid={1, 5})
         with pytest.raises(ValueError, match="vertex 0 not in ground set"):
-            filter_family(RowFamily(w=3, rows=()), require={0})
+            filter_family(RowFamily(w=3, parts=()), require={0})
         # True == 1, but a bool is not a vertex, as in Hypergraph
         with pytest.raises(ValueError, match="vertex True not in ground set"):
-            filter_family(RowFamily(w=3, rows=()), require={True})
+            filter_family(RowFamily(w=3, parts=()), require={True})
         with pytest.raises(ValueError, match="vertex True not in ground set"):
-            filter_family(RowFamily(w=3, rows=()), forbid={True})
+            filter_family(RowFamily(w=3, parts=()), forbid={True})
 
     @pytest.mark.parametrize("require, forbid, message", [
         ({10 ** 5000}, (), "vertex <int too long to show> not in ground set 1..3"),
@@ -274,7 +336,7 @@ class TestFilterFamily:
             "int-and-str", "none-and-int", "mixed-shared"])
     def test_condition_message_stays_short(self, require, forbid, message):
         with pytest.raises(ValueError) as info:
-            filter_family(RowFamily(w=3, rows=()), require=require, forbid=forbid)
+            filter_family(RowFamily(w=3, parts=()), require=require, forbid=forbid)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("require, forbid", [
@@ -282,8 +344,8 @@ class TestFilterFamily:
         ids=["demo-query", "one-forbid", "many-each", "none"])
     def test_one_row_built_per_row_yielded(self, demo_family, monkeypatch,
                                            require, forbid):
-        # each row is cut once, so a dropped row builds nothing and a kept
-        # one at most one new Row
+        # each row's parts are cut once, so neither a dropped row nor a
+        # kept one builds a Row; the bound of one per row yielded is now 0
         built = []
         validate = Row.__post_init__
 
@@ -293,7 +355,7 @@ class TestFilterFamily:
 
         monkeypatch.setattr(Row, "__post_init__", spy)
         got = filter_family(demo_family, require=require, forbid=forbid)
-        assert len(built) <= len(got.rows)
+        assert built == [] and len(got.parts) <= len(demo_family.parts)
 
     def test_forbidding_a_forced_vertex_drops_rows(self, demo_family):
         # vertex 9 is forced in every final row except the first

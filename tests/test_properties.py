@@ -662,7 +662,7 @@ def test_kept_answers_match_fresh_folds_in_any_order(hg, data):
         else:
             assert count_at_least(family, k) == count_at_least(fresh, k) == \
                 sum(by_size[max(k, 0):])
-    assert len(family._folds) <= hg.w + 4
+    assert len(family._folds) <= hg.w + 3
 
 
 # ----- streamed folds -------------------------------------------------------
@@ -685,6 +685,7 @@ def test_final_parts_are_the_final_rows_unbuilt(hg, size_asc, k):
         assert type(p) is tuple
     full, full_stats = drain(final_parts(hg))
     family = run(hg)
+    assert family.parts == tuple(full)
     assert family.rows == tuple(Row(hg.w, *p) for p in full)
     assert [row.parts for row in family.rows] == full
     assert family.stats == full_stats
@@ -776,10 +777,19 @@ def test_filter_family_matches_brute_filter(hg, data):
     require = data.draw(st.frozensets(st.integers(1, hg.w)))
     forbid = data.draw(st.frozensets(
         st.integers(1, hg.w)).filter(lambda f: not (f & require)))
-    filtered = filter_family(run(hg), require=require, forbid=forbid)
-    # the stream filter cuts the same rows in the same order
-    assert list(filter_rows(final_parts(hg), vertex_mask(require),
-                            vertex_mask(forbid))) == [row.parts for row in filtered.rows]
+    family = run(hg)
+    filtered = filter_family(family, require=require, forbid=forbid)
+    # the stream filter cuts the same rows in the same order, into parts
+    # the one validating constructor takes unchanged; a row all of whose
+    # members pass (the 1s hold require, the zeros hold forbid) comes back
+    # as the same part tuple
+    masks = vertex_mask(require), vertex_mask(forbid)
+    assert filtered.parts == tuple(filter_rows(final_parts(hg), *masks))
+    for p in filtered.parts:
+        assert Row(hg.w, *p).parts == p
+    uncut = [p for p in family.parts
+             if not masks[0] & ~p[1] and not masks[1] & ~p[0]]
+    assert all(any(q is p for q in filtered.parts) for p in uncut)
     expanded = [x for row in filtered.rows for k in range(row.w + 1)
                 for x in row.members_of_size(k)]
     assert len(expanded) == len(set(expanded))
