@@ -77,7 +77,15 @@ MUTANTS = [
     ("free pick left unlabelled", "src/transversals/rows.py",
      "picks = map(map, itertools.repeat(label), picks)", "pass"),
     ("free block labelled as the row is decoded", "src/transversals/rows.py",
-     "ones = [*map(label, ones)]", "ones = [*map(label, ones)]; [*map(label, free)]"),
+     "free = _vertices(twos)", "free = _vertices(twos); label and [*map(label, free)]"),
+    ("a row at c_min walks its free picks", "src/transversals/rows.py",
+     "if not extra:", "if False:"),
+    ("a row at c_min without bubbles yields nothing", "src/transversals/rows.py",
+     "return iter((sorted(ones),))", "return iter(())"),
+    ("a row at c_min takes its bubbles in reverse order", "src/transversals/rows.py",
+     "_tails(bubbles, need)", "_tails(bubbles[::-1], need)"),
+    ("size bound lets one size below c_min through", "src/transversals/rows.py",
+     "if extra < 0 or", "if extra < -1 or"),
     ("a cut-off tail list replayed", "src/transversals/rows.py",
      "walked = len(kept) * t > _REPLAY", "walked = len(kept) * t > _REPLAY + t"),
     ("a walked tail replayed from the cut-off list", "src/transversals/rows.py",
@@ -137,6 +145,9 @@ EQUIVALENT = [
     ("every later edge kept for a later son", "src/transversals/engine.py",
      "if e & edge]", "]",
      "only speed: the edges missing the split edge never fail a later son"),
+    ("a pass of one free pick lists its tails", "src/transversals/rows.py",
+     "walked = d in (0, len(free))", "walked = False",
+     "only speed and memory: the one pick meets the same tails, listed or walked"),
 ]
 
 # a mutated copy lacks the mutant's old text, so the test that checks each

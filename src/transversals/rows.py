@@ -104,9 +104,12 @@ def _replay(ones: tuple, free: list[int], bubbles: list[list], need: int,
     room = sum(map(len, bubbles))
     for d in range(min(len(free), need - len(bubbles)), max(0, need - room) - 1, -1):
         t = need - d
-        kept = tuple(itertools.islice(_tails(bubbles, t), _REPLAY // t + 1))
-        # a tail too long to keep is walked again for each free pick
-        walked = len(kept) * t > _REPLAY
+        # a pass of one free pick walks its tails once, and needs no list
+        walked = d in (0, len(free))
+        if not walked:
+            kept = tuple(itertools.islice(_tails(bubbles, t), _REPLAY // t + 1))
+            # a tail too long to keep is walked again for each free pick
+            walked = len(kept) * t > _REPLAY
         for pick in map(ones.__add__, _labelled(_picks(free, d), label)):
             yield map(pick.__add__, _tails(bubbles, t) if walked else kept)
 
@@ -141,6 +144,10 @@ def _members(parts: tuple, k: int, label: Callable[[int], str] | None = None
     puts the labels in vertex order.  The caller joins them with spaces and
     drops the NULs from the joined text.
 
+    At k = c_min a member is the 1s plus one position per bubble, so the
+    members are the 1s joined with the bubbles' product (:func:`_tails`),
+    and the free block is decoded only when a free pick is taken.
+
     Lazy labels.  The 1s and the bubbles are labelled when the row is
     decoded; their positions lie in the hypergraph's edges, so their
     number is bounded by the input size.  The free block stays a list of
@@ -149,22 +156,28 @@ def _members(parts: tuple, k: int, label: Callable[[int], str] | None = None
     formatted at most once per run.  So a wide free block of which few
     picks are taken, as under ``--limit``, gets a label only for the
     positions those picks hold: labels add memory for the positions
-    picked, not for the w positions of the row, whose decoded ints the
-    walk holds in any case.
+    picked, not for the w positions of the row, whose decoded ints a walk
+    that takes free picks holds in any case.
     """
     if type(k) is not int:
         raise ValueError(f"k must be an int, not {k!r}")
     _, ones, twos, bubbles = parts
     need = k - ones.bit_count()
-    if not len(bubbles) <= need <= twos.bit_count() + sum(b.bit_count() for b in bubbles):
+    # the positions a member takes beyond one per bubble
+    extra = need - len(bubbles)
+    if extra < 0 or extra and need > twos.bit_count() + sum(b.bit_count() for b in bubbles):
         return iter(())
     ones = _vertices(ones)
-    free = _vertices(twos)
     bubbles = [*map(_vertices, bubbles)]
     if label is not None:
         ones = [*map(label, ones)]
         bubbles = [[*map(label, bubble)] for bubble in bubbles]
     ones = tuple(ones)
+    if not extra:
+        if not bubbles:
+            return iter((sorted(ones),))
+        return map(sorted, map(ones.__add__, _tails(bubbles, need)))
+    free = _vertices(twos)
     if not bubbles:
         return map(sorted, map(ones.__add__,
                                _labelled(itertools.combinations(free, need), label)))
@@ -347,8 +360,16 @@ class Row:
         every free pick meets the whole tail in the tail's order before the
         next pick, in the order of one walk of all the blocks, and the
         first member comes after at most ``_REPLAY`` listed positions plus
-        one tail.  A row without bubbles is one map over the free block's
-        combinations.
+        one tail.  A size with one free pick, the empty pick or the whole
+        block, walks its tails once and lists none.  A row without bubbles
+        is one map over the free block's combinations.
+
+        At c_min.  For k = c_min no free position is picked: the members
+        are the 1s joined with the bubbles' product, each bubble's
+        positions reversed and the last bubble's in order, and the free
+        block is not decoded.  Every row that the run for k = k_min keeps
+        has c_min = k, so ``enumerate --k`` at the transversal number
+        reads each row as its 1s and its bubbles.
 
         Memory.  The pick sources and a walk of the tail hold O(w)
         positions however many members the row has.  A tail list holds at

@@ -330,15 +330,19 @@ class TestWideRows:
     def test_enumerate_labels_only_picked_positions(self, capsys, wide_file):
         # a free position is labelled when a pick takes it; labelling the
         # 199 998 free positions as the row is decoded took the traced peak
-        # from 10.7 MB to 20.3 MB, and a memo of them all to 37.8 MB
-        tracemalloc.start()
-        try:
-            got = run_cli(capsys, "enumerate", wide_file, "--k", "2", "--limit", "1")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == (0, f"1 {self.W}\n", "")
-        assert peak < 15e6
+        # at k = 2 from 10.7 MB to 20.3 MB, and a memo of them all to
+        # 37.8 MB.  At k = 1 = c_min no free position is picked, and the
+        # free block is not decoded: 0.11 MB, where decoding it took 10.5 MB
+        for argv, expected, bound in ((["--k", "2", "--limit", "1"], f"1 {self.W}\n", 15e6),
+                                      (["--k", "1"], "1\n2\n", 1e6)):
+            tracemalloc.start()
+            try:
+                got = run_cli(capsys, "enumerate", wide_file, *argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == (0, expected, "")
+            assert peak < bound
 
     def test_query_require(self, capsys, wide_file):
         got = run_cli(capsys, "query", wide_file, "--require", "3")

@@ -249,17 +249,33 @@ def test_generation_order_with_small_replay_cap(cap, r, data):
     assert got == list(reference_members_of_size(r, k))
 
 
+@pytest.mark.parametrize("cap", [0, 5, _REPLAY], ids=["walked", "tiny", "real"])
+@settings(max_examples=200)
+@given(rows_st(min_w=3, max_w=10), st.data())
+def test_generation_order_at_c_min(cap, r, data):
+    # at k = c_min the members are the 1s joined with the bubbles' product,
+    # whatever the cap; only rows with free positions and bubbles, whose
+    # other sizes take free picks
+    zeros, ones, twos, bubbles = r
+    assume(twos and bubbles)
+    r = Row(r.w, zeros, ones, twos, data.draw(st.permutations(bubbles)))
+    with mock.patch("transversals.rows._REPLAY", cap):
+        got = list(r.members_of_size(r.c_min))
+    assert got == list(reference_members_of_size(r, r.c_min))
+
+
 def test_generation_order_walks_long_tails_at_the_real_cap():
-    # five 3-bubbles and two free positions, k = 7: the 243 tails of five
-    # positions (free pick size 2) are listed; those of six and seven
-    # positions (sizes 1 and 0) are too long, so each free pick walks them
-    r = row_from_tokens("e1 e1 e1 e2 e2 e2 e3 e3 e3 e4 e4 e4 e5 e5 e5 2 2")
+    # five 3-bubbles and three free positions, k = 7: the 243 tails of five
+    # positions (free pick size 2) are listed; those of six positions
+    # (size 1) are too long, so each free pick walks them; the one free
+    # pick of size 0 walks the tails of seven positions once, unlisted
+    r = row_from_tokens("e1 e1 e1 e2 e2 e2 e3 e3 e3 e4 e4 e4 e5 e5 e5 2 2 2")
     bubbles = [*map(_vertices, r.parts[3])]
     tails = [sum(1 for _ in _tails(bubbles, t)) for t in (5, 6, 7)]
     assert tails[0] == 243
     assert [n * t > _REPLAY for n, t in zip(tails, (5, 6, 7))] == [False, True, True]
     got = list(r.members_of_size(7))
-    assert len(got) == 5508
+    assert len(got) == 7209
     assert got == list(reference_members_of_size(r, 7))
 
 

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from transversals import Row, bubble_segment_counts, row_from_tokens, vertex_mask
+from transversals import Row, bubble_segment_counts, row_from_tokens, rows, vertex_mask
 from transversals.rows import restrict, size_counts
 from conftest import brute_members, is_member
 
@@ -273,6 +273,31 @@ class TestGeneration:
 
     def test_empty_set_generation(self):
         assert list(Row.powerset(3).members_of_size(0)) == [()]
+
+    @pytest.mark.parametrize("tokens, expected", [
+        ("2 e1 1 e1 2 e2 e2 2 0", [(3, 4, 6), (3, 4, 7), (2, 3, 6), (2, 3, 7)]),
+        ("1 2 0 1 2", [(1, 4)]),
+    ], ids=["bubbles", "no-bubbles"])
+    def test_c_min_reads_the_bubble_product(self, monkeypatch, tokens, expected):
+        # at k = c_min a member is the 1s and one position per bubble: the
+        # free block is not decoded and no free pick is walked
+        decoded = []
+        real = rows._vertices
+
+        def spy(mask):
+            decoded.append(mask)
+            return real(mask)
+
+        def no_replay(*args):
+            raise AssertionError("_replay entered at c_min")
+
+        monkeypatch.setattr(rows, "_vertices", spy)
+        monkeypatch.setattr(rows, "_replay", no_replay)
+        r = row_from_tokens(tokens)
+        assert list(r.members_of_size(r.c_min)) == expected
+        assert list(rows._members(r.parts, r.c_min, str)) == [
+            [*map(str, member)] for member in expected]
+        assert decoded and r.parts[2] not in decoded
 
     @pytest.mark.parametrize("tokens, first", [
         ("2 " * 20 + "e1 e1", [(*range(11, 21), 21), (*range(11, 21), 22),
